@@ -3,13 +3,11 @@
 Trains a small RETINA bundle once, then walks it through one leg per
 failure domain, each under a deterministic :mod:`repro.chaos` schedule:
 
-- **serving** — a 2-worker engine behind the asyncio front end takes
-  closed-loop SDK load while ``pool.worker_crash`` / ``pool.worker_slow``
-  kill and stall dispatch workers and ``client.reset`` drops pooled
-  keep-alive sockets mid-conversation.  Every request must come back as
-  a 200 or a *typed* error (``worker_crashed``, ``connection_reset``,
-  ...) — no hangs, no silent drops, no untyped tracebacks.  After the
-  schedule is switched off the pool must respawn back to full width.
+- **serving** — the engine behind the asyncio front end takes
+  closed-loop SDK load while ``client.reset`` drops pooled keep-alive
+  sockets mid-conversation.  Every request must come back as a 200 or a
+  *typed* error (``connection_reset``, ...) — no hangs, no silent drops,
+  no untyped tracebacks.
 - **raw sockets** — hand-rolled peers disconnect mid-body and slow-loris
   the request head (the ``aio.disconnect`` / ``aio.slowloris`` points
   are driven from this harness, not from server code).  The server must
@@ -54,11 +52,6 @@ import numpy as np
 if __package__ in (None, ""):  # executed as a script: make `benchmarks` importable
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
-# The soak's crash schedule is continuous by design; the crash-loop breaker
-# (unit-tested in tests/serving) would otherwise trip mid-leg and turn the
-# full-width-recovery gate into a breaker test.
-os.environ.setdefault("REPRO_SERVE_CRASH_LIMIT", "1000")
-
 from benchmarks.common import add_json_out, emit_report
 from repro import chaos
 from repro.chaos import ChaosPlan, ChaosRule
@@ -81,7 +74,6 @@ from repro.store import EventLog, RetweetEvent, StoreIOError
 REPLAY_N = 24          # deterministic request set for the bit-identical gate
 DISCONNECTS = 5        # aio.disconnect leg: peers dropped mid-body
 SLOWLORIS = 3          # aio.slowloris leg: stalled request heads
-RECOVERY_TIMEOUT_S = 30.0
 STORE_KILL_ACKS = 40   # SIGKILL the appender once this many acks are durable
 
 
@@ -120,13 +112,12 @@ def _serving_fixture():
     return bundle, ds.world, payloads
 
 
-def _serve(workers: int, **server_kwargs):
+def _serve(**server_kwargs):
     bundle, _, _ = _serving_fixture()
     engine = InferenceEngine(
         {"retweeters": RetweeterPredictor(bundle)},
         max_batch_size=8,
         max_wait_ms=1.0,
-        workers=workers,
     )
     return engine, AsyncPredictionServer(engine, port=0, **server_kwargs)
 
@@ -145,17 +136,10 @@ def _replay_scores(host: str, port: int, payloads: list[dict]) -> list[dict]:
 def _serving_leg(seed: int, requests_per_thread: int, concurrency: int) -> dict:
     plan = ChaosPlan(
         seed=seed,
-        rules={
-            "pool.worker_crash": ChaosRule(rate=0.02),
-            "pool.worker_slow": ChaosRule(rate=0.05, delay_s=0.01),
-            "client.reset": ChaosRule(rate=0.02),
-        },
+        rules={"client.reset": ChaosRule(rate=0.02)},
     )
-    # Enabled *before* the engine forks its dispatch workers, so every
-    # worker inherits the schedule (respawned workers fork the parent's
-    # then-current state — after disable() they come back chaos-free).
     chaos.enable(plan)
-    engine, server = _serve(workers=2)
+    _, server = _serve()
     ok = [0] * concurrency
     typed: list[dict] = [dict() for _ in range(concurrency)]
     untyped: list[list[str]] = [[] for _ in range(concurrency)]
@@ -192,22 +176,6 @@ def _serving_leg(seed: int, requests_per_thread: int, concurrency: int) -> dict:
                 t.join(timeout=300.0)
             hung = sum(t.is_alive() for t in threads)
             elapsed = time.perf_counter() - t0
-
-            # Heal the world, then wait for the pool to respawn to width.
-            chaos.disable()
-            recovered = False
-            recovery_started = time.perf_counter()
-            while time.perf_counter() - recovery_started < RECOVERY_TIMEOUT_S:
-                health = engine.dispatch_health()
-                if (
-                    health["mode"] == "workers"
-                    and health["live_workers"] == health["configured_workers"]
-                ):
-                    recovered = True
-                    break
-                time.sleep(0.25)
-            recovery_s = time.perf_counter() - recovery_started
-            health = engine.dispatch_health()
     finally:
         chaos.disable()
 
@@ -227,9 +195,6 @@ def _serving_leg(seed: int, requests_per_thread: int, concurrency: int) -> dict:
         "hung_clients": hung,
         "elapsed_s": round(elapsed, 2),
         "chaos_stats": chaos.stats() or plan.stats(),
-        "dispatch_health": health,
-        "recovered_full_width": recovered,
-        "recovery_s": round(recovery_s, 2),
     }
 
 
@@ -241,7 +206,7 @@ def _raw_socket_leg() -> dict:
     )
     head_before = aborted.value(stage="head")
     body_before = aborted.value(stage="body")
-    engine, server = _serve(workers=1, header_timeout=0.5)
+    engine, server = _serve(header_timeout=0.5)
     _, _, payloads = _serving_fixture()
     with server:
         host, port = server.address
@@ -495,7 +460,7 @@ def _run(args) -> dict:
     chaos.disable()  # a REPRO_CHAOS env leak must not skew the baseline
 
     # Baseline scores before any fault runs (the bit-identical reference).
-    engine, server = _serve(workers=1)
+    engine, server = _serve()
     _, _, payloads = _serving_fixture()
     with server:
         host, port = server.address
@@ -510,7 +475,7 @@ def _run(args) -> dict:
         store = _store_leg(args.seed, tmp)
 
     # Chaos off, fresh server: the exact same scores must come back.
-    engine, server = _serve(workers=1)
+    engine, server = _serve()
     with server:
         host, port = server.address
         replay = _replay_scores(host, port, payloads)
@@ -524,9 +489,7 @@ def _run(args) -> dict:
         "serving_no_hangs": serving["hung_clients"] == 0,
         "serving_chaos_exercised": (
             serving["chaos_stats"].get("client.reset", {}).get("fires", 0) > 0
-            or serving["dispatch_health"].get("crashes", 0) > 0
         ),
-        "pool_recovered_full_width": serving["recovered_full_width"],
         "raw_socket_aborts_counted": raw["aborts_counted"],
         "server_alive_after_abuse": raw["server_alive_after"],
         "paged_no_silent_loss": paged["no_silent_loss"],

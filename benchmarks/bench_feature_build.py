@@ -34,15 +34,7 @@ from pathlib import Path
 if __package__ in (None, ""):  # executed as a script: make `benchmarks` importable
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
-from benchmarks.common import (
-    add_json_out,
-    add_workers_sweep,
-    available_cores,
-    emit_report,
-    floor_enforceable,
-    smoke_sweep,
-    with_serial_baseline,
-)
+from benchmarks.common import add_json_out, emit_report
 from repro.core.retina import RetinaFeatureExtractor, RetinaTrainer
 from repro.data import HateDiffusionDataset, SyntheticWorldConfig
 from repro.features import build_samples_reference
@@ -59,11 +51,6 @@ def parse_args(argv=None) -> argparse.Namespace:
                         help="number of cascades per timed build")
     parser.add_argument("--min-speedup", type=float, default=5.0,
                         help="warm-speedup floor enforced by --check")
-    add_workers_sweep(parser)
-    parser.add_argument("--min-parallel-speedup", type=float, default=2.5,
-                        help="cold-build speedup floor at the largest sweep "
-                             "worker count (enforced by --check when the "
-                             "host has that many cores)")
     parser.add_argument("--check", action="store_true",
                         help="exit non-zero on parity failure or low speedup")
     parser.add_argument("--smoke", action="store_true",
@@ -77,13 +64,7 @@ def parse_args(argv=None) -> argparse.Namespace:
         # noise-prone; the gate only needs to catch a real regression back
         # toward the seed path (measured headroom here is ~8x).
         args.min_speedup = min(args.min_speedup, 1.2)
-        args.workers = smoke_sweep(args.workers)
-        # The tiny smoke world amortises forks poorly (per-user work is
-        # milliseconds against a fixed fork cost), so the smoke gate only
-        # proves parity + a working pool, like the train-step smoke.
-        args.min_parallel_speedup = 0.0
         args.check = True
-    args.workers = with_serial_baseline(args.workers)
     return args
 
 
@@ -106,8 +87,6 @@ def main(argv=None) -> int:
     dataset = HateDiffusionDataset.generate(cfg)
     train, test = dataset.cascade_split(random_state=args.seed)
     extractor = RetinaFeatureExtractor(dataset.world, random_state=args.seed).fit(train)
-    store = extractor.store_
-    store.workers = 1  # historical cold/warm legs stay strictly serial
     cascades = (train + test)[: args.cascades]
     edges = RetinaTrainer.default_interval_edges()
 
@@ -142,46 +121,17 @@ def main(argv=None) -> int:
         return {"seconds": round(seconds, 4),
                 "cascades_per_sec": round(n / seconds, 1)}
 
-    # Cores -> throughput scaling: cold builds (the ensure-dominated leg the
-    # process pool parallelises) at each sweep worker count, every result
-    # checked bit-identical against the serial cold build above.
-    levels = []
-    t_by_workers: dict[int, float] = {}
-    parallel_parity = True
-    for w in args.workers:
-        store.workers = w
-        store.invalidate()
-        t0 = time.perf_counter()
-        samples_w = extractor.build_samples(
-            cascades, interval_edges_hours=edges, random_state=0
-        )
-        dt = time.perf_counter() - t0
-        t_by_workers[w] = dt
-        par = _parity(samples_w, columnar)
-        parallel_parity = parallel_parity and par
-        levels.append({"workers": w, **leg(dt), "parity": par})
-    store.workers = 1
-    t_serial = t_by_workers[1]
-    for entry in levels:
-        entry["speedup_vs_serial"] = round(t_serial / t_by_workers[entry["workers"]], 2)
-    max_w = max(args.workers)
-    floor_on = floor_enforceable(max_w)
-
     report = {
         "benchmark": "feature_build",
         "config": {"users": args.users, "scale": args.scale,
                    "hashtags": args.hashtags, "news": args.news,
-                   "seed": args.seed, "workers_sweep": args.workers},
+                   "seed": args.seed},
         "n_cascades": n,
         "cold": {"reference": leg(t_ref_cold), "columnar": leg(t_col_cold),
                  "speedup": round(t_ref_cold / t_col_cold, 2)},
         "warm": {"reference": leg(t_ref_warm), "columnar": leg(t_col_warm),
                  "speedup": round(t_ref_warm / t_col_warm, 2)},
         "parity": parity,
-        "scaling": {"levels": levels, "cores": available_cores(),
-                    "parallel_floor": args.min_parallel_speedup,
-                    "parallel_floor_enforced": floor_on,
-                    "parity": parallel_parity},
     }
     emit_report(report, args.json_out)
     if args.check:
@@ -189,24 +139,10 @@ def main(argv=None) -> int:
             print("FAIL: columnar features are not bit-identical to the seed path",
                   file=sys.stderr)
             return 1
-        if not parallel_parity:
-            print("FAIL: parallel cold build is not bit-identical to serial",
-                  file=sys.stderr)
-            return 1
         if report["warm"]["speedup"] < args.min_speedup:
             print(f"FAIL: warm speedup {report['warm']['speedup']}x "
                   f"< required {args.min_speedup}x", file=sys.stderr)
             return 1
-        top = next(e for e in levels if e["workers"] == max_w)
-        if floor_on and top["speedup_vs_serial"] < args.min_parallel_speedup:
-            print(f"FAIL: {max_w}-worker cold-build speedup "
-                  f"{top['speedup_vs_serial']}x < required "
-                  f"{args.min_parallel_speedup}x", file=sys.stderr)
-            return 1
-        if not floor_on:
-            print(f"note: parallel speedup floor skipped "
-                  f"({available_cores()} core(s) < {max_w} workers)",
-                  file=sys.stderr)
     return 0
 
 

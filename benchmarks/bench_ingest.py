@@ -92,7 +92,7 @@ def _serve(tmp: str):
     bundle, _, _, _ = _fixture()
     registry = ModelRegistry(tmp)
     registry.save_bundle("retina", bundle)
-    engine = engine_from_store(registry, max_wait_ms=2.0, workers=1)
+    engine = engine_from_store(registry, max_wait_ms=2.0)
     return engine, AsyncPredictionServer(engine, port=0)
 
 

@@ -10,13 +10,6 @@ Reports a JSON document per level with requests/sec, p50/p95 latency,
 and feature-cache hit rate — the numbers that justify micro-batching +
 caching.
 
-A ``--workers`` sweep then re-serves the same bundle with that many
-dispatch worker processes (micro-batches executed concurrently over
-read-only shared-memory model weights) and fires load at a fixed
-concurrency, emitting the cores -> requests/sec scaling curve.  ``--check``
-enforces a requests/sec floor at the largest worker count when the host
-has that many cores.
-
 ``--batch-size N`` adds a ``/v1/batch/retweeters`` leg: each HTTP call
 carries N requests fanned into the micro-batcher, reported with both
 per-HTTP-request and per-row throughput.
@@ -32,7 +25,7 @@ Saturation behaviour is measured separately from closed-loop throughput:
   graceful-saturation floor: p99 of *admitted* requests at 2x offered
   load ≤ 2x the p99 at 50% load (+50 ms slack), zero requests dropped
   without a response, and every 429 carrying ``Retry-After``.
-  ``--overload-only`` skips the closed-loop curve/scaling legs (the CI
+  ``--overload-only`` skips the closed-loop curve and batch legs (the CI
   overload-smoke step).
 
 Runnable standalone (``PYTHONPATH=src python benchmarks/bench_serving_throughput.py``)
@@ -58,12 +51,9 @@ if __package__ in (None, ""):  # executed as a script: make `benchmarks` importa
 
 from benchmarks.common import (
     add_json_out,
-    add_workers_sweep,
     available_cores,
     emit_report,
     floor_enforceable,
-    smoke_sweep,
-    with_serial_baseline,
 )
 from repro.client import ServingClient
 from repro.core.retina import RETINA, RetinaFeatureExtractor, RetinaTrainer
@@ -296,9 +286,9 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--levels", type=str, default=None,
                         help="comma-separated base concurrency levels "
                              "(default 1,2,4,8,16,32,64)")
-    add_workers_sweep(parser)
     parser.add_argument("--concurrency", type=int, default=32,
-                        help="client concurrency for the workers sweep")
+                        help="client concurrency for the batch and "
+                             "obs-overhead legs")
     parser.add_argument("--batch-size", type=int, default=0, metavar="N",
                         help="also measure /v1/batch/retweeters with N "
                              "requests per HTTP call (0 disables; reports "
@@ -317,17 +307,13 @@ def parse_args(argv=None) -> argparse.Namespace:
                              "saturation curve)")
     parser.add_argument("--overload-only", action="store_true",
                         help="run only the --overload legs (skips the "
-                             "closed-loop curve, scaling, and batch legs)")
+                             "closed-loop curve and batch legs)")
     parser.add_argument("--overload-p99-factor", type=float, default=2.0,
                         help="admitted-p99 blowup allowed at 2x offered load "
                              "vs 50%% load (plus 50 ms slack)")
-    parser.add_argument("--min-rps", type=float, default=3000.0,
-                        help="requests/sec floor at the largest sweep worker "
-                             "count (enforced by --check when the host has "
-                             "that many cores)")
     parser.add_argument("--check", action="store_true",
-                        help="exit non-zero on zero throughput or a missed "
-                             "requests/sec floor")
+                        help="exit non-zero on zero throughput, a silent "
+                             "drop or a missed overload floor")
     parser.add_argument("--smoke", action="store_true",
                         help="short-load CI preset (implies --check)")
     add_json_out(parser)
@@ -340,14 +326,9 @@ def parse_args(argv=None) -> argparse.Namespace:
         args.base_levels = (4, 16)
         args.concurrency = 16
         args.batch_size = args.batch_size or 8
-        args.workers = smoke_sweep(args.workers)
-        # The smoke gate proves the multi-process serving path works under
-        # load; the 3000 req/s floor belongs to the 4-core default run.
-        args.min_rps = min(args.min_rps, 150.0)
         args.check = True
     if args.overload_only:
         args.overload = True
-    args.workers = with_serial_baseline(args.workers)
     return args
 
 
@@ -368,14 +349,13 @@ def _run(args=None) -> dict:
         for _ in range(256)
     ]
 
-    def serve(workers: int, admission=None):
+    def serve(admission=None):
         """A fresh predictor + engine + server for one measurement leg."""
         predictor = RetweeterPredictor(bundle)
         engine = InferenceEngine(
             {"retweeters": predictor},
             max_batch_size=64,
             max_wait_ms=2.0,
-            workers=workers,
         )
         return engine, AsyncPredictionServer(engine, port=0, admission=admission)
 
@@ -383,8 +363,8 @@ def _run(args=None) -> dict:
               "cores": available_cores()}
 
     if not args.overload_only:
-        # ---- base curve: single-dispatch engine over concurrency levels --
-        engine, server = serve(workers=1)
+        # ---- base curve: the engine over concurrency levels --------------
+        engine, server = serve()
         results = []
         batch_levels = []
         with server:
@@ -406,36 +386,12 @@ def _run(args=None) -> dict:
                     )
                 )
 
-        # ---- cores -> req/s scaling: dispatch workers, fixed concurrency -
-        scaling = []
-        for w in args.workers:
-            engine, server = serve(workers=w)
-            with server:
-                host, port = server.address
-                _fire_load(host, port, payloads, concurrency=2, seconds=0.5)
-                level = _fire_load(host, port, payloads, args.concurrency, args.seconds)
-                level["workers"] = w
-                level["feature_cache_hit_rate"] = (
-                    engine.metrics()["retweeters"]["caches"]["features"]["hit_rate"]
-                )
-            scaling.append(level)
-        base_rps = next(e for e in scaling if e["workers"] == 1)["requests_per_s"]
-        for level in scaling:
-            level["speedup_vs_serial"] = round(level["requests_per_s"] / base_rps, 2)
-
         report["levels"] = results
         report["engine"] = {
             "requests": engine_metrics["requests"],
             "mean_batch_size": engine_metrics["mean_batch_size"],
             "p50_ms": engine_metrics["p50_ms"],
             "p95_ms": engine_metrics["p95_ms"],
-        }
-        report["scaling"] = {
-            "concurrency": args.concurrency,
-            "levels": scaling,
-            "cores": available_cores(),
-            "rps_floor": args.min_rps,
-            "rps_floor_enforced": floor_enforceable(max(args.workers)),
         }
         if batch_levels:
             report["batch"] = {
@@ -447,7 +403,7 @@ def _run(args=None) -> dict:
     # ---- open-loop leg at a fixed offered rate ---------------------------
     if getattr(args, "arrival_rate", 0.0) > 0:
         engine, server = serve(
-            workers=1, admission=AdmissionController(AdmissionConfig()),
+            admission=AdmissionController(AdmissionConfig()),
         )
         with server:
             host, port = server.address
@@ -459,7 +415,7 @@ def _run(args=None) -> dict:
     # ---- overload curve: 0.5x and 2x measured capacity -------------------
     if getattr(args, "overload", False):
         # Probe capacity on an unthrottled server first...
-        engine, probe = serve(workers=1)
+        engine, probe = serve()
         with probe:
             host, port = probe.address
             _fire_load(host, port, payloads, concurrency=2, seconds=0.5)
@@ -478,7 +434,7 @@ def _run(args=None) -> dict:
             depth_high=64, depth_low=16, age_high_s=0.25, age_low_s=0.05,
         )
         engine, server = serve(
-            workers=1, admission=AdmissionController(admission_cfg),
+            admission=AdmissionController(admission_cfg),
         )
         legs = []
         with server:
@@ -531,7 +487,7 @@ def _run(args=None) -> dict:
                 ("enabled_sampled", True, 1.0),
             ):
                 obs_config.configure(enabled=enabled, sample_rate=rate)
-                engine, server = serve(workers=1)
+                engine, server = serve()
                 with server:
                     host, port = server.address
                     _fire_load(host, port, payloads, concurrency=2, seconds=0.5)
@@ -566,32 +522,16 @@ def test_serving_throughput(benchmark):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    report = {"benchmark": "serving_throughput",
-              "workers_sweep": args.workers,
-              "results": _run(args)}
+    report = {"benchmark": "serving_throughput", "results": _run(args)}
     emit_report(report, args.json_out)
     if args.check:
         results = report["results"]
-        if "scaling" in results:
-            levels = results["levels"] + results["scaling"]["levels"]
-            levels += results.get("batch", {}).get("levels", [])
+        if "levels" in results:
+            levels = results["levels"] + results.get("batch", {}).get("levels", [])
             if not all(level["requests"] > 0 for level in levels):
                 print("FAIL: a load level completed zero requests",
                       file=sys.stderr)
                 return 1
-            max_w = max(args.workers)
-            top = next(
-                e for e in results["scaling"]["levels"] if e["workers"] == max_w
-            )
-            if results["scaling"]["rps_floor_enforced"]:
-                if top["requests_per_s"] < args.min_rps:
-                    print(f"FAIL: {max_w}-worker throughput "
-                          f"{top['requests_per_s']} req/s < required "
-                          f"{args.min_rps} req/s", file=sys.stderr)
-                    return 1
-            else:
-                print(f"note: req/s floor skipped ({available_cores()} core(s) "
-                      f"< {max_w} workers)", file=sys.stderr)
         open_legs = []
         if "open_loop" in results:
             open_legs.append(("open_loop", results["open_loop"]))

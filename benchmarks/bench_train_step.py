@@ -37,15 +37,7 @@ from pathlib import Path
 if __package__ in (None, ""):  # executed as a script: make `benchmarks` importable
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
-from benchmarks.common import (
-    add_json_out,
-    add_workers_sweep,
-    available_cores,
-    emit_report,
-    floor_enforceable,
-    smoke_sweep,
-    with_serial_baseline,
-)
+from benchmarks.common import add_json_out, emit_report
 from repro.core.retina import RETINA, RetinaFeatureExtractor, RetinaTrainer
 from repro.data import HateDiffusionDataset, SyntheticWorldConfig
 from repro.nn.reference import fit_reference
@@ -71,13 +63,6 @@ def parse_args(argv=None) -> argparse.Namespace:
                         help="static-mode speedup floor enforced by --check")
     parser.add_argument("--min-speedup-dynamic", type=float, default=1.4,
                         help="dynamic-mode speedup floor enforced by --check")
-    add_workers_sweep(parser)
-    parser.add_argument("--shard-size", type=int, default=8,
-                        help="cascades aggregated per sharded optimiser step")
-    parser.add_argument("--min-parallel-speedup", type=float, default=2.0,
-                        help="sharded steps/sec speedup floor at the largest "
-                             "sweep worker count (enforced by --check when "
-                             "the host has that many cores)")
     parser.add_argument("--check", action="store_true",
                         help="exit non-zero on parity failure or low speedup")
     parser.add_argument("--smoke", action="store_true",
@@ -95,12 +80,7 @@ def parse_args(argv=None) -> argparse.Namespace:
         # back toward the seed path.  Parity stays exact.
         args.min_speedup_static = min(args.min_speedup_static, 1.0)
         args.min_speedup_dynamic = min(args.min_speedup_dynamic, 1.1)
-        args.workers = smoke_sweep(args.workers)
-        # Tiny-world steps are microsecond-scale: queue round-trips swamp
-        # them, so the smoke gate only proves parity + a working pool.
-        args.min_parallel_speedup = 0.0
         args.check = True
-    args.workers = with_serial_baseline(args.workers)
     return args
 
 
@@ -175,47 +155,6 @@ def main(argv=None) -> int:
             "weight_parity": parity,
         }
 
-    # Cores -> steps/sec scaling of the *sharded* schedule: per-cascade
-    # gradients computed across workers, reduced in canonical order, one
-    # mean-gradient step per shard.  Weights must be bit-identical across
-    # every worker count (the determinism contract); the speedup baseline
-    # is the same schedule at workers=1.
-    scaling: dict[str, dict] = {}
-    sharded_parity = True
-    for mode in ("static", "dynamic"):
-        warm = _build_model(extractor, mode, args.hdim, args.seed)
-        RetinaTrainer(warm, epochs=1, random_state=0, workers=1,
-                      shard_size=args.shard_size).fit(samples[:3])
-        levels = []
-        t_by_workers: dict[int, float] = {}
-        state_w1 = None
-        for w in args.workers:
-            m = _build_model(extractor, mode, args.hdim, args.seed)
-            t0 = time.perf_counter()
-            RetinaTrainer(m, epochs=args.epochs, random_state=0, workers=w,
-                          shard_size=args.shard_size).fit(samples)
-            dt = time.perf_counter() - t0
-            t_by_workers[w] = dt
-            sd = m.state_dict()
-            if state_w1 is None:
-                state_w1 = sd
-                par = True
-            else:
-                par = set(sd) == set(state_w1) and all(
-                    np.array_equal(sd[k], state_w1[k]) for k in sd
-                )
-            sharded_parity = sharded_parity and par
-            levels.append({"workers": w, "seconds": round(dt, 4),
-                           "steps_per_sec": round(steps / dt, 1), "parity": par})
-        t_base = t_by_workers[1]
-        for entry in levels:
-            entry["speedup_vs_serial"] = round(
-                t_base / t_by_workers[entry["workers"]], 2
-            )
-        scaling[mode] = {"levels": levels}
-    max_w = max(args.workers)
-    floor_on = floor_enforceable(max_w)
-
     report = {
         "benchmark": "train_step",
         "config": {
@@ -229,12 +168,6 @@ def main(argv=None) -> int:
         "steps_per_fit": steps,
         "modes": modes,
         "parity": all_parity,
-        "scaling": {"modes": scaling, "cores": available_cores(),
-                    "workers_sweep": args.workers,
-                    "shard_size": args.shard_size,
-                    "parallel_floor": args.min_parallel_speedup,
-                    "parallel_floor_enforced": floor_on,
-                    "parity": sharded_parity},
     }
     emit_report(report, args.json_out)
 
@@ -243,27 +176,12 @@ def main(argv=None) -> int:
             print("FAIL: fused trained weights are not bit-identical to the "
                   "seed path", file=sys.stderr)
             return 1
-        if not sharded_parity:
-            print("FAIL: sharded trained weights differ across worker counts",
-                  file=sys.stderr)
-            return 1
         floors = {"static": args.min_speedup_static, "dynamic": args.min_speedup_dynamic}
         for mode, floor in floors.items():
             if modes[mode]["speedup"] < floor:
                 print(f"FAIL: {mode} speedup {modes[mode]['speedup']}x "
                       f"< required {floor}x", file=sys.stderr)
                 return 1
-        for mode in scaling:
-            top = next(e for e in scaling[mode]["levels"] if e["workers"] == max_w)
-            if floor_on and top["speedup_vs_serial"] < args.min_parallel_speedup:
-                print(f"FAIL: {mode} {max_w}-worker sharded speedup "
-                      f"{top['speedup_vs_serial']}x < required "
-                      f"{args.min_parallel_speedup}x", file=sys.stderr)
-                return 1
-        if not floor_on:
-            print(f"note: parallel speedup floor skipped "
-                  f"({available_cores()} core(s) < {max_w} workers)",
-                  file=sys.stderr)
     return 0
 
 

@@ -10,7 +10,6 @@ the measured ones.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 from functools import lru_cache
@@ -20,7 +19,6 @@ import numpy as np
 
 from repro.core.retina import RETINA, RetinaFeatureExtractor, RetinaTrainer
 from repro.data import HateDiffusionDataset, SyntheticWorldConfig
-from repro.parallel import resolve_workers
 
 BENCH_SEED = 42
 
@@ -155,59 +153,18 @@ def add_json_out(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
     return parser
 
 
-# ------------------------------------------------------------ workers knob
-def parse_workers_list(spec: str) -> list[int]:
-    """``"1,2,4"`` -> ``[1, 2, 4]`` (deduplicated, order-preserving)."""
-    out: list[int] = []
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        n = int(part)
-        if n < 1:
-            raise argparse.ArgumentTypeError(f"worker counts must be >= 1, got {n}")
-        if n not in out:
-            out.append(n)
-    if not out:
-        raise argparse.ArgumentTypeError(f"no worker counts in {spec!r}")
-    return out
-
-
-def add_workers_sweep(parser: argparse.ArgumentParser, default: str = "1,2,4"):
-    """Attach ``--workers`` as a comma-separated sweep list."""
-    parser.add_argument(
-        "--workers",
-        type=parse_workers_list,
-        default=parse_workers_list(default),
-        metavar="LIST",
-        help=f"comma-separated worker counts to sweep (default {default}; "
-             f"a serial leg is always included as the speedup baseline)",
-    )
-    return parser
-
-
-def with_serial_baseline(workers: list[int]) -> list[int]:
-    """The sweep with a leading ``1``: ``speedup_vs_serial`` needs its
-    baseline measured by the same leg, never inferred from another phase."""
-    return workers if 1 in workers else [1] + workers
-
-
-def smoke_sweep(workers: list[int], cap: int = 2) -> list[int]:
-    """Cap a sweep for CI smoke runs (at most ``cap`` workers, serial kept)."""
-    return with_serial_baseline([w for w in workers if w <= cap] or [cap])
-
-
+# ------------------------------------------------------------ host cores
 def available_cores() -> int:
-    """Cores this process may use (what gates parallel speedup floors)."""
+    """Cores this process may use (what gates concurrency-sensitive floors)."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - non-Linux
         return os.cpu_count() or 1
 
 
-def floor_enforceable(workers: int) -> bool:
-    """Whether a ``workers``-way speedup floor is meaningful on this host."""
-    return available_cores() >= workers
+def floor_enforceable(cores: int) -> bool:
+    """Whether a floor that needs ``cores`` concurrent cores is meaningful here."""
+    return available_cores() >= cores
 
 
 def emit_report(report: dict, json_out: str | None = None) -> dict:
@@ -233,39 +190,11 @@ def emit_report(report: dict, json_out: str | None = None) -> dict:
 def standalone_main(run_fn, name: str, argv=None) -> int:
     """Uniform ``__main__`` entry point for the figure/table benchmarks.
 
-    Parses the shared ``--json-out`` and ``--workers`` flags, executes the
-    benchmark body (passing ``workers=`` when the body accepts it), and
-    emits ``{"benchmark": name, "workers": N, "results": ...}`` — every
-    bench in the suite records the worker count it ran with.
+    Parses the shared ``--json-out`` flag, executes the benchmark body and
+    emits ``{"benchmark": name, "results": ...}``.
     """
     parser = argparse.ArgumentParser(description=f"repro benchmark: {name}")
     add_json_out(parser)
-    parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="worker processes (default: $REPRO_NUM_WORKERS, then 1)",
-    )
     args = parser.parse_args(argv)
-    workers = resolve_workers(args.workers)
-    kwargs = {}
-    env_override = None
-    if "workers" in inspect.signature(run_fn).parameters:
-        kwargs["workers"] = workers
-    else:
-        # The body has no explicit workers plumbing; route the count through
-        # the environment so every resolve_workers() inside it (feature
-        # store fills, Doc2Vec transforms, ...) actually uses it — the
-        # recorded "workers" must be what the run really ran with.
-        env_override = os.environ.get("REPRO_NUM_WORKERS")
-        os.environ["REPRO_NUM_WORKERS"] = str(workers)
-    try:
-        results = run_fn(**kwargs)
-    finally:
-        if env_override is not None:
-            os.environ["REPRO_NUM_WORKERS"] = env_override
-        elif "workers" not in kwargs:
-            os.environ.pop("REPRO_NUM_WORKERS", None)
-    emit_report(
-        {"benchmark": name, "workers": workers, "results": results},
-        args.json_out,
-    )
+    emit_report({"benchmark": name, "results": run_fn()}, args.json_out)
     return 0

@@ -299,9 +299,12 @@ def drive_contract(server, label, registry, trainer, te, h_test,
           and any(key.startswith("other|GET|404") for key in responses),
           f"got counter keys {sorted(responses)}")
     s_old, _, legacy_m = raw(server, "GET", "/metrics")
+    # The v1 body adds top-level blocks (http, and store / admission when
+    # the server has them); the legacy body is the per-predictor entries.
     check("legacy /metrics shape unchanged", s_old == 200
           and "http" not in legacy_m
-          and set(legacy_m) == set(v1m) - {"http"})
+          and set(legacy_m) == set(v1m) - {"http", "store", "admission"},
+          f"legacy keys {sorted(legacy_m)}, v1 keys {sorted(v1m)}")
     s_prom, prom_hdrs, text = raw_text(
         server, "/v1/metrics?format=prometheus"
     )

@@ -5,17 +5,15 @@ Two legs, both fully deterministic:
 1. **Soak** — runs ``benchmarks/bench_chaos_soak.py --smoke --check`` in a
    subprocess (fresh metrics registry, fresh chaos state) and archives its
    JSON report.  The soak's own gates cover the serving stack: every
-   request answered or typed-error'd under injected worker crashes /
-   connection resets, zero hangs, pool respawned to full width, paged I/O
-   and registry corruption surfaced typed, bit-identical scores once
-   chaos is off.
+   request answered or typed-error'd under injected connection resets,
+   zero hangs, paged I/O and registry corruption surfaced typed,
+   bit-identical scores once chaos is off.
 
-2. **Kill-and-resume** — a child process trains a sharded RETINA with
-   per-epoch checkpoints and is SIGKILLed the moment the first checkpoint
-   lands (mid-fit, no cleanup).  The parent resumes from the checkpoint
-   directory — with a *different* worker count, exercising the sharded
-   schedule's worker-count invariance — and the resumed weights must be
-   bit-identical to an uninterrupted run.
+2. **Kill-and-resume** — a child process trains RETINA with per-epoch
+   checkpoints and is SIGKILLed the moment the first checkpoint lands
+   (mid-fit, no cleanup).  The parent resumes the same schedule from the
+   checkpoint directory, and the resumed weights must be bit-identical to
+   an uninterrupted run.
 
 Run:  PYTHONPATH=src python scripts/chaos_check.py
 Exit code 0 = every gate holds.
@@ -41,9 +39,9 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.core.retina import RETINA, RetinaFeatureExtractor, RetinaTrainer  # noqa: E402
 from repro.data import HateDiffusionDataset, SyntheticWorldConfig  # noqa: E402
 
-EPOCHS = 6
-KILL_WORKERS = 2    # worker count in the process that gets SIGKILLed
-RESUME_WORKERS = 1  # resume with a different count: same weights required
+#: Serial epochs over 24 cascades take ~40 ms each on a 2-vCPU VM; 20 of
+#: them leave the parent's 50 ms poll ample room to kill mid-fit.
+EPOCHS = 20
 
 
 def _samples():
@@ -59,7 +57,7 @@ def _samples():
     )
 
 
-def _trainer(extractor, workers: int, checkpoint_dir: str | None):
+def _trainer(extractor, checkpoint_dir: str | None):
     model = RETINA(
         user_dim=extractor.user_feature_dim,
         tweet_dim=extractor.news_doc2vec_dim,
@@ -71,8 +69,6 @@ def _trainer(extractor, workers: int, checkpoint_dir: str | None):
         model,
         epochs=EPOCHS,
         random_state=0,
-        workers=workers,
-        shard_size=4,
         checkpoint_dir=checkpoint_dir,
     )
 
@@ -80,22 +76,15 @@ def _trainer(extractor, workers: int, checkpoint_dir: str | None):
 def _train_child(checkpoint_dir: str) -> int:
     """Child mode: train with checkpoints until killed (or done)."""
     extractor, samples = _samples()
-    _trainer(extractor, KILL_WORKERS, checkpoint_dir).fit(samples)
+    _trainer(extractor, checkpoint_dir).fit(samples)
     return 0
 
 
-def _shm_segments() -> set[Path]:
-    return set(Path("/dev/shm").glob("repro_par_*")) if Path("/dev/shm").is_dir() else set()
-
-
 def _kill_and_resume_leg() -> dict:
-    shm_before = _shm_segments()
     with tempfile.TemporaryDirectory() as ckpt_dir:
         checkpoint = Path(ckpt_dir) / "checkpoint.npz"
         env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-        # Own session: SIGKILLing the *group* takes the child's sharded-pool
-        # workers with it — orphans would idle forever on their task queues
-        # (and hold any inherited pipes open).
+        # Own session, so the SIGKILL below can target the child's group.
         child = subprocess.Popen(
             [sys.executable, __file__, "--train-child", ckpt_dir],
             env=env,
@@ -114,10 +103,6 @@ def _kill_and_resume_leg() -> dict:
                 break
             time.sleep(0.05)
         child.wait(timeout=60)
-        # SIGKILL takes the child's resource tracker with it, so its shm
-        # arena can't clean itself up — sweep what the kill orphaned.
-        for leaked in _shm_segments() - shm_before:
-            leaked.unlink(missing_ok=True)
         if not killed_mid_fit:
             return {
                 "killed_mid_fit": False,
@@ -128,10 +113,10 @@ def _kill_and_resume_leg() -> dict:
             killed_at_epoch = int(data["epoch"])
 
         extractor, samples = _samples()
-        resumed = _trainer(extractor, RESUME_WORKERS, ckpt_dir)
+        resumed = _trainer(extractor, ckpt_dir)
         resumed.fit(samples)
 
-    baseline = _trainer(extractor, RESUME_WORKERS, None)
+    baseline = _trainer(extractor, None)
     baseline.fit(samples)
     base_state = baseline.model.state_dict()
     res_state = resumed.model.state_dict()
@@ -139,10 +124,9 @@ def _kill_and_resume_leg() -> dict:
         np.array_equal(base_state[k], res_state[k]) for k in base_state
     )
     return {
-        "killed_mid_fit": True,
+        # A kill after the last epoch's checkpoint interrupted nothing.
+        "killed_mid_fit": killed_at_epoch < EPOCHS - 1,
         "killed_after_epoch": killed_at_epoch,
-        "kill_workers": KILL_WORKERS,
-        "resume_workers": RESUME_WORKERS,
         "epochs": EPOCHS,
         "bit_identical": bit_identical,
     }

@@ -1,11 +1,8 @@
 """Deterministic, seed-driven fault injection (stdlib only).
 
 The serving/training stack threads *named injection points* through its
-process/disk/network seams::
+disk/network seams::
 
-    pool.worker_crash   worker process exits mid-task (os._exit)
-    pool.worker_hang    worker sleeps far past the request timeout
-    pool.worker_slow    worker adds a bounded delay before replying
     paged.read          PagedMatrix block read raises EIO
     paged.write         PagedMatrix block writeback raises EIO
     registry.save       a bundle artifact is truncated after checksumming
@@ -25,7 +22,7 @@ Activation is explicit: either programmatically via :func:`enable` with a
 
     REPRO_CHAOS=1                          master switch
     REPRO_CHAOS_SEED=42                    schedule seed (default 0)
-    REPRO_CHAOS_POINTS=pool.worker_crash=0.02,paged.read=0.1
+    REPRO_CHAOS_POINTS=store.fsync=0.02,paged.read=0.1
 
 ``REPRO_CHAOS_POINTS`` is a comma-separated list of ``point=spec`` entries
 where ``spec`` is a firing rate in [0, 1], optionally suffixed with ``*N``
@@ -53,7 +50,6 @@ __all__ = [
     "enable",
     "enabled",
     "io_error",
-    "maybe_sleep",
     "should_fire",
     "stats",
 ]
@@ -70,13 +66,11 @@ class ChaosRule:
     rate     probability per call in [0, 1] (ignored when ``at`` is set)
     at       explicit 0-based call indices that fire (deterministic schedule)
     limit    cap on total fires (None = unlimited)
-    delay_s  sleep duration used by :func:`maybe_sleep` points
     """
 
     rate: float = 0.0
     at: tuple[int, ...] = ()
     limit: int | None = None
-    delay_s: float = 0.05
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.rate <= 1.0:
@@ -97,9 +91,6 @@ class ChaosPlan:
         self._streams: dict[str, random.Random] = {}
         self._calls: dict[str, int] = {}
         self._fires: dict[str, int] = {}
-
-    def rule(self, point: str) -> ChaosRule | None:
-        return self.rules.get(point)
 
     def should_fire(self, point: str) -> bool:
         rule = self.rules.get(point)
@@ -225,25 +216,6 @@ def should_fire(point: str) -> bool:
     if plan is None:
         return False
     return plan.should_fire(point)
-
-
-def maybe_sleep(point: str, sleep=None) -> bool:
-    """Sleep the rule's ``delay_s`` when *point* fires; returns whether it did."""
-    plan = active_plan()
-    if plan is None:
-        return False
-    if not plan.should_fire(point):
-        return False
-    rule = plan.rule(point)
-    delay = rule.delay_s if rule is not None else 0.05
-    (sleep or _default_sleep)(delay)
-    return True
-
-
-def _default_sleep(seconds: float) -> None:
-    import time
-
-    time.sleep(seconds)
 
 
 def io_error(point: str, path: str | os.PathLike | None = None) -> OSError:

@@ -51,12 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--hashtags", type=int, default=10, help="number of hashtags")
         p.add_argument("--news", type=int, default=1000, help="number of news articles")
 
-    def add_workers_arg(p):
-        p.add_argument(
-            "--workers", type=int, default=None, metavar="N",
-            help="worker processes (default: $REPRO_NUM_WORKERS, then CPU count)",
-        )
-
     g = sub.add_parser("generate", help="generate a world and print Table II stats")
     add_world_args(g)
 
@@ -65,10 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("train-retina", help="train RETINA and report metrics")
     add_world_args(r)
-    add_workers_arg(r)
-    r.add_argument("--shard-size", type=int, default=8,
-                   help="cascades aggregated per optimiser step when training "
-                        "with > 1 worker (worker-count-invariant)")
     r.add_argument("--mode", choices=("static", "dynamic"), default="static")
     r.add_argument("--epochs", type=int, default=6)
     r.add_argument("--no-exogenous", action="store_true", help="train the dagger variant")
@@ -79,7 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     h = sub.add_parser("train-hategen", help="run the hate-generation pipeline")
     add_world_args(h)
-    add_workers_arg(h)
     h.add_argument("--model", default="dectree", help="model key (Table III)")
     h.add_argument("--variant", default="ds", help="processing variant (Table IV)")
     h.add_argument("--save", type=str, default=None, metavar="STORE",
@@ -97,7 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="micro-batch cap of the inference engine")
     s.add_argument("--wait-ms", type=float, default=2.0,
                    help="micro-batch coalescing window in milliseconds")
-    add_workers_arg(s)
     s.add_argument("--no-admission", action="store_true",
                    help="disable admission control (quotas + load shedding; "
                         "tunable via REPRO_ADMIT_* env vars)")
@@ -130,15 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timestamp", type=float, default=None,
                    help="query time in hours (hategen bundles)")
     return parser
-
-
-def _resolved_workers(args) -> int:
-    """CLI worker policy: flag, then $REPRO_NUM_WORKERS, then CPU count."""
-    import os
-
-    from repro.parallel import resolve_workers
-
-    return resolve_workers(args.workers, default=os.cpu_count() or 1)
 
 
 def _make_dataset(args):
@@ -203,13 +182,9 @@ def _cmd_train_retina(args) -> int:
     )
 
     dataset = _make_dataset(args)
-    workers = _resolved_workers(args)
     train, test = dataset.cascade_split(random_state=args.seed)
-    print(f"{len(train)} train / {len(test)} test cascades; extracting features "
-          f"({workers} worker{'s' if workers != 1 else ''}) ...")
-    extractor = RetinaFeatureExtractor(
-        dataset.world, random_state=args.seed, workers=workers
-    ).fit(train)
+    print(f"{len(train)} train / {len(test)} test cascades; extracting features ...")
+    extractor = RetinaFeatureExtractor(dataset.world, random_state=args.seed).fit(train)
     edges = RetinaTrainer.default_interval_edges()
     t0 = time.perf_counter()
     tr = extractor.build_samples(train, interval_edges_hours=edges, random_state=0)
@@ -228,21 +203,7 @@ def _cmd_train_retina(args) -> int:
     )
     print(f"training RETINA-{args.mode[0].upper()} ({model.n_parameters()} parameters, "
           f"{args.epochs} epochs) ...")
-    # The sharded data-parallel schedule changes the optimiser schedule
-    # (bit-identical across worker counts at a fixed --shard-size, but not
-    # to the seed per-cascade loop), so it engages only on an explicit
-    # opt-in — the --workers flag or $REPRO_NUM_WORKERS — never from the
-    # CPU-count default, which would make default results host-dependent.
-    import os as _os
-
-    explicit = args.workers is not None or bool(_os.environ.get("REPRO_NUM_WORKERS"))
-    trainer = RetinaTrainer(
-        model,
-        epochs=args.epochs,
-        random_state=args.seed,
-        workers=workers if explicit and workers > 1 else None,
-        shard_size=args.shard_size,
-    ).fit(tr)
+    trainer = RetinaTrainer(model, epochs=args.epochs, random_state=args.seed).fit(tr)
     queries = [(s.labels.astype(int), trainer.predict_static_scores(s)) for s in te]
     metrics = {**evaluate_binary(queries), **evaluate_ranking(queries)}
     for name, value in metrics.items():
@@ -269,13 +230,9 @@ def _cmd_train_hategen(args) -> int:
     from repro.core.hategen import HateGenFeatureExtractor, HateGenerationPipeline
 
     dataset = _make_dataset(args)
-    workers = _resolved_workers(args)
     train, test = dataset.hategen_split(random_state=args.seed)
-    print(f"{len(train)} train / {len(test)} test tweets; extracting features "
-          f"({workers} worker{'s' if workers != 1 else ''}) ...")
-    extractor = HateGenFeatureExtractor(
-        dataset.world, random_state=args.seed, workers=workers
-    )
+    print(f"{len(train)} train / {len(test)} test tweets; extracting features ...")
+    extractor = HateGenFeatureExtractor(dataset.world, random_state=args.seed)
     pipeline = HateGenerationPipeline(extractor, random_state=args.seed)
     X_tr, y_tr, X_te, y_te = pipeline.prepare(train, test)
     result = pipeline.run(args.model, args.variant, X_tr, y_tr, X_te, y_te)
@@ -317,7 +274,6 @@ def _cmd_serve(args) -> int:
             args.name,
             max_batch_size=args.batch_size,
             max_wait_ms=args.wait_ms,
-            workers=_resolved_workers(args),
         )
     except FileNotFoundError as exc:
         print(str(exc), file=sys.stderr)

@@ -53,6 +53,9 @@ class HateGenFeatureExtractor:
         Number of recent headlines in the exogenous block (paper: 60).
     trending_top_k:
         Daily trending list size (paper: 50; capped by catalog size here).
+    workers:
+        Accepted for ``perfbench/reproduce.py``, its only caller, and
+        ignored: features are always built in-process.
     """
 
     def __init__(
@@ -81,9 +84,6 @@ class HateGenFeatureExtractor:
         self.doc2vec_epochs = doc2vec_epochs
         self.lexicon = lexicon or default_hate_lexicon()
         self.random_state = random_state
-        #: Worker count for parallel store fills (runtime knob, not state;
-        #: ``None`` resolves through ``REPRO_NUM_WORKERS``, then 1).
-        self.workers = workers
         self.text_vectorizer_: TfidfVectorizer | None = None
         self.news_vectorizer_: TfidfVectorizer | None = None
         self.doc2vec_: Doc2Vec | None = None
@@ -135,7 +135,6 @@ class HateGenFeatureExtractor:
             doc2vec=self.doc2vec_,
             history_size=self.history_size,
             doc2vec_dim=self.doc2vec_dim,
-            workers=self.workers,
         )
         self._endogen_cache.clear()
 

@@ -68,7 +68,11 @@ class RetinaSample:
 
 
 class RetinaFeatureExtractor:
-    """Builds :class:`RetinaSample` objects from a synthetic world."""
+    """Builds :class:`RetinaSample` objects from a synthetic world.
+
+    ``workers`` is accepted for ``perfbench/reproduce.py``, its only
+    caller, and ignored: features are always built in-process.
+    """
 
     def __init__(
         self,
@@ -84,11 +88,6 @@ class RetinaFeatureExtractor:
         if news_window < 1:
             raise ValueError(f"news_window must be >= 1, got {news_window}")
         self.world = world
-        #: Worker count for parallel feature/corpus builds (runtime knob,
-        #: excluded from ``to_state``; ``None`` resolves through
-        #: ``REPRO_NUM_WORKERS``, then 1).  Every parallel path is
-        #: bit-identical to serial.
-        self.workers = workers
         self.history_size = history_size
         self.tweet_top_k = tweet_top_k
         self.news_window = news_window
@@ -110,20 +109,17 @@ class RetinaFeatureExtractor:
             doc2vec_dim=self.news_doc2vec_dim,
             doc2vec_epochs=8,
             random_state=self.random_state,
-            workers=self.workers,
         ).fit(train_tweets)
         self.tweet_vectorizer_ = TfidfVectorizer(
-            ngram_range=(1, 2), max_features=self.tweet_top_k, rank_by="idf",
-            n_workers=self.workers,
+            ngram_range=(1, 2), max_features=self.tweet_top_k, rank_by="idf"
         ).fit([t.text for t in train_tweets])
         # Doc2Vec embedding per news article, inferred once through the
-        # batched (optionally multi-process) kernel — bit-identical to the
-        # seed per-article ``infer_vector`` loop at the same fixed seed.
+        # batched kernel — bit-identical to the seed per-article
+        # ``infer_vector`` loop at the same fixed seed.
         d2v = self.base_.doc2vec_
         self._news_vec_cache = d2v.transform(
             [a.headline for a in self.world.news.articles],
             random_state=0,
-            workers=self.workers,
         )
         # (root_user, candidate) -> count of prior retweets, from training
         # cascades only (no test leakage).

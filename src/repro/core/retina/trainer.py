@@ -18,7 +18,6 @@ from repro.core.retina.model import RETINA, interval_edges_hours
 from repro.nn import Adam, SGD, Tensor
 from repro.nn.losses import positive_class_weight, weighted_bce_with_logits
 from repro.obs import log as obs_log
-from repro.parallel import ShmArena, WorkerPool, fork_available
 from repro.utils.rng import ensure_rng
 
 __all__ = ["RetinaTrainer"]
@@ -53,8 +52,6 @@ class RetinaTrainer:
         batch_size: int | None = None,
         epochs: int = 3,
         random_state=None,
-        workers: int | None = None,
-        shard_size: int = 8,
         checkpoint_dir: str | None = None,
     ):
         self.model = model
@@ -71,37 +68,18 @@ class RetinaTrainer:
         #: back to per-step lazy assembly.  Purely a speed/memory knob —
         #: assembled values are identical either way.
         self.row_cache_elems = 8_000_000
-        #: ``workers=None`` (default) keeps the seed schedule: one optimiser
-        #: step per cascade, bit-identical to ``repro.nn.reference``.  Any
-        #: int selects the *sharded* schedule: per-cascade gradients of one
-        #: shard are computed against the same weight snapshot (across
-        #: ``workers`` processes when > 1), reduced in canonical cascade
-        #: order, and applied as one mean-gradient step.  The sharded
-        #: schedule is a different training schedule, but its weights are
-        #: bit-identical for every worker count (and ``shard_size=1``
-        #: reproduces the seed schedule exactly).
-        self.workers = workers
-        self.shard_size = shard_size
         #: When set, an atomic ``checkpoint.npz`` (weights + optimiser state
         #: + RNG state + completed epoch) is written after every epoch and
         #: auto-resumed by the next :meth:`fit` with the same configuration
         #: — resumed weights are bit-identical to an uninterrupted run, so a
         #: SIGKILL mid-fit loses at most one epoch.
         self.checkpoint_dir = checkpoint_dir
-        if shard_size < 1:
-            raise ValueError(f"shard_size must be >= 1, got {shard_size}")
         if self.optimizer_name not in ("adam", "sgd"):
             raise ValueError(f"optimizer must be 'adam' or 'sgd', got {optimizer!r}")
 
     # ---------------------------------------------------------- checkpoints
     def _fingerprint(self, n_samples: int) -> str:
-        """The training configuration a checkpoint is only valid for.
-
-        Worker *count* is deliberately absent: the sharded schedule is
-        bit-identical across worker counts, so a run checkpointed at
-        ``workers=1`` may resume at ``workers=2`` (and vice versa).
-        """
-        schedule = "serial" if self.workers is None else "sharded"
+        """The training configuration a checkpoint is only valid for."""
         return json.dumps(
             {
                 "mode": self.model.mode,
@@ -111,8 +89,6 @@ class RetinaTrainer:
                 "batch_size": self.batch_size,
                 "epochs": self.epochs,
                 "n_samples": n_samples,
-                "schedule": schedule,
-                "shard_size": self.shard_size if schedule == "sharded" else 1,
             },
             sort_keys=True,
         )
@@ -248,11 +224,6 @@ class RetinaTrainer:
         if self.checkpoint_dir is not None:
             fingerprint = self._fingerprint(len(samples))
             start_epoch = self._resume(opt, rng, order, fingerprint)
-        if self.workers is not None:
-            return self._fit_sharded(
-                prepared, order, rng, opt, w,
-                start_epoch=start_epoch, fingerprint=fingerprint,
-            )
         # Telemetry only *reads* training state (loss scalars, gradient
         # norms): no RNG draw, no weight write — trained weights stay
         # bit-identical with logging on or off.
@@ -264,7 +235,6 @@ class RetinaTrainer:
                 epochs=self.epochs,
                 mode=self.model.mode,
                 optimizer=self.optimizer_name,
-                layout={"workers": 1, "shard_size": 1},
             )
         fit_t0 = time.perf_counter()
         for epoch in range(start_epoch, self.epochs):
@@ -313,175 +283,6 @@ class RetinaTrainer:
                 epochs=self.epochs,
                 duration_s=round(time.perf_counter() - fit_t0, 3),
             )
-        return self
-
-    # ------------------------------------------------------ sharded training
-    def _fit_sharded(self, prepared, order, rng, opt, w, *,
-                     start_epoch: int = 0,
-                     fingerprint: str = "") -> "RetinaTrainer":
-        """Data-parallel fit: shards of cascades per optimiser step.
-
-        Each step takes the next ``shard_size`` cascades of the shuffled
-        epoch order, computes every cascade's gradient against the *same*
-        weight snapshot (in parallel across forked workers writing into
-        shared-memory gradient rows), reduces the rows sequentially in
-        canonical cascade order, and applies one mean-gradient optimiser
-        step.  All RNG draws (epoch shuffle, negative subsampling) happen on
-        the parent in cascade order, and the reduction order never depends
-        on which worker produced a row, so the trained weights are
-        bit-identical for every worker count; ``workers=1`` runs the same
-        algorithm in-process with no pool.  ``shard_size=1`` makes the
-        aggregation trivial and reproduces the seed per-cascade schedule.
-        """
-        model = self.model
-        params = self.model.parameters()
-        sizes = [p.data.size for p in params]
-        offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-        total_p = int(offsets[-1])
-        shard = min(self.shard_size, max(1, len(prepared)))
-        n_workers = max(1, int(self.workers))
-        if n_workers > 1 and not fork_available():  # pragma: no cover
-            n_workers = 1
-        batch_size = self.batch_size
-
-        arena = pool = None
-        originals: list[np.ndarray] = []
-        if n_workers > 1:
-            arena = ShmArena(
-                ShmArena.nbytes_for(
-                    *((p.data.shape, np.float64) for p in params),
-                    ((shard, total_p), np.float64),
-                )
-            )
-            # Rebase parameters onto the shared segment: the parent's
-            # optimiser steps write in place, so workers always read the
-            # current weights through the same physical pages.
-            for p in params:
-                originals.append(p.data)
-                p.data = arena.place(p.data)
-            grad_rows = arena.alloc((shard, total_p))
-        else:
-            grad_rows = np.empty((shard, total_p))
-
-        def _cascade_grad(task):
-            """Forward/backward one cascade; write its flat gradient row.
-
-            Returns the per-parameter grad mask plus the loss scalar — the
-            loss ride-along feeds epoch telemetry and is a pure read.
-            """
-            slot, si, idx = task
-            sample, tweet, news, targets_all, _pos, _neg, X, targets = prepared[si]
-            if X is None:
-                X = Tensor(sample.rows(idx))
-                targets = targets_all[idx]
-            logits = model(X, tweet, news)
-            loss = weighted_bce_with_logits(logits, targets, pos_weight=w)
-            for p in params:
-                p.zero_grad()
-            loss.backward()
-            row = grad_rows[slot]
-            mask = []
-            for p, off, size in zip(params, offsets, sizes):
-                if p.grad is None:
-                    row[off : off + size] = 0.0
-                    mask.append(False)
-                else:
-                    row[off : off + size] = p.grad.ravel()
-                    mask.append(True)
-            return tuple(mask), float(loss.data)
-
-        track = _log.enabled_for("info")
-        if track:
-            _log.info(
-                "fit.start",
-                n_samples=len(prepared),
-                epochs=self.epochs,
-                mode=self.model.mode,
-                optimizer=self.optimizer_name,
-                layout={"workers": n_workers, "shard_size": shard},
-            )
-        fit_t0 = time.perf_counter()
-        try:
-            if n_workers > 1:
-                pool = WorkerPool(n_workers, {"grad": _cascade_grad},
-                                  name="repro-train")
-            for epoch in range(start_epoch, self.epochs):
-                epoch_t0 = time.perf_counter()
-                loss_sum, n_cascades, steps, last_norm = 0.0, 0, 0, 0.0
-                rng.shuffle(order)
-                for start in range(0, len(order), shard):
-                    group = order[start : start + shard]
-                    tasks = []
-                    for slot, si in enumerate(group):
-                        sample, _t, _n, _ta, pos, neg, X, _tg = prepared[si]
-                        idx = None
-                        if X is None:
-                            if neg is None:
-                                idx = pos  # precomputed arange(n)
-                            else:
-                                # Same draw, in the same (shuffled cascade)
-                                # order, as the serial loop makes.
-                                keep_neg = rng.choice(
-                                    neg,
-                                    size=max(1, batch_size - len(pos)),
-                                    replace=False,
-                                ) if len(neg) else np.array([], dtype=int)
-                                idx = np.concatenate([pos, keep_neg])
-                        tasks.append((slot, int(si), idx))
-                    if pool is None:
-                        results = [_cascade_grad(t) for t in tasks]
-                    else:
-                        results = pool.map("grad", tasks)
-                    masks = [m for m, _ in results]
-                    if track:
-                        loss_sum += sum(l for _, l in results)
-                        n_cascades += len(results)
-                        steps += 1
-                    # Canonical reduction: rows in shuffled-cascade order,
-                    # summed sequentially, then scaled to the mean — the
-                    # same float sequence whichever worker filled a row.
-                    g = len(group)
-                    total = np.array(grad_rows[0], copy=True)
-                    for k in range(1, g):
-                        total += grad_rows[k]
-                    if g > 1:
-                        total *= 1.0 / g
-                    for j, (p, off, size) in enumerate(zip(params, offsets, sizes)):
-                        if any(m[j] for m in masks):
-                            p.grad = total[off : off + size].reshape(p.data.shape).copy()
-                        else:
-                            p.grad = None
-                    opt.step()
-                    if track:
-                        last_norm = _grad_norm(params)
-                if track:
-                    epoch_s = time.perf_counter() - epoch_t0
-                    _log.info(
-                        "train.epoch",
-                        epoch=epoch,
-                        mean_loss=round(loss_sum / max(n_cascades, 1), 6),
-                        grad_norm=round(last_norm, 6),
-                        steps=steps,
-                        step_ms=round(epoch_s / max(steps, 1) * 1e3, 3),
-                        epoch_s=round(epoch_s, 3),
-                        layout={"workers": n_workers, "shard_size": shard},
-                    )
-                if self.checkpoint_dir is not None:
-                    self._save_checkpoint(opt, rng, order, epoch, fingerprint)
-            if track:
-                _log.info(
-                    "fit.end",
-                    epochs=self.epochs,
-                    duration_s=round(time.perf_counter() - fit_t0, 3),
-                )
-        finally:
-            if pool is not None:
-                pool.close()
-            if arena is not None:
-                for p, orig in zip(params, originals):
-                    orig[...] = p.data  # final weights back into private memory
-                    p.data = orig
-                arena.release()
         return self
 
     # ------------------------------------------------------------ inference

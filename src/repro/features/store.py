@@ -32,7 +32,6 @@ import numpy as np
 from repro.features.paged import PagedIOError, PagedMatrix, ValidityBitmap
 from repro.obs import log as obs_log
 from repro.obs import metrics as obs_metrics
-from repro.parallel import ShmArena, WorkerPool, resolve_workers
 
 __all__ = ["FeatureStore"]
 
@@ -102,11 +101,6 @@ class FeatureStore:
         Recent-tweet window of H_{i,t} (paper: 30).
     doc2vec_dim:
         Dimensionality of the mean user Doc2Vec vector.
-    workers:
-        Default worker count for batched :meth:`ensure` fills (``None``
-        resolves through ``REPRO_NUM_WORKERS``, then 1).  Parallel fills
-        are bit-identical to serial ones for every worker count: each
-        user's block is a pure function of that user's history.
     storage:
         ``"dense"`` (default) keeps resident ``(n_users, d)`` matrices —
         the historical layout.  ``"paged"`` backs both matrices with
@@ -127,11 +121,9 @@ class FeatureStore:
         doc2vec,
         history_size: int,
         doc2vec_dim: int,
-        workers: int | None = None,
         storage: str | None = None,
     ):
         self.world = world
-        self.workers = workers
         self.text_vectorizer = text_vectorizer
         self.lexicon = lexicon
         self.doc2vec = doc2vec
@@ -247,7 +239,7 @@ class FeatureStore:
         transform is bit-identical to the single-document transform the
         seed path ran, and every other block is a pure function of one
         user's history, so any partition of ``missing`` produces identical
-        rows (what makes the parallel fill exact).
+        rows.
         """
         recents = {uid: self._recent(uid) for uid in missing}
         joined = [" ".join(t.text for t in recents[uid]) for uid in missing]
@@ -284,53 +276,14 @@ class FeatureStore:
                 docv[k] = np.mean(doc_vecs, axis=0)
         return hist, docv
 
-    def _user_blocks_parallel(
-        self, missing: list[int], n_workers: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Partition ``missing`` across forked workers writing into shm."""
-        m = len(missing)
-        arena = ShmArena(
-            ShmArena.nbytes_for(
-                ((m, self._d_hist), np.float64), ((m, self.doc2vec_dim), np.float64)
-            )
-        )
-        hist = arena.alloc((m, self._d_hist))
-        docv = arena.alloc((m, self.doc2vec_dim))
-        cuts = np.linspace(0, m, n_workers + 1).astype(np.int64)
-        bounds = [(int(lo), int(hi)) for lo, hi in zip(cuts[:-1], cuts[1:]) if hi > lo]
-
-        def _fill(b):
-            lo, hi = b
-            h, v = self._user_blocks(missing[lo:hi])
-            hist[lo:hi] = h
-            docv[lo:hi] = v
-            return hi - lo
-
-        try:
-            with WorkerPool(n_workers, {"fill": _fill}, name="repro-features") as pool:
-                pool.map("fill", bounds)
-            return hist.copy(), docv.copy()
-        finally:
-            arena.release()
-
-    def ensure(self, user_ids, workers: int | None = None) -> None:
-        """Compute history blocks for any not-yet-built users, in one batch.
-
-        With ``workers`` (or the store/``REPRO_NUM_WORKERS`` default) > 1
-        and enough missing users to amortise a fork, the list is split into
-        contiguous per-worker slices whose rows are written straight into a
-        shared-memory matrix — bit-identical to the serial fill.
-        """
+    def ensure(self, user_ids) -> None:
+        """Compute history blocks for any not-yet-built users, in one batch."""
         missing = [
             int(u) for u in dict.fromkeys(user_ids) if not self._built[self._index[u]]
         ]
         if not missing:
             return
-        n = resolve_workers(workers if workers is not None else self.workers)
-        if n > 1 and len(missing) >= max(8, 2 * n):
-            hist, docv = self._user_blocks_parallel(missing, n)
-        else:
-            hist, docv = self._user_blocks(missing)
+        hist, docv = self._user_blocks(missing)
         idx = np.fromiter(
             (self._index[u] for u in missing), dtype=np.int64, count=len(missing)
         )

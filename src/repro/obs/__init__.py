@@ -1,15 +1,13 @@
 """``repro.obs`` — stdlib-only telemetry: tracing, metrics, logging.
 
-Four pieces, wired through the serving, parallel, and training layers:
+Four pieces, wired through the serving and training layers:
 
 - :mod:`repro.obs.trace` — ``Trace``/``Span`` recording with
-  context-local propagation, batch-level attribution (one micro-batch
-  span copied into every traced request it served), and cross-process
-  shipping (dispatch workers capture spans into a sink returned with
-  the batch result); recent traces are retrievable via the server's
-  ``/v1/traces`` routes.
+  context-local propagation and batch-level attribution (one micro-batch
+  span copied into every traced request it served); recent traces are
+  retrievable via the server's ``/v1/traces`` routes.
 - :mod:`repro.obs.metrics` — typed counters / gauges / histograms with
-  fixed log-scale latency buckets (mergeable across workers) and a
+  fixed log-scale latency buckets (mergeable across scrapes) and a
   Prometheus text exposition next to the existing JSON one.
 - :mod:`repro.obs.log` — JSON-lines structured logging, automatically
   stamped with the ambient trace id.

@@ -2,9 +2,9 @@
 
 A :class:`MetricsRegistry` owns named metrics, each optionally labelled
 (``counter.inc(route="/v1/healthz", status="200")``).  Histograms use
-*fixed log-scale buckets* so per-worker histograms merge by plain
-bucket-count addition — unlike a rolling latency window, percentile
-estimates stay correct when aggregated across processes or scrapes.
+*fixed log-scale buckets* so histograms merge by plain bucket-count
+addition — unlike a rolling latency window, percentile estimates stay
+correct when aggregated across processes or scrapes.
 
 Two exposition forms: :meth:`MetricsRegistry.snapshot` (nested dicts for
 the JSON ``/v1/metrics`` body) and :meth:`MetricsRegistry.render` (the
@@ -223,7 +223,7 @@ class Gauge(_Metric):
 
 
 class Histogram(_Metric):
-    """Fixed-bucket histogram; counts merge across workers by addition."""
+    """Fixed-bucket histogram; counts merge across scrapes by addition."""
 
     kind = "histogram"
 

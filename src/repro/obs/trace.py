@@ -3,9 +3,8 @@
 A *trace* is one request's timeline; a *span* is one named, timed stage
 inside it (handler parse, queue wait, feature build, model forward, ...).
 Spans carry ``(trace_id, span_id, parent_id)`` so a trace renders as a
-tree, and timestamps are ``time.perf_counter()`` values — on Linux that
-clock is system-wide ``CLOCK_MONOTONIC``, so spans recorded in forked
-dispatch workers line up with parent-side spans on one axis.
+tree, and timestamps are ``time.perf_counter()`` values, so spans
+recorded on the engine thread line up with handler spans on one axis.
 
 Three recording styles cover every call site in the repo:
 
@@ -18,9 +17,6 @@ Three recording styles cover every call site in the repo:
 - :func:`batch_span` — one timed block attributed to *several* traces at
   once: a micro-batch's feature build / model forward serves many
   requests, and each sampled request's trace gets a copy of the span.
-  Inside a forked worker the spans are *captured* into a sink instead of
-  the (worker-local, invisible) store and shipped back with the result;
-  the parent then :meth:`TraceStore.adopt`\\ s them.
 
 Everything is a no-op when telemetry is disabled or the trace was not
 sampled: the fast path is one attribute read plus one context-var read.
@@ -65,7 +61,7 @@ def _new_span_id() -> str:
 # ------------------------------------------------------------------ spans
 @dataclass
 class Span:
-    """One named, timed stage of a trace (picklable across fork)."""
+    """One named, timed stage of a trace."""
 
     trace_id: str
     span_id: str
@@ -95,8 +91,7 @@ class TraceStore:
     """Bounded in-memory map of recent traces (oldest evicted first).
 
     The server's ``/v1/traces`` routes read from the process-global
-    :data:`STORE`; dispatch workers never write here directly — their
-    spans come back with batch results and are :meth:`adopt`-ed.
+    :data:`STORE`.
     """
 
     def __init__(self, max_traces: int = 256):
@@ -114,11 +109,6 @@ class TraceStore:
                 while len(self._order) > self.max_traces:
                     self._traces.pop(self._order.pop(0), None)
             spans.append(span)
-
-    def adopt(self, spans) -> None:
-        """Attach spans recorded elsewhere (e.g. inside a pool worker)."""
-        for sp in spans:
-            self.add(sp if isinstance(sp, Span) else Span(**sp))
 
     def spans(self, trace_id: str) -> list[Span]:
         with self._lock:
@@ -299,8 +289,6 @@ def record_span(trace_id: str, name: str, start: float, end: float, *,
 # ------------------------------------------------------- batch attribution
 class _BatchState(threading.local):
     contexts: list | None = None
-    sink: list | None = None
-    common: dict | None = None
 
 
 _batch = _BatchState()
@@ -311,40 +299,29 @@ class batch_context:
 
     ``contexts`` is a list of ``(trace_id, parent_span_id)`` pairs — one
     per sampled request in the batch.  While active, :func:`batch_span`
-    blocks in the predictor record one span per context.  With a
-    ``sink`` list the spans are captured there instead of written to the
-    store (the cross-process mode: a fork worker fills the sink and
-    returns it with the batch result).  ``common`` fields are stamped on
-    every span (e.g. ``{"in_worker": True, "pid": ...}``).
+    blocks in the predictor record one span per context.
     """
 
-    def __init__(self, contexts, sink: list | None = None,
-                 common: dict | None = None):
+    def __init__(self, contexts):
         self.contexts = [c for c in contexts if c]
-        self.sink = sink
-        self.common = common
 
     def __enter__(self):
-        self._prev = (_batch.contexts, _batch.sink, _batch.common)
+        self._prev = _batch.contexts
         _batch.contexts = self.contexts
-        _batch.sink = self.sink
-        _batch.common = self.common
         return self
 
     def __exit__(self, *exc):
-        _batch.contexts, _batch.sink, _batch.common = self._prev
+        _batch.contexts = self._prev
         return False
 
 
 class _BatchSpan:
-    __slots__ = ("name", "contexts", "fields", "sink", "common", "start")
+    __slots__ = ("name", "contexts", "fields", "start")
 
-    def __init__(self, name, contexts, fields, sink, common):
+    def __init__(self, name, contexts, fields):
         self.name = name
         self.contexts = contexts
         self.fields = fields
-        self.sink = sink
-        self.common = common
 
     def __enter__(self):
         self.start = time.perf_counter()
@@ -354,15 +331,9 @@ class _BatchSpan:
         end = time.perf_counter()
         if exc_type is not None:
             self.fields.setdefault("error", f"{exc_type.__name__}: {exc}")
-        if self.common:
-            self.fields.update(self.common)
         for trace_id, parent_id in self.contexts:
-            sp = Span(trace_id, _new_span_id(), parent_id, self.name,
-                      self.start, end, dict(self.fields))
-            if self.sink is not None:
-                self.sink.append(sp)
-            else:
-                STORE.add(sp)
+            STORE.add(Span(trace_id, _new_span_id(), parent_id, self.name,
+                           self.start, end, dict(self.fields)))
         return False
 
     def annotate(self, **fields) -> None:
@@ -376,4 +347,4 @@ def batch_span(name: str, **fields):
     contexts = _batch.contexts
     if not contexts:
         return NOOP
-    return _BatchSpan(name, contexts, fields, _batch.sink, _batch.common)
+    return _BatchSpan(name, contexts, fields)

@@ -1,85 +1,16 @@
-"""Multi-core runtime: fork-based worker pools over shared-memory ndarrays.
+"""The worker-count policy that ``perfbench/reproduce.py`` imports.
 
-``repro.parallel`` is the process-level counterpart of the fused compute
-path: where PR 3 removed per-step Python overhead inside one core, this
-package scales the remaining (irreducible) arithmetic across cores while
-preserving the repo's bit-exact parity discipline.
-
-Three building blocks:
-
-- :func:`resolve_workers` — one policy for every ``workers=`` knob in the
-  library: an explicit int wins, then the ``REPRO_NUM_WORKERS`` environment
-  variable, then a caller-chosen default (``1`` for library code, so nothing
-  forks unless asked; the CLI defaults to ``os.cpu_count()``).  Inside a
-  pool worker it always resolves to 1, so parallel sections can never nest
-  into a fork bomb.
-- :class:`WorkerPool` — a fork-start process pool with per-worker task
-  queues (targetable, round-robin by default), a shared result queue,
-  crash detection, and idempotent teardown.  Fork start means closures over
-  models/stores/worlds reach the workers with zero pickling and copy-on-
-  write memory.
-- :class:`ShmArena` — a tracked ``multiprocessing.shared_memory`` segment
-  that hands out aligned ndarray views.  Arrays allocated before the pool
-  forks are mapped into every worker, so workers write results (feature
-  rows, gradient rows, document vectors) straight into the parent's output
-  buffers — ndarray transport without serialisation.
-
-Determinism contract
---------------------
-Every parallel code path in the library is *bit-identical* to its serial
-path (``np.array_equal``), for every worker count: work is partitioned so
-each item's arithmetic is untouched (per-user feature blocks, per-document
-SGD, per-shard corpus counts merged in shard order), and reductions that
-cross items run in one canonical order on the parent, never in arrival
-order.  ``REPRO_NUM_WORKERS`` therefore changes how fast results appear,
-never what they are.  The one schedule-level exception is sharded training
-(:meth:`repro.core.retina.trainer.RetinaTrainer.fit` with ``workers=N``),
-which aggregates per-cascade gradients per optimiser step — a different
-(but worker-count-invariant) schedule that must be requested explicitly.
+Training, feature builds and serving all run in one process, so nothing in
+the library calls :func:`resolve_workers`.  It stays because that script,
+its only caller, resolves a count and passes it to signatures that accept
+and ignore it.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-
-from repro.parallel.pool import WorkerCrashed, WorkerPool, WorkerTaskError, in_worker
-from repro.parallel.shm import ShmArena, live_segments
-
-__all__ = [
-    "WorkerPool",
-    "WorkerCrashed",
-    "WorkerTaskError",
-    "ShmArena",
-    "live_segments",
-    "resolve_workers",
-    "fork_available",
-    "in_worker",
-]
-
-
-def fork_available() -> bool:
-    """Whether the ``fork`` start method exists (it does on Linux/macOS)."""
-    return "fork" in multiprocessing.get_all_start_methods()
+__all__ = ["resolve_workers"]
 
 
 def resolve_workers(workers: int | None = None, *, default: int | None = 1) -> int:
-    """Resolve a ``workers`` knob to a concrete count (always >= 1).
-
-    Priority: explicit ``workers`` argument, then the ``REPRO_NUM_WORKERS``
-    environment variable, then ``default``.  Returns 1 when called from
-    inside a pool worker (no nested pools) or when fork is unavailable.
-    """
-    if in_worker() or not fork_available():
-        return 1
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("REPRO_NUM_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ValueError(
-                f"REPRO_NUM_WORKERS must be an integer, got {env!r}"
-            ) from exc
-    return max(1, int(default if default is not None else 1))
+    """``workers`` when given, else ``default``; always at least 1."""
+    return max(1, int(workers if workers is not None else (default or 1)))

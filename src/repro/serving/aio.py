@@ -30,6 +30,7 @@ alias of this class.)
 from __future__ import annotations
 
 import asyncio
+import signal
 import socket
 import threading
 
@@ -81,12 +82,39 @@ _ABORTED = obs_metrics.REGISTRY.counter(
 _STATUS_PHRASES = {
     200: "OK", 400: "Bad Request", 404: "Not Found", 405: "Method Not Allowed",
     409: "Conflict", 413: "Content Too Large", 429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error", 503: "Service Unavailable",
 }
 
 
 class _BadRequest(Exception):
     """Protocol-level garbage: answer 400 (if possible) and hang up."""
+
+    status = 400
+    code = "bad_request"
+
+
+class _HeadTooLarge(_BadRequest):
+    """A request or header line over the parser bound: 431, then hang up."""
+
+    status = 431
+    code = "header_too_large"
+
+
+async def _readline(reader: asyncio.StreamReader, timeout: float, what: str) -> bytes:
+    """One head line, or :class:`_HeadTooLarge` when it is over a bound.
+
+    ``StreamReader.readline`` raises ``ValueError`` for a line past the
+    reader's buffer limit; lines under that limit but over ``_MAX_LINE``
+    are refused the same way.
+    """
+    try:
+        line = await asyncio.wait_for(reader.readline(), timeout=timeout)
+    except ValueError:
+        raise _HeadTooLarge(f"{what} too long") from None
+    if len(line) > _MAX_LINE:
+        raise _HeadTooLarge(f"{what} too long")
+    return line
 
 
 class AsyncPredictionServer:
@@ -228,8 +256,8 @@ class AsyncPredictionServer:
             try:
                 self._write_reply(
                     writer, "other", "?", None,
-                    Reply(400, {"error": {"code": "bad_request",
-                                          "message": str(exc), "field": None}},
+                    Reply(exc.status, {"error": {"code": exc.code,
+                                                 "message": str(exc), "field": None}},
                           close=True),
                 )
                 await writer.drain()
@@ -257,15 +285,11 @@ class AsyncPredictionServer:
         request — mid-request stalls fall under the body-read timeout.
         """
         try:
-            line = await asyncio.wait_for(
-                reader.readline(), timeout=self.keepalive_timeout
-            )
+            line = await _readline(reader, self.keepalive_timeout, "request line")
         except asyncio.TimeoutError:
             return None
         if not line:
             return None
-        if len(line) > _MAX_LINE:
-            raise _BadRequest("request line too long")
         parts = line.decode("latin-1").strip().split()
         if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
             raise _BadRequest(f"malformed request line {line!r:.80}")
@@ -273,9 +297,7 @@ class AsyncPredictionServer:
         headers: dict[str, str] = {}
         for _ in range(_MAX_HEADERS):
             try:
-                line = await asyncio.wait_for(
-                    reader.readline(), timeout=self.header_timeout
-                )
+                line = await _readline(reader, self.header_timeout, "header line")
             except asyncio.TimeoutError:
                 # Slow-loris: the head started but a header line stalled.
                 _ABORTED.inc(stage="head")
@@ -286,12 +308,14 @@ class AsyncPredictionServer:
                 return None
             if line in (b"\r\n", b"\n"):
                 break
-            if len(line) > _MAX_LINE:
-                raise _BadRequest("header line too long")
             name, sep, value = line.decode("latin-1").partition(":")
             if not sep:
                 raise _BadRequest(f"malformed header line {line!r:.80}")
-            headers[name.strip().lower()] = value.strip()
+            name, value = name.strip().lower(), value.strip()
+            if name == "content-length" and headers.get(name, value) != value:
+                # Which length frames the body is ambiguous (RFC 9112 6.3).
+                raise _BadRequest("conflicting Content-Length headers")
+            headers[name] = value
         else:
             raise _BadRequest("too many headers")
         return method, target, version, headers
@@ -522,17 +546,30 @@ def serve_forever_async(
     verbose: bool = True,
     admission: AdmissionController | AdmissionConfig | None = None,
 ) -> None:
-    """Blocking serve loop for the CLI (Ctrl-C to stop)."""
+    """Blocking serve loop for the CLI; Ctrl-C or SIGTERM stops it.
+
+    SIGTERM takes the same path as Ctrl-C: it raises ``KeyboardInterrupt``
+    in the main thread, which stops the server.  A process started with
+    SIGINT ignored (a background job of a non-interactive shell) gets the
+    default SIGINT handler back, so Ctrl-C / ``kill -INT`` stop it too.
+    """
     server = AsyncPredictionServer(
         engine, host, port, registry=registry, verbose=verbose, admission=admission
     )
-    server.start()
-    host_, port_ = server.address
-    print(
-        f"serving on http://{host_}:{port_}  "
-        f"(async front end; models: {sorted(engine.predictors)})"
-    )
+    previous = {}
+    if threading.current_thread() is threading.main_thread():
+        previous[signal.SIGTERM] = signal.signal(signal.SIGTERM, _raise_interrupt)
+        if signal.getsignal(signal.SIGINT) is signal.SIG_IGN:
+            previous[signal.SIGINT] = signal.signal(
+                signal.SIGINT, signal.default_int_handler
+            )
     try:
+        server.start()
+        host_, port_ = server.address
+        print(
+            f"serving on http://{host_}:{port_}  "
+            f"(async front end; models: {sorted(engine.predictors)})"
+        )
         while True:
             server._thread.join(timeout=1.0)
             if not server._thread.is_alive():
@@ -541,3 +578,9 @@ def serve_forever_async(
         print("\nshutting down")
     finally:
         server.stop()
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
+
+
+def _raise_interrupt(signum, frame) -> None:
+    raise KeyboardInterrupt

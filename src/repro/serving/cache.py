@@ -90,8 +90,7 @@ class LRUCache:
 
         Size, hits and misses are read under one lock acquisition, so the
         snapshot is internally consistent (``hit_rate`` is computed from
-        the very counters reported) even while other threads hit the cache
-        — what makes multi-worker cache-efficacy aggregation trustworthy.
+        the very counters reported) even while other threads hit the cache.
         """
         with self._lock:
             size = len(self._data)

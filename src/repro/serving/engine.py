@@ -19,9 +19,8 @@ requests into micro-batches, which is what the HTTP layer submits to.
 
 Model lifecycle: :meth:`InferenceEngine.reload_model` loads a bundle
 version from a registry and atomically swaps the serving predictor —
-in-flight micro-batches finish on the old predictor, new ones run inline
-during the swap, and the multi-process dispatch pool (when enabled)
-re-forks onto a fresh shared-memory arena holding the new weights.
+the micro-batch in flight finishes on the old predictor, later ones run
+on the new one.
 """
 
 from __future__ import annotations
@@ -42,13 +41,6 @@ from repro.diffusion.cascade import build_candidate_set
 from repro.obs import log as obs_log
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.parallel import (
-    ShmArena,
-    WorkerCrashed,
-    WorkerPool,
-    fork_available,
-    resolve_workers,
-)
 from repro.core.hategen.features import DAY_HOURS
 from repro.serving.cache import LRUCache
 from repro.serving.metrics import ServingMetrics
@@ -100,24 +92,14 @@ _QUEUE_AGE = obs_metrics.REGISTRY.gauge(
 )
 _BATCHES = obs_metrics.REGISTRY.counter(
     "repro_engine_batches_total",
-    "Micro-batches executed, by predictor kind and execution site.",
-    ("kind", "site"),
+    "Micro-batches executed, by predictor kind.",
+    ("kind",),
 )
 _TIMEOUTS = obs_metrics.REGISTRY.counter(
     "repro_requests_timed_out_total",
     "Requests whose waiter gave up before the engine answered, by kind.",
     ("kind",),
 )
-_DISPATCH_DEGRADED = obs_metrics.REGISTRY.counter(
-    "repro_engine_dispatch_degraded_total",
-    "Dispatch generations abandoned for inline execution, by reason.",
-    ("reason",),
-)
-
-#: Crash-loop circuit breaker: this many worker crashes inside the window
-#: degrades the engine to inline dispatch instead of respawning forever.
-_CRASH_LIMIT = int(os.environ.get("REPRO_SERVE_CRASH_LIMIT", "5"))
-_CRASH_WINDOW_S = float(os.environ.get("REPRO_SERVE_CRASH_WINDOW_S", "30"))
 
 
 # ------------------------------------------------------------- retweeters
@@ -577,286 +559,12 @@ class _Request:
     future: Future
     submitted_at: float = field(default_factory=time.perf_counter)
     #: ``(trace_id, parent_span_id)`` of the sampled trace this request
-    #: belongs to (None when untraced) — rides the dispatch task tuple
-    #: into pool workers so their spans land in the right trace.
+    #: belongs to (None when untraced), so batch spans land in its trace.
     trace: tuple[str, str] | None = None
     dequeued_at: float = 0.0
 
 
 _SHUTDOWN = object()
-
-
-class _DispatchRetired(RuntimeError):
-    """The dispatch generation is draining for a swap/stop; go inline."""
-
-
-class _PoolDispatch:
-    """One generation of multi-process dispatch: pool + arena + collector.
-
-    Bundling the per-pool state (worker pool, shared-weights arena,
-    collector thread, pending-futures map) into a disposable object lets
-    the engine *retire* a whole generation atomically during a model
-    swap: the retired pool stops accepting micro-batches (new ones run
-    inline on the parent), drains what it already owns — resolved by its
-    own collector — and a fresh generation forks over a new arena holding
-    the new weights.
-    """
-
-    def __init__(self, engine: "InferenceEngine", n_workers: int):
-        self.engine = engine
-        self.n_workers = n_workers
-        params = []
-        for predictor in engine.predictors.values():
-            model = getattr(predictor, "model", None)
-            if hasattr(model, "parameters"):
-                params.extend(model.parameters())
-        self.arena: ShmArena | None = None
-        views: list[np.ndarray] = []
-        if params:
-            self.arena = ShmArena(
-                ShmArena.nbytes_for(*((p.data.shape, p.data.dtype) for p in params))
-            )
-            views = [self.arena.place(p.data) for p in params]
-
-        def _rebase(_idx: int) -> None:
-            # Runs in each forked worker: parameter tensors point at the
-            # shared segment, so the copy-on-write images of the weight
-            # matrices are dropped and every worker reads the same pages.
-            for p, v in zip(params, views):
-                p.data = v
-
-        # Serving dispatch respawns crashed workers (capped backoff) so one
-        # bad request can't permanently halve capacity; the circuit breaker
-        # below still degrades to inline on a crash *loop*.
-        self.pool = WorkerPool(
-            n_workers,
-            {
-                "batch": engine._worker_batch,
-                "stats": engine._worker_cache_stats,
-                "apply": engine._worker_apply,
-            },
-            initializer=_rebase,
-            name="repro-serve",
-            respawn=True,
-        )
-        self.lock = threading.Lock()
-        self.pending: dict[int, tuple[str, object]] = {}
-        self.retired = False
-        self.failed = threading.Event()
-        self.stop_event = threading.Event()
-        self.collector = threading.Thread(
-            target=self._collect, name="repro-serve-collector", daemon=True
-        )
-        self.collector.start()
-
-    # -------------------------------------------------------------- submit
-    def submit_batch(self, kind: str, payloads: list[dict], group) -> None:
-        traces = [r.trace for r in group]
-        with self.lock:
-            if self.retired:
-                raise _DispatchRetired
-            tid = self.pool.submit("batch", (kind, payloads, traces))
-            self.pending[tid] = (kind, group)
-
-    def stats(self, timeout: float = 5.0) -> list[dict]:
-        """Per-worker ``{kind: caches}`` snapshots via targeted stats tasks."""
-        futures: list[Future] = []
-        with self.lock:
-            for i in range(self.pool.n_workers):
-                future: Future = Future()
-                tid = self.pool.submit("stats", None, worker=i)
-                self.pending[tid] = ("__stats__", future)
-                futures.append(future)
-        return [f.result(timeout=timeout) for f in futures]
-
-    def apply(self, stored_events, timeout: float = 30.0) -> None:
-        """Broadcast store events to every worker and wait for the barrier.
-
-        Each forked worker holds its own copy-on-write predictor state, so
-        ingest must reach all of them; the per-predictor watermarks make a
-        delivery to a freshly respawned worker (forked from the already
-        updated parent) a no-op rather than a double-apply.
-        """
-        futures: list[Future] = []
-        with self.lock:
-            if self.retired:
-                raise _DispatchRetired
-            for i in range(self.pool.n_workers):
-                future: Future = Future()
-                tid = self.pool.submit("apply", stored_events, worker=i)
-                self.pending[tid] = ("__apply__", future)
-                futures.append(future)
-        for f in futures:
-            f.result(timeout=timeout)
-
-    # ----------------------------------------------------------- lifecycle
-    def retire(self) -> None:
-        """Stop accepting micro-batches; in-flight ones keep resolving."""
-        with self.lock:
-            self.retired = True
-
-    def drain(self, timeout: float = 30.0) -> bool:
-        """Wait until every in-flight batch resolved (or the pool failed)."""
-        deadline = time.perf_counter() + timeout
-        while time.perf_counter() < deadline:
-            if self.failed.is_set():
-                return True  # fail() already resolved everything
-            with self.lock:
-                if not self.pending:
-                    return True
-            time.sleep(0.005)
-        return False
-
-    def fail(self, *, reason: str = "pool_broken",
-             code: str = "worker_crashed") -> None:
-        """Fail all in-flight work (crash loop / queues closed under us)."""
-        with self.lock:
-            if self.failed.is_set():
-                return
-            self.failed.set()
-            self.retired = True
-            pending = list(self.pending.values())
-            self.pending.clear()
-        _log.error(
-            "dispatch.degraded",
-            reason=reason,
-            n_workers=self.n_workers,
-            n_pending_batches=len(pending),
-            crashes=self.pool.crashes,
-            detail="dispatch abandoned; in-flight requests failed, engine "
-                   "falls back to inline execution",
-        )
-        _DISPATCH_DEGRADED.inc(reason=reason)
-        for tag, group in pending:
-            exc: BaseException = ServingError(
-                "serving worker crashed; request failed",
-                status=503,
-                code=code,
-            )
-            if tag in ("__stats__", "__apply__"):
-                group.set_exception(RuntimeError("serving worker pool died"))
-                continue
-            predictor = self.engine.predictors.get(tag)
-            if predictor is not None:
-                predictor.metrics.record_error()
-            for r in group:
-                if r.future.set_running_or_notify_cancel():
-                    r.future.set_exception(exc)
-        self.pool.close()
-        if self.arena is not None:
-            self.arena.release()
-            self.arena = None
-        self.engine._dispatch_failed(self)
-
-    # --------------------------------------------------------------- health
-    def health(self) -> dict:
-        """Live dispatch state for the v1 metrics body."""
-        return {
-            "configured_workers": self.n_workers,
-            "live_workers": self.pool.width(),
-            "crashes": self.pool.crashes,
-            "respawns": self.pool.respawns,
-            "degraded": self.failed.is_set(),
-        }
-
-    def close(self) -> None:
-        """Stop the collector and tear down pool + arena (idempotent)."""
-        self.stop_event.set()
-        if self.collector is not threading.current_thread():
-            self.collector.join(timeout=10.0)
-        self.pool.close()
-        if self.arena is not None:
-            self.arena.release()
-            self.arena = None
-
-    # ------------------------------------------------------------ collector
-    def _collect(self) -> None:
-        """Resolve futures as worker results arrive (collector thread)."""
-        while True:
-            if self.failed.is_set():
-                return
-            try:
-                got = self.pool.result(timeout=0.2)
-            except WorkerCrashed:
-                self.fail()
-                return
-            except (OSError, ValueError):
-                # Queues closed under us (a stuck batch outlived its drain
-                # window): still fail whatever is in flight so clients get
-                # an error now instead of a silent predict() timeout.
-                self.fail()
-                return
-            if got is None:
-                with self.lock:
-                    idle = not self.pending
-                if idle and self.stop_event.is_set():
-                    return
-                continue
-            tid, ok, value = got
-            with self.lock:
-                entry = self.pending.pop(tid, None)
-            if entry is None:
-                continue
-            tag, group = entry
-            if tag in ("__stats__", "__apply__"):
-                if ok:
-                    group.set_result(value)
-                elif isinstance(value, BaseException):
-                    group.set_exception(value)
-                else:
-                    group.set_exception(RuntimeError(value))
-                continue
-            predictor = self.engine.predictors[tag]
-            if not ok:
-                predictor.metrics.record_error()
-                if isinstance(value, WorkerCrashed):
-                    # The worker died mid-batch: its requests fail once with
-                    # a typed 503, the pool respawns the slot, and a crash
-                    # *loop* trips the breaker into inline dispatch.
-                    _log.error(
-                        "worker.crashed_in_batch",
-                        kind=tag,
-                        n_requests=len(group),
-                        error=str(value)[:400],
-                    )
-                    exc: BaseException = ServingError(
-                        "serving worker crashed; request failed",
-                        status=503,
-                        code="worker_crashed",
-                    )
-                    for r in group:
-                        if r.future.set_running_or_notify_cancel():
-                            r.future.set_exception(exc)
-                    if self.pool.crashes_in_window(_CRASH_WINDOW_S) >= _CRASH_LIMIT:
-                        _log.error(
-                            "dispatch.crash_loop",
-                            crashes_in_window=self.pool.crashes_in_window(
-                                _CRASH_WINDOW_S
-                            ),
-                            window_s=_CRASH_WINDOW_S,
-                            limit=_CRASH_LIMIT,
-                        )
-                        self.fail(reason="crash_loop")
-                        return
-                    continue
-                _log.error(
-                    "worker.batch_failed",
-                    kind=tag,
-                    n_requests=len(group),
-                    error=str(value)[:400],
-                )
-                exc = RuntimeError(f"worker batch failed: {value}")
-                for r in group:
-                    if r.future.set_running_or_notify_cancel():
-                        r.future.set_exception(exc)
-                continue
-            outcomes, worker_spans = value
-            if worker_spans:
-                # Child spans recorded inside the fork worker: adopt them
-                # before resolving futures so a client that immediately
-                # fetches its trace sees the complete cross-process tree.
-                obs_trace.STORE.adopt(worker_spans)
-            self.engine._deliver(predictor, group, outcomes)
 
 
 class InferenceEngine:
@@ -869,21 +577,9 @@ class InferenceEngine:
     degenerates to per-request execution with ~``max_wait_ms`` of added
     latency at most.
 
-    With ``workers`` > 1 (``None`` resolves through ``REPRO_NUM_WORKERS``,
-    then 1), micro-batches are dispatched round-robin to that many forked
-    worker processes instead of being executed inline, so batches run
-    concurrently across cores.  Model weights are packed into a read-only
-    shared-memory arena before the fork and each worker rebases its
-    parameter tensors onto it, so the big matrices are mapped once,
-    machine-wide.  Scores are bit-identical to the in-process path — the
-    workers run the very same ``predict_batch`` on the very same bytes.
-    ``workers=1`` is exactly the pre-existing single-thread engine.
-
     :meth:`swap_predictor` replaces the predictor serving a kind with
-    zero dropped requests: the dispatch pool is retired (new batches run
-    inline on the old predictor), drained, the predictor reference is
-    swapped — atomic under the GIL — and a fresh pool forks over a new
-    shared-memory arena with the new weights.
+    zero dropped requests: the predictor reference is swapped (atomic
+    under the GIL) and the batch in flight finishes on the old one.
     """
 
     def __init__(
@@ -892,7 +588,6 @@ class InferenceEngine:
         *,
         max_batch_size: int = 64,
         max_wait_ms: float = 2.0,
-        workers: int | None = None,
     ):
         if not predictors:
             raise ValueError("engine needs at least one predictor")
@@ -903,12 +598,8 @@ class InferenceEngine:
         self.predictors = dict(predictors)
         self.max_batch_size = max_batch_size
         self.max_wait_ms = max_wait_ms
-        self.workers = workers
         self._queue: queue.SimpleQueue = queue.SimpleQueue()
         self._worker: threading.Thread | None = None
-        self._dispatch: _PoolDispatch | None = None
-        self._swap_lock = threading.Lock()
-        self._last_worker_caches: list[dict] | None = None
         #: Arrival stamps of queued-but-ungathered requests (deque ops are
         #: atomic), backing the queue depth/age saturation gauges.
         self._queued_arrivals: collections.deque[float] = collections.deque()
@@ -916,9 +607,6 @@ class InferenceEngine:
         #: Set at the top of :meth:`stop`: new submissions are refused with
         #: a typed 503 and the gather loop fails whatever is still queued.
         self._stopping = threading.Event()
-        #: Dispatch generations that degraded to inline over this engine's
-        #: lifetime (survives the _PoolDispatch objects themselves).
-        self._dispatch_degraded_total = 0
         #: Durable event log (see :mod:`repro.store`) backing live ingest;
         #: attached by :meth:`attach_store`, ``None`` = ingest disabled.
         self.event_log: EventLog | None = None
@@ -938,9 +626,6 @@ class InferenceEngine:
         if self._worker is not None and self._worker.is_alive():
             return self
         self._stopping.clear()
-        n = resolve_workers(self.workers)
-        if n > 1 and fork_available() and self._dispatch is None:
-            self._dispatch = _PoolDispatch(self, n)
         # Saturation signals for admission control: how deep the request
         # queue is and how long its head has been waiting.  The last
         # started engine owns the gauges (one engine per serving process).
@@ -954,7 +639,7 @@ class InferenceEngine:
         return self
 
     def stop(self) -> None:
-        """Stop threads, drain in-flight work, tear down pool + arena.
+        """Stop the gather thread and fail whatever is still queued.
 
         Safe to call repeatedly (and from ``__exit__`` after a crash): every
         step is guarded, so a second call is a no-op.
@@ -974,23 +659,6 @@ class InferenceEngine:
         # start() — would leave its waiter to hit the generic timeout.
         # Fail it with a typed shutdown error instead.
         self._fail_queued()
-        with self._swap_lock:
-            dispatch, self._dispatch = self._dispatch, None
-        if dispatch is not None:
-            dispatch.retire()
-            if not dispatch.drain(timeout=10.0):
-                # Batches stuck in dead/hung workers: resolve their waiters
-                # with a typed shutdown error rather than a silent timeout.
-                dispatch.fail(reason="shutdown", code="engine_shutdown")
-                dispatch.close()
-                return
-            try:
-                # Last look at the worker-side caches so /metrics stays
-                # meaningful after shutdown (benchmarks read it there).
-                self._last_worker_caches = dispatch.stats(timeout=5.0)
-            except Exception:
-                pass
-            dispatch.close()
 
     def __enter__(self) -> "InferenceEngine":
         return self.start()
@@ -999,31 +667,14 @@ class InferenceEngine:
         self.stop()
 
     # ------------------------------------------------------ model lifecycle
-    def swap_predictor(self, kind: str, predictor, *, drain_timeout: float = 30.0):
+    def swap_predictor(self, kind: str, predictor):
         """Atomically replace the predictor serving ``kind``; returns the old.
 
-        In-flight micro-batches finish on the old predictor.  With a
-        dispatch pool, the old generation is retired (new batches execute
-        inline on the parent during the swap), drained, and a fresh pool
-        forks over a new shared-memory arena holding the new weights.
+        The micro-batch in flight finishes on the old predictor.
         """
-        with self._swap_lock:
-            old = self.predictors.get(kind)
-            dispatch, self._dispatch = self._dispatch, None
-            if dispatch is None:
-                self.predictors[kind] = predictor
-                return old
-            dispatch.retire()
-            dispatch.drain(timeout=drain_timeout)
-            try:
-                self._last_worker_caches = dispatch.stats(timeout=5.0)
-            except Exception:
-                pass
-            self.predictors[kind] = predictor
-            dispatch.close()
-            if not dispatch.failed.is_set():
-                self._dispatch = _PoolDispatch(self, dispatch.n_workers)
-            return old
+        old = self.predictors.get(kind)
+        self.predictors[kind] = predictor
+        return old
 
     def reload_model(
         self, registry: ModelRegistry | str, name: str, version: int | None = None
@@ -1068,8 +719,7 @@ class InferenceEngine:
         watermark (the bundle's recorded ``prior_seq`` / the shared
         world's ``_store_watermark``), so events ingested before a restart
         are reconstructed and events a bundle was fitted on are not
-        double-applied.  Call before :meth:`start` so dispatch workers
-        fork from the replayed state.  Returns the number of log events.
+        double-applied.  Returns the number of log events.
         """
         self.event_log = event_log
         events = event_log.events(0)
@@ -1171,7 +821,6 @@ class InferenceEngine:
                 with obs_trace.span("ingest.invalidate", events=len(applied)):
                     for predictor in self.predictors.values():
                         predictor.apply_events(applied)
-                    self._broadcast_apply(applied)
         with obs_trace.span("ingest.reply"):
             return {
                 "results": results,
@@ -1180,29 +829,6 @@ class InferenceEngine:
                 "n_errors": errors,
                 "last_seq": self.event_log.last_seq,
             }
-
-    def _broadcast_apply(self, applied: list[StoredEvent]) -> None:
-        """Push applied events into every dispatch worker (barrier).
-
-        A retired dispatch is fine — the replacement generation forks from
-        the already-updated parent.  A worker that *fails* to apply would
-        keep serving stale state, so that degrades the whole generation to
-        inline execution on the (correct) parent.
-        """
-        dispatch = self._dispatch
-        if dispatch is None:
-            return
-        try:
-            dispatch.apply(applied)
-        except _DispatchRetired:
-            pass
-        except Exception as exc:
-            _log.error(
-                "ingest.worker_apply_failed",
-                error=f"{type(exc).__name__}: {exc}"[:400],
-                events=len(applied),
-            )
-            dispatch.fail(reason="ingest_apply_failed")
 
     def store_stats(self) -> dict | None:
         """Event-log + watermark block for the ``/v1/metrics`` body."""
@@ -1338,18 +964,8 @@ class InferenceEngine:
                 )
             for kind, group in by_kind.items():
                 self.predictors[kind].metrics.record_batch()
-                dispatch = self._dispatch
-                if dispatch is not None:
-                    try:
-                        dispatch.submit_batch(kind, [r.payload for r in group], group)
-                        _BATCHES.inc(kind=kind, site="worker")
-                        continue
-                    except _DispatchRetired:
-                        pass  # draining for a swap/stop: serve inline
-                    except Exception:  # pool broken mid-submit: serve inline
-                        dispatch.fail()
-                _BATCHES.inc(kind=kind, site="inline")
-                self._execute_inline(kind, group)
+                _BATCHES.inc(kind=kind)
+                self._execute(kind, group)
             if shutdown:
                 self._fail_queued()
                 return
@@ -1372,7 +988,7 @@ class InferenceEngine:
             if item.future.set_running_or_notify_cancel():
                 item.future.set_exception(exc)
 
-    def _execute_inline(self, kind: str, group: list[_Request]) -> None:
+    def _execute(self, kind: str, group: list[_Request]) -> None:
         predictor = self.predictors[kind]
         try:
             with obs_trace.batch_context([r.trace for r in group]):
@@ -1401,109 +1017,13 @@ class InferenceEngine:
             if r.future.set_running_or_notify_cancel():
                 r.future.set_result(outcome)
 
-    # ----------------------------------------------- multi-process dispatch
-    def _worker_batch(self, task):
-        """Runs inside a pool worker: execute one kind-grouped micro-batch.
-
-        Returns ``(outcomes, spans)``: spans recorded during the batch are
-        captured into a sink and shipped back with the result so the parent
-        can stitch them into the originating traces (the worker's own span
-        store dies with the fork).
-        """
-        kind, payloads, traces = task
-        contexts = [t for t in traces if t]
-        if not contexts:
-            return self.predictors[kind].predict_batch(payloads), ()
-        sink: list = []
-        with obs_trace.batch_context(
-            contexts, sink=sink, common={"in_worker": True, "pid": os.getpid()}
-        ):
-            outcomes = self.predictors[kind].predict_batch(payloads)
-        return outcomes, tuple(sink)
-
-    def _worker_cache_stats(self, _payload) -> dict:
-        """Runs inside a pool worker: this worker's per-predictor caches."""
-        return {
-            kind: _predictor_cache_stats(predictor)
-            for kind, predictor in self.predictors.items()
-        }
-
-    def _worker_apply(self, stored_events) -> bool:
-        """Runs inside a pool worker: fold ingested events into its state.
-
-        The worker's copy-on-write world/predictors diverge from the
-        parent here by design — each process applies the same events to
-        its own copies, which the parity tests pin as bit-identical.
-        """
-        for predictor in self.predictors.values():
-            predictor.apply_events(stored_events)
-        return True
-
-    def _dispatch_failed(self, dispatch: _PoolDispatch) -> None:
-        """A dispatch generation died; fall back to inline execution."""
-        self._dispatch_degraded_total += 1
-        if self._dispatch is dispatch:
-            self._dispatch = None
-
-    def dispatch_health(self) -> dict:
-        """Worker-dispatch recovery state for the v1 metrics body.
-
-        ``mode`` is ``"workers"`` while a live dispatch generation serves
-        batches, ``"inline"`` otherwise (single-worker engines, post-breaker
-        degradation, or mid-swap).
-        """
-        dispatch = self._dispatch
-        out = {
-            "mode": "workers" if dispatch is not None else "inline",
-            "degraded_generations": self._dispatch_degraded_total,
-            "crash_limit": _CRASH_LIMIT,
-            "crash_window_s": _CRASH_WINDOW_S,
-        }
-        if dispatch is not None:
-            out.update(dispatch.health())
-        return out
-
     # ------------------------------------------------------------- health
     def metrics(self) -> dict:
-        """Per-predictor counters + cache stats for ``/metrics``.
-
-        In multi-process mode the caches live in the dispatch workers, so
-        each worker is polled for an atomic snapshot and the counters are
-        aggregated per cache (with the per-worker breakdown attached) —
-        the multi-worker hit ratio is first-class, not inferred.  After
-        shutdown the last snapshot taken during :meth:`stop` is reported.
-        """
-        worker_caches: list[dict] | None = None
-        stale = False
-        dispatch = self._dispatch
-        if dispatch is not None:
-            try:
-                worker_caches = dispatch.stats(timeout=5.0)
-            except Exception as exc:
-                _log.warning(
-                    "dispatch.stats_failed",
-                    error=f"{type(exc).__name__}: {exc}"[:400],
-                    n_workers=dispatch.n_workers,
-                )
-                worker_caches = None
-        if worker_caches is None and self._last_worker_caches is not None:
-            # Serving the snapshot taken at the last drain — mark it so a
-            # reader never mistakes frozen counters for live ones.
-            worker_caches = self._last_worker_caches
-            stale = True
+        """Per-predictor counters + cache stats for ``/metrics``."""
         out = {}
         for kind, predictor in self.predictors.items():
             entry = dict(predictor.metrics.snapshot())
-            if worker_caches:
-                entry["caches"] = _aggregate_cache_stats(
-                    [wc.get(kind, {}) for wc in worker_caches]
-                )
-                if stale:
-                    entry["caches"]["stale"] = True
-                entry["workers"] = len(worker_caches)
-            else:
-                entry["caches"] = _predictor_cache_stats(predictor)
-                entry["workers"] = 1
+            entry["caches"] = _predictor_cache_stats(predictor)
             out[kind] = entry
         return out
 
@@ -1521,25 +1041,6 @@ def _predictor_cache_stats(predictor) -> dict:
     if hasattr(predictor, "context_cache"):
         caches["contexts"] = predictor.context_cache.stats()
     return caches
-
-
-def _aggregate_cache_stats(per_worker: list[dict]) -> dict:
-    """Sum per-worker cache counters; keep the per-worker hit ratios."""
-    out: dict = {}
-    for name in sorted({n for wc in per_worker for n in wc}):
-        stats = [wc[name] for wc in per_worker if name in wc]
-        hits = sum(s["hits"] for s in stats)
-        misses = sum(s["misses"] for s in stats)
-        total = hits + misses
-        out[name] = {
-            "size": sum(s["size"] for s in stats),
-            "maxsize": sum(s["maxsize"] for s in stats),
-            "hits": hits,
-            "misses": misses,
-            "hit_rate": round(hits / total, 4) if total else 0.0,
-            "per_worker": [s["hit_rate"] for s in stats],
-        }
-    return out
 
 
 # -------------------------------------------------------------- bootstrap
@@ -1560,6 +1061,9 @@ def engine_from_store(
     with_events: bool = True,
 ) -> InferenceEngine:
     """Build an engine from registry bundles (what ``repro serve`` runs).
+
+    ``workers`` is accepted for ``perfbench/reproduce.py``, its only
+    caller, and ignored: the engine always serves in-process.
 
     Loads the latest version of each named model (default: every model in
     the store); bundles recorded against the same world config share one
@@ -1604,7 +1108,6 @@ def engine_from_store(
         predictors,
         max_batch_size=max_batch_size,
         max_wait_ms=max_wait_ms,
-        workers=workers,
     )
     if with_events:
         engine.attach_store(EventLog(os.path.join(registry.root, "events")))

@@ -311,7 +311,6 @@ class RouteCore:
                 # New top-level blocks; the legacy /metrics body keeps its
                 # pre-v1 shape (per-predictor entries only).
                 body["http"] = {"responses": HTTP_REQUESTS.snapshot()}
-                body["dispatch"] = self.engine.dispatch_health()
                 store = self.engine.store_stats()
                 if store is not None:
                     body["store"] = store

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.parallel import ShmArena, WorkerPool, resolve_workers
 from repro.text.tokenize import tokenize
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_fitted
@@ -186,7 +185,6 @@ class Doc2Vec:
         epochs: int = 25,
         random_state=None,
         block_elems: int = 8_000_000,
-        workers: int | None = None,
     ) -> np.ndarray:
         """Infer vectors for a batch of documents with one blocked kernel.
 
@@ -207,14 +205,6 @@ class Doc2Vec:
         block_elems:
             Soft cap on a bucket's gathered block size (floats) — larger
             buckets are processed in document-order chunks.
-        workers:
-            Process count for the SGD phase (``None`` resolves through
-            ``REPRO_NUM_WORKERS``, then 1).  All RNG draws happen first on
-            the parent in document order (preserving any shared generator's
-            stream), then the per-bucket chunks — each an independent
-            stacked kernel — are distributed across forked workers that
-            write their document vectors into a shared-memory output
-            matrix.  Bit-identical to serial for every worker count.
         """
         check_fitted(self, "word_vectors_")
         docs = list(documents)
@@ -249,22 +239,12 @@ class Doc2Vec:
                 negs.append(None)  # empty/OOV doc: keep the init vector
 
         # ---- bucketed, blocked SGD --------------------------------------
-        # The chunk list is identical for every worker count; each chunk is
-        # an independent stacked kernel over its own documents, so running
-        # chunks on forked workers (writing into a shared-memory ``out``)
-        # cannot change a single bit of any document's vector.
-        tasks: list[tuple[int, list[int]]] = []
-        for n_pos, members in by_m.items():
+        # Each chunk is an independent stacked kernel over its own documents.
+        # A chunk's gathered block (up to ``block_elems`` floats) is freed
+        # when ``_sgd_chunk`` returns, before the next chunk gathers its own.
+        def _sgd_chunk(n_pos: int, group: list[int]) -> None:
             m = n_pos * (1 + self.negative)
-            chunk = max(1, block_elems // max(1, epochs * m * k))
-            for lo in range(0, len(members), chunk):
-                tasks.append((n_pos, members[lo : lo + chunk]))
-
-        def _sgd_chunk(task) -> int:
-            n_pos, group = task
-            m = n_pos * (1 + self.negative)
-            L = len(group)
-            targets = np.empty((L, epochs, m), dtype=np.int64)
+            targets = np.empty((len(group), epochs, m), dtype=np.int64)
             for row, di in enumerate(group):
                 targets[row, :, :n_pos] = ids_list[di]
                 targets[row, :, n_pos:] = negs[di]
@@ -280,24 +260,12 @@ class Doc2Vec:
                 err = scores - labels
                 dv -= lr * (err[:, :, None] * W).sum(axis=1)
             out[group] = dv
-            return L
 
-        n_workers = resolve_workers(workers)
-        if n_workers > 1 and len(tasks) > 1 and D >= max(8, 2 * n_workers):
-            arena = ShmArena(ShmArena.nbytes_for(((D, k), np.float64)))
-            try:
-                shared = arena.alloc((D, k))
-                shared[...] = out
-                out = shared  # _sgd_chunk reads/writes through the closure
-                with WorkerPool(
-                    n_workers, {"sgd": _sgd_chunk}, name="repro-doc2vec"
-                ) as pool:
-                    pool.map("sgd", tasks)
-                return shared.copy()
-            finally:
-                arena.release()
-        for task in tasks:
-            _sgd_chunk(task)
+        for n_pos, members in by_m.items():
+            m = n_pos * (1 + self.negative)
+            chunk = max(1, block_elems // max(1, epochs * m * k))
+            for lo in range(0, len(members), chunk):
+                _sgd_chunk(n_pos, members[lo : lo + chunk])
         return out
 
     def word_vector(self, word: str) -> np.ndarray:

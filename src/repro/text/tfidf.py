@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml.base import BaseEstimator, TransformerMixin
-from repro.parallel import WorkerPool, resolve_workers
 from repro.text.tokenize import ngrams, tokenize
 from repro.utils.validation import check_fitted
 
@@ -32,12 +31,6 @@ class TfidfVectorizer(BaseEstimator, TransformerMixin):
         Minimum document frequency for a term to enter the vocabulary.
     sublinear_tf:
         Use ``1 + log(tf)`` instead of raw counts.
-    n_workers:
-        Process count for corpus counting in :meth:`fit` (``None`` resolves
-        through ``REPRO_NUM_WORKERS``, then 1).  Shard counts are merged in
-        shard order, so the fitted vocabulary and idf vector are identical
-        for every worker count.  Runtime knob — excluded from
-        :meth:`to_state`.
     """
 
     def __init__(
@@ -48,7 +41,6 @@ class TfidfVectorizer(BaseEstimator, TransformerMixin):
         min_df: int = 1,
         sublinear_tf: bool = False,
         tokenizer=None,
-        n_workers: int | None = None,
     ):
         lo, hi = ngram_range
         if lo < 1 or hi < lo:
@@ -63,7 +55,6 @@ class TfidfVectorizer(BaseEstimator, TransformerMixin):
         self.min_df = min_df
         self.sublinear_tf = sublinear_tf
         self.tokenizer = tokenizer
-        self.n_workers = n_workers
         self.vocabulary_: dict[str, int] | None = None
         self.idf_: np.ndarray | None = None
 
@@ -101,41 +92,15 @@ class TfidfVectorizer(BaseEstimator, TransformerMixin):
         return self
 
     def _corpus_counts(self, docs: list[str]) -> tuple[dict, dict]:
-        """(document frequency, collection frequency) over the corpus.
-
-        With ``n_workers`` > 1 the corpus is split into contiguous shards
-        counted in parallel; integer shard counts merged in shard order are
-        exactly the serial counts, so the fitted state cannot differ.
-        """
-
-        def _count(shard) -> tuple[dict, dict]:
-            sdf: dict[str, int] = {}
-            scf: dict[str, int] = {}
-            for doc in shard:
-                feats = self._analyze(doc)
-                for term in feats:
-                    scf[term] = scf.get(term, 0) + 1
-                for term in set(feats):
-                    sdf[term] = sdf.get(term, 0) + 1
-            return sdf, scf
-
-        n = resolve_workers(self.n_workers)
-        if n <= 1 or len(docs) < max(64, 8 * n):
-            return _count(docs)
-        cuts = np.linspace(0, len(docs), n + 1).astype(np.int64)
-        bounds = [(int(lo), int(hi)) for lo, hi in zip(cuts[:-1], cuts[1:]) if hi > lo]
-        with WorkerPool(
-            len(bounds), {"count": lambda b: _count(docs[b[0] : b[1]])},
-            name="repro-tfidf",
-        ) as pool:
-            parts = pool.map("count", bounds)
+        """(document frequency, collection frequency) over the corpus."""
         df: dict[str, int] = {}
         cf: dict[str, int] = {}
-        for sdf, scf in parts:
-            for term, c in sdf.items():
-                df[term] = df.get(term, 0) + c
-            for term, c in scf.items():
-                cf[term] = cf.get(term, 0) + c
+        for doc in docs:
+            feats = self._analyze(doc)
+            for term in feats:
+                cf[term] = cf.get(term, 0) + 1
+            for term in set(feats):
+                df[term] = df.get(term, 0) + 1
         return df, cf
 
     def transform(self, documents) -> np.ndarray:

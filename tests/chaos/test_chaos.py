@@ -94,12 +94,12 @@ class TestEnvSpec:
             {
                 "REPRO_CHAOS": "1",
                 "REPRO_CHAOS_SEED": "42",
-                "REPRO_CHAOS_POINTS": "pool.worker_crash=0.1*2,paged.read=at:3;7",
+                "REPRO_CHAOS_POINTS": "store.fsync=0.1*2,paged.read=at:3;7",
             }
         )
         assert plan is not None and plan.seed == 42
-        crash = plan.rules["pool.worker_crash"]
-        assert crash.rate == 0.1 and crash.limit == 2
+        fsync = plan.rules["store.fsync"]
+        assert fsync.rate == 0.1 and fsync.limit == 2
         paged = plan.rules["paged.read"]
         assert paged.at == (3, 7)
 
@@ -113,8 +113,7 @@ class TestEnvSpec:
 class TestModuleToggle:
     def test_disabled_is_inert(self):
         assert not chaos.enabled()
-        assert not chaos.should_fire("pool.worker_crash")
-        chaos.maybe_sleep("pool.worker_hang")  # returns immediately
+        assert not chaos.should_fire("store.fsync")
         assert chaos.stats() == {}
 
     def test_enable_disable_roundtrip(self):

@@ -4,10 +4,7 @@ The recovery contract of ``RetinaTrainer(checkpoint_dir=...)``: a fit
 interrupted after any completed epoch and resumed with the same
 configuration produces weights *bit-identical* to an uninterrupted run —
 the checkpoint carries model weights, optimiser state, RNG state, and the
-cumulative epoch shuffle.  Worker count is deliberately outside the
-fingerprint (the sharded schedule is worker-count invariant), so a run
-checkpointed at ``workers=1`` may resume at ``workers=2`` and vice versa
-— pinned here at workers in {1, 2}.
+cumulative epoch shuffle.
 """
 
 import os
@@ -15,7 +12,32 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.retina import RETINA, RetinaTrainer
+from repro.core.retina import RETINA, RetinaFeatureExtractor, RetinaTrainer
+from repro.data import HateDiffusionDataset, SyntheticWorldConfig
+
+CKPT_CONFIG = SyntheticWorldConfig(
+    scale=0.01, n_hashtags=5, n_users=90, n_news=200, seed=11
+)
+
+
+@pytest.fixture(scope="module")
+def ckpt_world():
+    return HateDiffusionDataset.generate(CKPT_CONFIG)
+
+
+@pytest.fixture(scope="module")
+def ckpt_extractor(ckpt_world):
+    train, _ = ckpt_world.cascade_split(random_state=0)
+    return RetinaFeatureExtractor(ckpt_world.world, random_state=0).fit(train)
+
+
+@pytest.fixture(scope="module")
+def ckpt_samples(ckpt_extractor, ckpt_world):
+    train, _ = ckpt_world.cascade_split(random_state=0)
+    edges = RetinaTrainer.default_interval_edges()
+    return ckpt_extractor.build_samples(
+        train[:10], interval_edges_hours=edges, random_state=0
+    )
 
 
 class _Interrupt(Exception):
@@ -51,100 +73,60 @@ def _states_equal(a, b):
 class TestSerialResume:
     @pytest.mark.parametrize("mode", ["static", "dynamic"])
     def test_interrupted_resume_bit_identical(
-        self, parallel_extractor, parallel_samples, mode, tmp_path
+        self, ckpt_extractor, ckpt_samples, mode, tmp_path
     ):
-        baseline = _fresh_model(parallel_extractor, mode)
-        RetinaTrainer(baseline, epochs=3, random_state=0).fit(parallel_samples)
+        baseline = _fresh_model(ckpt_extractor, mode)
+        RetinaTrainer(baseline, epochs=3, random_state=0).fit(ckpt_samples)
 
-        interrupted = _fresh_model(parallel_extractor, mode)
+        interrupted = _fresh_model(ckpt_extractor, mode)
         trainer = RetinaTrainer(
             interrupted, epochs=3, random_state=0, checkpoint_dir=str(tmp_path)
         )
         _interrupt_after(trainer, 0)
         with pytest.raises(_Interrupt):
-            trainer.fit(parallel_samples)
+            trainer.fit(ckpt_samples)
 
-        resumed = _fresh_model(parallel_extractor, mode)
+        resumed = _fresh_model(ckpt_extractor, mode)
         RetinaTrainer(
             resumed, epochs=3, random_state=0, checkpoint_dir=str(tmp_path)
-        ).fit(parallel_samples)
+        ).fit(ckpt_samples)
         assert _states_equal(baseline, resumed)
 
     def test_checkpointing_does_not_change_weights(
-        self, parallel_extractor, parallel_samples, tmp_path
+        self, ckpt_extractor, ckpt_samples, tmp_path
     ):
         """Chaos off, checkpoints on: same bytes as no checkpoints at all."""
-        plain = _fresh_model(parallel_extractor)
-        RetinaTrainer(plain, epochs=2, random_state=0).fit(parallel_samples)
-        ckpt = _fresh_model(parallel_extractor)
+        plain = _fresh_model(ckpt_extractor)
+        RetinaTrainer(plain, epochs=2, random_state=0).fit(ckpt_samples)
+        ckpt = _fresh_model(ckpt_extractor)
         RetinaTrainer(
             ckpt, epochs=2, random_state=0, checkpoint_dir=str(tmp_path)
-        ).fit(parallel_samples)
+        ).fit(ckpt_samples)
         assert _states_equal(plain, ckpt)
         assert os.path.exists(tmp_path / "checkpoint.npz")
 
     def test_completed_run_resumes_as_noop(
-        self, parallel_extractor, parallel_samples, tmp_path
+        self, ckpt_extractor, ckpt_samples, tmp_path
     ):
-        model = _fresh_model(parallel_extractor)
+        model = _fresh_model(ckpt_extractor)
         trainer = RetinaTrainer(
             model, epochs=2, random_state=0, checkpoint_dir=str(tmp_path)
         )
-        trainer.fit(parallel_samples)
+        trainer.fit(ckpt_samples)
         frozen = {k: v.copy() for k, v in model.state_dict().items()}
-        trainer.fit(parallel_samples)  # every epoch already checkpointed
+        trainer.fit(ckpt_samples)  # every epoch already checkpointed
         current = model.state_dict()
         assert all(np.array_equal(frozen[k], current[k]) for k in frozen)
 
     def test_fingerprint_mismatch_is_loud(
-        self, parallel_extractor, parallel_samples, tmp_path
+        self, ckpt_extractor, ckpt_samples, tmp_path
     ):
-        model = _fresh_model(parallel_extractor)
+        model = _fresh_model(ckpt_extractor)
         RetinaTrainer(
             model, epochs=2, random_state=0, checkpoint_dir=str(tmp_path)
-        ).fit(parallel_samples)
-        other = _fresh_model(parallel_extractor)
+        ).fit(ckpt_samples)
+        other = _fresh_model(ckpt_extractor)
         with pytest.raises(ValueError, match="different training configuration"):
             RetinaTrainer(
                 other, epochs=3, random_state=0, checkpoint_dir=str(tmp_path)
-            ).fit(parallel_samples)
-
-
-class TestShardedCrossWorkerResume:
-    @pytest.mark.parametrize("kill_workers,resume_workers", [(1, 2), (2, 1)])
-    def test_resume_across_worker_counts_bit_identical(
-        self,
-        parallel_extractor,
-        parallel_samples,
-        tmp_path,
-        kill_workers,
-        resume_workers,
-    ):
-        baseline = _fresh_model(parallel_extractor)
-        RetinaTrainer(
-            baseline, epochs=3, random_state=0, workers=2, shard_size=4
-        ).fit(parallel_samples)
-
-        interrupted = _fresh_model(parallel_extractor)
-        trainer = RetinaTrainer(
-            interrupted,
-            epochs=3,
-            random_state=0,
-            workers=kill_workers,
-            shard_size=4,
-            checkpoint_dir=str(tmp_path),
-        )
-        _interrupt_after(trainer, 1)
-        with pytest.raises(_Interrupt):
-            trainer.fit(parallel_samples)
-
-        resumed = _fresh_model(parallel_extractor)
-        RetinaTrainer(
-            resumed,
-            epochs=3,
-            random_state=0,
-            workers=resume_workers,
-            shard_size=4,
-            checkpoint_dir=str(tmp_path),
-        ).fit(parallel_samples)
-        assert _states_equal(baseline, resumed)
+            ).fit(ckpt_samples)

@@ -41,6 +41,7 @@ class TestNeighborParity:
             assert tuple(ref.followees(u)) == frozen.followees(u)
 
     def test_sets_match_networkx(self, nets):
+        pytest.importorskip("networkx")
         _, frozen = nets
         g = frozen.to_networkx()
         for u in range(N):

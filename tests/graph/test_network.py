@@ -121,6 +121,7 @@ class TestGenerator:
         assert np.array_equal(c1, c2)
 
     def test_community_homophily(self):
+        pytest.importorskip("networkx")
         net, comm = community_follower_graph(
             300, n_communities=4, p_in=0.8, celebrity_fraction=0.0, random_state=0
         )
@@ -152,6 +153,7 @@ class TestGenerator:
     @given(st.integers(10, 60), st.integers(2, 5))
     @settings(max_examples=10, deadline=None)
     def test_no_self_loops_property(self, n, k):
+        pytest.importorskip("networkx")
         net, _ = community_follower_graph(n, n_communities=k, random_state=0)
         g = net.to_networkx()
         assert all(u != v for u, v in g.edges)

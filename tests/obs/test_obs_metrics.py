@@ -100,7 +100,7 @@ class TestHistogram:
         assert h.quantile(0.99) == 10.0
 
     def test_counts_merge_across_instances_by_addition(self):
-        # The property that makes the fixed buckets worth it: two workers'
+        # The property that makes the fixed buckets worth it: two processes'
         # histograms combine exactly by adding bucket counts.
         a = Histogram("ha_seconds", "", buckets=(1.0, 2.0))
         b = Histogram("hb_seconds", "", buckets=(1.0, 2.0))

@@ -99,16 +99,6 @@ class TestBatchAttribution:
         assert sa.fields == sb.fields == {"rows": 3}
         assert sa.span_id != sb.span_id
 
-    def test_sink_captures_instead_of_store(self):
-        sink = []
-        with batch_context([("tc", "pc")], sink=sink, common={"in_worker": True}):
-            with batch_span("model.forward"):
-                pass
-        assert STORE.spans("tc") == []
-        assert len(sink) == 1 and sink[0].fields["in_worker"] is True
-        STORE.adopt(sink)
-        assert STORE.spans("tc")[0].name == "model.forward"
-
     def test_batch_span_outside_context_is_noop(self):
         with batch_span("model.forward"):
             pass

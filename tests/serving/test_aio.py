@@ -195,6 +195,63 @@ class TestConnectionHygiene:
         assert buf.count(b'"status": "ok"') == 3
 
 
+def _raw_exchange(server, data: bytes) -> tuple[int, dict, dict]:
+    """Send raw bytes, read until the server closes; (status, headers, body)."""
+    host, port = server.address
+    with socket.create_connection((host, port), timeout=30) as sock:
+        sock.sendall(data)
+        buf = b""
+        while chunk := sock.recv(65536):
+            buf += chunk
+    head, _, body = buf.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in lines[1:])
+    return int(lines[0].split()[1]), headers, json.loads(body)
+
+
+class TestFraming:
+    """Malformed framing gets a typed answer, never a dropped socket."""
+
+    def _hategen_body(self, trained_hategen) -> bytes:
+        t = trained_hategen[1][0]
+        return json.dumps({"user_id": t.user_id, "hashtag": t.hashtag,
+                           "timestamp": t.timestamp}).encode()
+
+    def test_conflicting_content_length_is_400(self, aio_server, trained_hategen):
+        body = self._hategen_body(trained_hategen)
+        status, headers, reply = _raw_exchange(aio_server, (
+            f"POST /v1/predict/hategen HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n"
+            f"Content-Length: {len(body) + 7}\r\nConnection: close\r\n\r\n"
+        ).encode() + body)
+        assert status == 400
+        assert reply["error"]["code"] == "bad_request"
+        assert "Content-Length" in reply["error"]["message"]
+        assert headers.get("Connection") == "close"
+        # Repeating the same value is not ambiguous and is still served.
+        status, _, reply = _raw_exchange(aio_server, (
+            f"POST /v1/predict/hategen HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n"
+            f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n"
+        ).encode() + body)
+        assert status == 200 and reply["label"] in (0, 1)
+
+    @pytest.mark.parametrize("where", ["request_line", "header_line"])
+    def test_line_over_reader_limit_is_431(self, aio_server, where):
+        big = "a" * (80 * 1024)  # past asyncio's 64 KiB StreamReader limit
+        if where == "request_line":
+            data = f"GET /v1/healthz?pad={big} HTTP/1.1\r\nHost: x\r\n\r\n"
+        else:
+            data = f"GET /v1/healthz HTTP/1.1\r\nHost: x\r\nX-Pad: {big}\r\n\r\n"
+        status, headers, reply = _raw_exchange(aio_server, data.encode())
+        assert status == 431
+        assert reply["error"]["code"] == "header_too_large"
+        assert headers.get("Connection") == "close"
+        # The listener is unharmed.
+        status, _, _ = raw_request(aio_server, "GET", "/v1/healthz")
+        assert status == 200
+
+
 class TestOverload:
     """Offered load > capacity: shed loudly, answer everything."""
 

@@ -1,16 +1,12 @@
-"""End-to-end tracing tests: connected span trees across threads + workers.
+"""End-to-end tracing tests: connected span trees across threads.
 
 The acceptance path for the observability layer: one ``/v1/predict/*``
 request yields a single-trace span tree — handler parse, queue wait,
 batch assembly, feature build, model forward, response serialization —
-retrievable via ``/v1/traces/{id}``, at 1 worker (inline execution) and
-at 2 workers (spans recorded inside forked pool workers and shipped back
-with the batch result).
+retrievable via ``/v1/traces/{id}``.
 """
 
 import json
-import os
-import time
 import urllib.error
 import urllib.request
 
@@ -18,15 +14,10 @@ import pytest
 
 from repro.obs import config as obs_config
 from repro.obs import trace as obs_trace
-from repro.parallel import fork_available
 from repro.serving import (
     InferenceEngine,
     PredictionServer,
     RetweeterPredictor,
-)
-
-needs_fork = pytest.mark.skipif(
-    not fork_available(), reason="requires os.fork (start method)"
 )
 
 #: Spans every traced predict request must produce, wherever it executes.
@@ -66,13 +57,12 @@ def _get(url):
         return resp.status, json.load(resp)
 
 
-def _serve(registry, workers):
+def _serve(registry):
     retina = registry.load_bundle("retina")
     engine = InferenceEngine(
         {"retweeters": RetweeterPredictor(retina)},
         max_batch_size=8,
         max_wait_ms=1.0,
-        workers=workers,
     )
     return PredictionServer(engine, port=0)
 
@@ -88,12 +78,11 @@ def _assert_connected_tree(tree, trace_id):
             assert sp["parent_id"] in ids, f"dangling parent on {sp['name']}"
 
 
-@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=needs_fork)])
-def test_predict_yields_connected_span_tree(registry, trained_retina, workers):
+def test_predict_yields_connected_span_tree(registry, trained_retina):
     _, _, test_samples = trained_retina
     cascade_id = test_samples[0].candidate_set.cascade.root.tweet_id
-    forced = f"testtrace{workers}w"
-    with _serve(registry, workers) as srv:
+    forced = "testtrace"
+    with _serve(registry) as srv:
         status, headers, _ = _post(
             srv.url + "/v1/predict/retweeters",
             {"cascade_id": cascade_id},
@@ -107,16 +96,6 @@ def test_predict_yields_connected_span_tree(registry, trained_retina, workers):
     assert EXPECTED_SPANS <= names, f"missing spans: {EXPECTED_SPANS - names}"
     assert tree["n_spans"] >= 5
     _assert_connected_tree(tree, forced)
-    worker_spans = [sp for sp in tree["spans"] if sp["fields"].get("in_worker")]
-    if workers == 1:
-        assert worker_spans == []
-    else:
-        # The forward really ran in a forked worker, and its spans came back.
-        assert {sp["name"] for sp in worker_spans} >= {
-            "serve.feature_build",
-            "model.forward",
-        }
-        assert all(sp["fields"]["pid"] != os.getpid() for sp in worker_spans)
 
 
 def test_untraced_request_stays_untraced(registry, trained_retina):
@@ -124,7 +103,7 @@ def test_untraced_request_stays_untraced(registry, trained_retina):
     _, _, test_samples = trained_retina
     cascade_id = test_samples[0].candidate_set.cascade.root.tweet_id
     obs_config.configure(sample_rate=0.0)
-    with _serve(registry, 1) as srv:
+    with _serve(registry) as srv:
         status, headers, _ = _post(
             srv.url + "/v1/predict/retweeters", {"cascade_id": cascade_id}
         )
@@ -143,63 +122,7 @@ def test_untraced_request_stays_untraced(registry, trained_retina):
 
 
 def test_unknown_trace_404(registry):
-    with _serve(registry, 1) as srv:
+    with _serve(registry) as srv:
         with pytest.raises(urllib.error.HTTPError) as err:
             _get(srv.url + "/v1/traces/deadbeef")
         assert err.value.code == 404
-
-
-@needs_fork
-def test_trace_survives_inline_failover(monkeypatch):
-    """After the crash breaker trips, the engine serves inline — still traced."""
-    import repro.serving.engine as engine_mod
-    from repro.serving.metrics import ServingMetrics
-    from repro.serving.schemas import ServingError
-
-    monkeypatch.setattr(engine_mod, "_CRASH_LIMIT", 1)
-
-    class Flaky:
-        kind = "flaky"
-
-        def __init__(self):
-            self.metrics = ServingMetrics()
-
-        def predict_batch(self, payloads):
-            if any(p.get("die") for p in payloads):
-                os._exit(7)
-            with obs_trace.batch_span("model.forward", kind=self.kind):
-                return [{"ok": True} for _ in payloads]
-
-    engine = InferenceEngine({"flaky": Flaky()}, workers=2, max_wait_ms=0.0)
-    with engine:
-        with pytest.raises(ServingError, match="worker crashed"):
-            engine.predict("flaky", {"die": True}, timeout=30.0)
-        deadline = time.perf_counter() + 10.0
-        while time.perf_counter() < deadline and engine._dispatch is not None:
-            time.sleep(0.01)
-        assert engine._dispatch is None  # breaker tripped -> inline
-        with obs_trace.start_trace("test.request", trace_id="failover1", sampled=True):
-            assert engine.predict("flaky", {}, timeout=30.0) == {"ok": True}
-    spans = obs_trace.STORE.spans("failover1")
-    names = {sp.name for sp in spans}
-    assert {"engine.queue_wait", "engine.batch_assembly", "model.forward"} <= names
-    # Inline execution on the parent: no span claims to be from a worker.
-    assert not any(sp.fields.get("in_worker") for sp in spans)
-
-
-@needs_fork
-def test_stale_cache_marker_after_shutdown(registry, trained_retina):
-    """Post-shutdown ``metrics()`` serves the last worker snapshot, marked stale."""
-    _, _, test_samples = trained_retina
-    cascade_id = test_samples[0].candidate_set.cascade.root.tweet_id
-    retina = registry.load_bundle("retina")
-    engine = InferenceEngine(
-        {"retweeters": RetweeterPredictor(retina)}, workers=2, max_wait_ms=0.0
-    )
-    with engine:
-        engine.predict("retweeters", {"cascade_id": cascade_id}, timeout=60.0)
-        live = engine.metrics()
-        assert "stale" not in live["retweeters"]["caches"]
-    after = engine.metrics()
-    assert after["retweeters"]["caches"]["stale"] is True
-    assert after["retweeters"]["workers"] == 2

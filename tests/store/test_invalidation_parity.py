@@ -14,8 +14,7 @@ blocks (BFS distance + prior-retweet CSR), retweet-reception counters —
 must match exactly.  Pre-warming first is the point: a stale-cache bug
 would leave the live side serving pre-event values.
 
-Runs for dense storage, ``REPRO_FEATURE_STORAGE=paged``, and
-``REPRO_NUM_WORKERS=2``.
+Runs for dense storage and ``REPRO_FEATURE_STORAGE=paged``.
 """
 
 import numpy as np
@@ -87,7 +86,7 @@ def _assert_parity(live_store, cold_store, users, probes):
         ), f"{name} counters diverge"
 
 
-def _run_parity(workers):
+def _run_parity():
     live_world = _world()
     cold_world = _world()
     users = sorted(live_world.users)
@@ -99,7 +98,7 @@ def _run_parity(workers):
         assert validate_event_for_world(live_world, s.event) is None
 
     ext = RetinaFeatureExtractor(
-        live_world, history_size=10, news_doc2vec_dim=8, workers=workers
+        live_world, history_size=10, news_doc2vec_dim=8
     ).fit(live_world.cascades)
     live = ext.store_
     # Pre-warm every lazy surface so stale caches would be caught.
@@ -134,7 +133,6 @@ def _run_parity(workers):
         doc2vec=base.doc2vec_,
         history_size=base.history_size,
         doc2vec_dim=base.doc2vec_dim,
-        workers=workers,
     )
     cold.set_prior_retweets(prior)
 
@@ -155,14 +153,9 @@ def _run_parity(workers):
 
 
 def test_parity_dense():
-    _run_parity(workers=None)
+    _run_parity()
 
 
 def test_parity_paged(monkeypatch):
     monkeypatch.setenv("REPRO_FEATURE_STORAGE", "paged")
-    _run_parity(workers=None)
-
-
-def test_parity_two_workers(monkeypatch):
-    monkeypatch.delenv("REPRO_FEATURE_STORAGE", raising=False)
-    _run_parity(workers=2)
+    _run_parity()

@@ -32,13 +32,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["train-retina", "--mode", "hybrid"])
 
-    def test_workers_flag_on_train_and_serve(self):
-        args = build_parser().parse_args(["train-retina", "--workers", "2"])
-        assert args.workers == 2 and args.shard_size == 8
-        args = build_parser().parse_args(["serve", "--store", "s", "--workers", "3"])
-        assert args.workers == 3
-        # default: resolved later from $REPRO_NUM_WORKERS, then CPU count
-        assert build_parser().parse_args(["train-hategen"]).workers is None
+    @pytest.mark.parametrize("argv", [
+        ["train-retina", "--workers", "2"],
+        ["train-retina", "--shard-size", "8"],
+        ["train-hategen", "--workers", "2"],
+        ["serve", "--store", "s", "--workers", "2"],
+    ])
+    def test_process_count_flags_are_gone(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
 
     def test_serve_requires_store(self):
         with pytest.raises(SystemExit):
