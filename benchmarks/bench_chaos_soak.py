@@ -114,11 +114,7 @@ def _serving_fixture():
 
 def _serve(**server_kwargs):
     bundle, _, _ = _serving_fixture()
-    engine = InferenceEngine(
-        {"retweeters": RetweeterPredictor(bundle)},
-        max_batch_size=8,
-        max_wait_ms=1.0,
-    )
+    engine = InferenceEngine({"retweeters": RetweeterPredictor(bundle)}, max_batch_size=8)
     return engine, AsyncPredictionServer(engine, port=0, **server_kwargs)
 
 

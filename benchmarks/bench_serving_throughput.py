@@ -352,11 +352,7 @@ def _run(args=None) -> dict:
     def serve(admission=None):
         """A fresh predictor + engine + server for one measurement leg."""
         predictor = RetweeterPredictor(bundle)
-        engine = InferenceEngine(
-            {"retweeters": predictor},
-            max_batch_size=64,
-            max_wait_ms=2.0,
-        )
+        engine = InferenceEngine({"retweeters": predictor}, max_batch_size=64)
         return engine, AsyncPredictionServer(engine, port=0, admission=admission)
 
     report = {"client": "repro.client.ServingClient", "api": "v1",

@@ -25,7 +25,7 @@ from repro.core.retina import (
     evaluate_ranking,
 )
 from repro.data import HateDiffusionDataset, SyntheticWorldConfig
-from repro.serving import ModelRegistry, PredictionServer, RetinaBundle, engine_from_store
+from repro.serving import AsyncPredictionServer, ModelRegistry, RetinaBundle, engine_from_store
 from repro.utils.asciiplot import ascii_series
 
 
@@ -112,8 +112,8 @@ def main() -> None:
             ),
         )
         registry.set_alias("prod", "retina-quickstart", manifest["version"])
-        engine = engine_from_store(registry, max_wait_ms=1.0)
-        with PredictionServer(engine, port=0, registry=registry) as server:
+        engine = engine_from_store(registry)
+        with AsyncPredictionServer(engine, port=0, registry=registry) as server:
             host, port = server.address
             with ServingClient(host=host, port=port) as client:
                 print(f"  server up at {server.url}  "

@@ -5,21 +5,19 @@ registry (two retina versions + a ``prod`` alias), then drives every
 documented v1 endpoint through :class:`repro.client.ServingClient` —
 whose responses are parsed and validated by
 :mod:`repro.serving.schemas`, so a drift between server and schema
-fails loudly.  Also checks the legacy deprecation shim (same bytes +
-``Deprecation`` header) and the structured-error contract.
+fails loudly.  Also checks the structured-error contract, that the
+pre-v1 unversioned paths are gone (a typed v1 404), and that a chunked
+body is refused with 501.
 
-The full endpoint pass runs against the asyncio
-:class:`AsyncPredictionServer` (the only front end since the threaded
-one's retirement; ``PredictionServer`` is an alias).  The deterministic
-routes are then byte-compared across two fresh server + engine
+The full endpoint pass runs against :class:`AsyncPredictionServer`.
+The deterministic routes are then byte-compared across two fresh server + engine
 instances — responses must not depend on server lifecycle or engine
 state.  A final pass pins the admission-control contract: a request
 shed by quota returns 429 with ``Retry-After`` and
 ``Connection: close``.
 
-The observability pass pins the telemetry surface: the legacy
-``/metrics`` JSON shape must stay byte-compatible with pre-v1, the
-Prometheus exposition must parse line-by-line, inbound ``X-Trace-Id``
+The observability pass pins the telemetry surface: the Prometheus
+exposition must parse line-by-line, inbound ``X-Trace-Id``
 headers must be echoed, and a forced trace's span tree must be
 retrievable (``--trace-out PATH`` archives it as a CI artifact).
 
@@ -239,16 +237,14 @@ def drive_contract(server, label, registry, trainer, te, h_test,
         else:
             check("RegistryError -> 404", False, "expected a ServingError")
 
-    # ---- deprecation shim -----------------------------------------
+    # ---- pre-v1 paths are unknown routes --------------------------
     payload = {"cascade_id": cid, "user_ids": users}
-    s_old, h_old, legacy = raw(server, "POST", "/predict/retweeters", payload)
-    s_new, _, v1 = raw(server, "POST", "/v1/predict/retweeters", payload)
-    check("legacy shim byte-identity", s_old == s_new == 200 and legacy == v1)
-    check("legacy Deprecation header", h_old.get("Deprecation") == "true"
-          and "successor-version" in h_old.get("Link", ""))
-    status, headers, body = raw(server, "GET", "/healthz")
-    check("legacy /healthz", status == 200
-          and headers.get("Deprecation") == "true")
+    retired = [raw(server, "POST", "/predict/retweeters", payload),
+               raw(server, "GET", "/healthz"), raw(server, "GET", "/metrics")]
+    check("pre-v1 paths answer v1 404 unknown_route",
+          all(status == 404 and body["error"]["code"] == "unknown_route"
+              for status, _, body in retired),
+          f"got {[(status, body) for status, _, body in retired]}")
 
     # ---- 413 before body read -------------------------------------
     conn = http.client.HTTPConnection(host, port, timeout=10)
@@ -260,6 +256,21 @@ def drive_contract(server, label, registry, trainer, te, h_test,
         body = json.loads(resp.read())
         check("413 before body read", resp.status == 413
               and body["error"]["code"] == "body_too_large"
+              and resp.headers.get("Connection") == "close")
+    finally:
+        conn.close()
+
+    # ---- chunked body refused before routing ----------------------
+    conn = http.client.HTTPConnection(host, port, timeout=10)
+    try:
+        # An iterable body with no Content-Length is sent chunked.
+        conn.request("POST", "/v1/predict/retweeters",
+                     iter([json.dumps(payload).encode()]),
+                     {"Content-Type": "application/json"})
+        resp = conn.getresponse()
+        body = json.loads(resp.read())
+        check("chunked POST -> 501", resp.status == 501
+              and body["error"]["code"] == "unsupported_transfer_encoding"
               and resp.headers.get("Connection") == "close")
     finally:
         conn.close()
@@ -298,13 +309,6 @@ def drive_contract(server, label, registry, trainer, te, h_test,
           any(key.endswith("|200") for key in responses)
           and any(key.startswith("other|GET|404") for key in responses),
           f"got counter keys {sorted(responses)}")
-    s_old, _, legacy_m = raw(server, "GET", "/metrics")
-    # The v1 body adds top-level blocks (http, and store / admission when
-    # the server has them); the legacy body is the per-predictor entries.
-    check("legacy /metrics shape unchanged", s_old == 200
-          and "http" not in legacy_m
-          and set(legacy_m) == set(v1m) - {"http", "store", "admission"},
-          f"legacy keys {sorted(legacy_m)}, v1 keys {sorted(v1m)}")
     s_prom, prom_hdrs, text = raw_text(
         server, "/v1/metrics?format=prometheus"
     )
@@ -335,22 +339,15 @@ def main(argv=None) -> int:
         AdmissionConfig,
         AdmissionController,
         AsyncPredictionServer,
-        PredictionServer,
         engine_from_store,
     )
-
-    # The retired threaded front end's name must stay importable and
-    # resolve to the asyncio server — callers constructed against it
-    # keep working unchanged.
-    check("PredictionServer aliases the async server",
-          PredictionServer is AsyncPredictionServer)
 
     print("building fixture registry (tiny world, 2 retina versions + hategen) ...")
     with tempfile.TemporaryDirectory() as store:
         registry, trainer, te, h_test = build_registry(store)
 
         # ---- full endpoint pass -------------------------------------------
-        engine = engine_from_store(registry, max_wait_ms=1.0)
+        engine = engine_from_store(registry)
         with AsyncPredictionServer(engine, port=0, registry=registry) as server:
             cid, users = drive_contract(
                 server, "async", registry, trainer, te, h_test,
@@ -373,7 +370,7 @@ def main(argv=None) -> int:
         ]
         bodies = {}
         for label in ("first", "second"):
-            engine = engine_from_store(registry, max_wait_ms=1.0)
+            engine = engine_from_store(registry)
             got = []
             with AsyncPredictionServer(
                 engine, port=0, registry=registry
@@ -402,7 +399,7 @@ def main(argv=None) -> int:
         # ---- admission contract -------------------------------------------
         # A quota of ~one request: the second POST must shed with 429,
         # Retry-After, and Connection: close.
-        engine = engine_from_store(registry, max_wait_ms=1.0)
+        engine = engine_from_store(registry)
         admission = AdmissionController(
             AdmissionConfig(route_rps=0.001, route_burst=1.0)
         )

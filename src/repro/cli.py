@@ -84,8 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--port", type=int, default=8000)
     s.add_argument("--batch-size", type=int, default=64,
                    help="micro-batch cap of the inference engine")
-    s.add_argument("--wait-ms", type=float, default=2.0,
-                   help="micro-batch coalescing window in milliseconds")
     s.add_argument("--no-admission", action="store_true",
                    help="disable admission control (quotas + load shedding; "
                         "tunable via REPRO_ADMIT_* env vars)")
@@ -269,12 +267,7 @@ def _cmd_serve(args) -> int:
 
     registry = ModelRegistry(args.store)
     try:
-        engine = engine_from_store(
-            registry,
-            args.name,
-            max_batch_size=args.batch_size,
-            max_wait_ms=args.wait_ms,
-        )
+        engine = engine_from_store(registry, args.name, max_batch_size=args.batch_size)
     except FileNotFoundError as exc:
         print(str(exc), file=sys.stderr)
         return 1

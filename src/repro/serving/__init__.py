@@ -6,19 +6,16 @@ Turns trained pipelines into persistent, low-latency prediction services:
   fitted feature-extractor state + manifest metadata) with aliases;
 - :mod:`repro.serving.schemas` — declarative request/response schemas,
   one validation layer shared by server, engine, and client;
-- :mod:`repro.serving.engine` — predictors with vectorised micro-batching,
-  LRU feature caches, and atomic model hot-swap;
-- :mod:`repro.serving.routes` — the front-end-agnostic route core (one
-  handler table, error shaping, legacy deprecation shim) shared by both
-  HTTP front ends;
+- :mod:`repro.serving.engine` — predictors with vectorised micro-batching
+  (a batch is whatever is queued when the engine is free), LRU feature
+  caches, and atomic model hot-swap;
+- :mod:`repro.serving.routes` — the route core (one handler table and
+  the structured-error shape) behind the HTTP front end;
 - :mod:`repro.serving.aio` — the HTTP front end: a single-event-loop
   ``asyncio`` HTTP/1.1 server (keep-alive, pipelining, future bridging
   into the micro-batcher) answering ``/v1/predict/{kind}``,
-  ``/v1/batch/{kind}``, ``/v1/models*``, ``/v1/healthz``,
-  ``/v1/metrics`` (legacy unversioned routes kept via a deprecation
-  shim).  The classic ``ThreadingHTTPServer`` front end was retired
-  after its deprecation window; ``PredictionServer``/``serve_forever``
-  remain as aliases of the asyncio implementations;
+  ``/v1/batch/{kind}``, ``/v1/models*``, ``/v1/ingest``, ``/v1/traces*``,
+  ``/v1/healthz`` and ``/v1/metrics``;
 - :mod:`repro.serving.admission` — bounded accept queue, per-route and
   per-tenant token buckets, and watermark-hysteresis load shedding
   (429 + ``Retry-After``) driven by the engine's live queue signals.
@@ -52,11 +49,6 @@ from repro.serving.registry import (
 from repro.serving.routes import RouteCore
 from repro.serving import schemas
 
-# Compatibility aliases from the retired threaded front end: the asyncio
-# server is a drop-in (same constructor and lifecycle surface).
-PredictionServer = AsyncPredictionServer
-serve_forever = serve_forever_async
-
 __all__ = [
     "AdmissionConfig",
     "AdmissionController",
@@ -75,8 +67,6 @@ __all__ = [
     "HateGenPredictor",
     "InferenceEngine",
     "ServingError",
-    "PredictionServer",
-    "serve_forever",
     "engine_from_store",
     "predictor_for_bundle",
     "schemas",

@@ -1,13 +1,13 @@
 """Asyncio HTTP/1.1 front-end for the inference engine — API v1.
 
-The server drives the front-end-agnostic
-:class:`~repro.serving.routes.RouteCore` (which owns every ``/v1/*``
-route, error shape, and the legacy deprecation shim); the transport is a
-single event loop on :func:`asyncio.start_server`:
+The server drives :class:`~repro.serving.routes.RouteCore` (which owns
+every ``/v1/*`` route and error shape); the transport is a single event
+loop on :func:`asyncio.start_server`:
 
 - hand-rolled HTTP/1.1 parsing (request line + headers via
   ``readline``), keep-alive by default, and pipelined requests served
-  in order straight out of the reader buffer;
+  in order straight out of the reader buffer; bodies are framed by
+  ``Content-Length`` only (a ``Transfer-Encoding`` request gets 501);
 - engine hand-off via :func:`asyncio.wrap_future` around the
   ``concurrent.futures.Future`` that :meth:`InferenceEngine.submit`
   already returns — the event loop *awaits* the micro-batcher without
@@ -22,9 +22,7 @@ single event loop on :func:`asyncio.start_server`:
 The event loop runs in a daemon thread so synchronous callers (tests,
 the benchmark, the CLI) use this class like any blocking server:
 ``start()``/``stop()``, ``with`` support, ``port=0`` for an ephemeral
-port.  (The historical ``ThreadingHTTPServer`` front end was retired
-after its one-release deprecation window; ``PredictionServer`` is now an
-alias of this class.)
+port.
 """
 
 from __future__ import annotations
@@ -83,7 +81,8 @@ _STATUS_PHRASES = {
     200: "OK", 400: "Bad Request", 404: "Not Found", 405: "Method Not Allowed",
     409: "Conflict", 413: "Content Too Large", 429: "Too Many Requests",
     431: "Request Header Fields Too Large",
-    500: "Internal Server Error", 503: "Service Unavailable",
+    500: "Internal Server Error", 501: "Not Implemented",
+    503: "Service Unavailable",
 }
 
 
@@ -120,10 +119,7 @@ async def _readline(reader: asyncio.StreamReader, timeout: float, what: str) -> 
 class AsyncPredictionServer:
     """Owns the asyncio HTTP server + engine lifecycle.
 
-    Exported as ``repro.serving.PredictionServer`` as well (the alias the
-    retired threaded front end left behind): same constructor shape,
-    ``start``/``stop``/``address``/``url`` surface, and route behaviour
-    (all routing delegates to :class:`~repro.serving.routes.RouteCore`).
+    All routing delegates to :class:`~repro.serving.routes.RouteCore`.
     """
 
     def __init__(
@@ -144,12 +140,7 @@ class AsyncPredictionServer:
             registry = ModelRegistry(registry)
         self.registry = registry
         self.admission = _build_admission(admission, engine)
-        self.core = RouteCore(
-            engine,
-            registry=registry,
-            request_timeout=request_timeout,
-            admission=self.admission,
-        )
+        self.core = RouteCore(engine, registry=registry, admission=self.admission)
         self.verbose = verbose
         self.request_timeout = request_timeout
         self.keepalive_timeout = keepalive_timeout
@@ -337,14 +328,21 @@ class AsyncPredictionServer:
         route = route_label(path)
         core = self.core
 
-        if method not in ("GET", "POST"):
-            self._write_reply(
-                writer, route, method, None,
-                Reply(405, {"error": {"code": "method_not_allowed",
-                                      "message": f"method {method!r} not supported",
-                                      "field": None}},
-                      close=True),
+        refusal = None
+        if "transfer-encoding" in headers:
+            # Only Content-Length frames a body here: reading past a chunked
+            # body would desync the connection, and with both headers the
+            # framing is ambiguous (RFC 9112 6.3).  Refuse before routing.
+            refusal = ServingError(
+                "Transfer-Encoding is not supported; send Content-Length",
+                status=501, code="unsupported_transfer_encoding",
             )
+        elif method not in ("GET", "POST"):
+            refusal = ServingError(f"method {method!r} not supported",
+                                   status=405, code="method_not_allowed")
+        if refusal is not None:
+            self._write_reply(writer, route, method, None,
+                              core.error_reply(refusal, None, close=True))
             await writer.drain()
             return False
 
@@ -353,9 +351,7 @@ class AsyncPredictionServer:
         except ServingError as exc:
             # Unknown route / unknown kind: any POST body was never read,
             # so the connection is out of sync — close it.
-            reply = core.error_reply(
-                exc, core.unresolved(method, path), close=(method == "POST")
-            )
+            reply = core.error_reply(exc, None, close=(method == "POST"))
             self._write_reply(writer, route, method, None, reply)
             await writer.drain()
             return not reply.close and not wants_close
@@ -471,7 +467,7 @@ class AsyncPredictionServer:
             core.engine.record_timeout(resolved.kind)
             future.cancel()
             return core.overloaded_reply(resolved)
-        return core.predict_reply(result, resolved)
+        return core.predict_reply(result)
 
     async def _batch(
         self, core: RouteCore, resolved: Resolved, payload: dict

@@ -570,12 +570,13 @@ _SHUTDOWN = object()
 class InferenceEngine:
     """Coalesces concurrent requests into vectorised micro-batches.
 
-    A gather thread drains the request queue: the first request is taken
-    blocking, then up to ``max_batch_size - 1`` more are gathered until
-    ``max_wait_ms`` elapses, grouped by predictor kind, and executed via
-    ``predict_batch``.  Under load, batches fill instantly; an idle stream
-    degenerates to per-request execution with ~``max_wait_ms`` of added
-    latency at most.
+    A batch is whatever is queued when the engine is free: a gather
+    thread blocks for one request, takes up to ``max_batch_size - 1``
+    more that are already waiting (never waiting for new ones), groups
+    them by predictor kind, and executes each group via
+    ``predict_batch``.  Under load the queue refills while a batch runs,
+    so batches grow; an idle stream is served one request at a time with
+    no added latency.
 
     :meth:`swap_predictor` replaces the predictor serving a kind with
     zero dropped requests: the predictor reference is swapped (atomic
@@ -587,17 +588,13 @@ class InferenceEngine:
         predictors: dict[str, object],
         *,
         max_batch_size: int = 64,
-        max_wait_ms: float = 2.0,
     ):
         if not predictors:
             raise ValueError("engine needs at least one predictor")
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
-        if max_wait_ms < 0:
-            raise ValueError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
         self.predictors = dict(predictors)
         self.max_batch_size = max_batch_size
-        self.max_wait_ms = max_wait_ms
         self._queue: queue.SimpleQueue = queue.SimpleQueue()
         self._worker: threading.Thread | None = None
         #: Arrival stamps of queued-but-ungathered requests (deque ops are
@@ -906,25 +903,16 @@ class InferenceEngine:
 
     # ------------------------------------------------------------- worker
     def _gather(self) -> list:
-        """Block for one request, then coalesce more until batch/deadline."""
-        first = self._queue.get()
-        if first is _SHUTDOWN:
-            return [first]
-        self._dequeue(first)
-        batch = [first]
-        deadline = time.perf_counter() + self.max_wait_ms / 1e3
-        while len(batch) < self.max_batch_size:
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0:
+        """Block for one request, then take what is already queued, up to the cap."""
+        batch = [self._queue.get()]
+        while batch[-1] is not _SHUTDOWN:
+            self._dequeue(batch[-1])
+            if len(batch) == self.max_batch_size:
                 break
             try:
-                item = self._queue.get(timeout=remaining)
+                batch.append(self._queue.get_nowait())
             except queue.Empty:
                 break
-            batch.append(item)
-            if item is _SHUTDOWN:
-                break
-            self._dequeue(item)
         return batch
 
     def _dequeue(self, request: _Request) -> None:
@@ -1056,7 +1044,6 @@ def engine_from_store(
     names: list[str] | None = None,
     *,
     max_batch_size: int = 64,
-    max_wait_ms: float = 2.0,
     workers: int | None = None,
     with_events: bool = True,
 ) -> InferenceEngine:
@@ -1104,11 +1091,7 @@ def engine_from_store(
                 f"can only be served by one model (got {names})"
             )
         predictors[predictor.kind] = predictor
-    engine = InferenceEngine(
-        predictors,
-        max_batch_size=max_batch_size,
-        max_wait_ms=max_wait_ms,
-    )
+    engine = InferenceEngine(predictors, max_batch_size=max_batch_size)
     if with_events:
         engine.attach_store(EventLog(os.path.join(registry.root, "events")))
     return engine

@@ -1,25 +1,21 @@
-"""Front-end-agnostic route core behind the HTTP serving front end.
+"""Route core behind the HTTP serving front end.
 
-The asyncio front end (:mod:`repro.serving.aio`) owns no route logic —
-any transport driving this module speaks the same API v1 contract
-byte-for-byte (which is how the retired threaded front end stayed
-byte-identical during its deprecation window):
+The asyncio front end (:mod:`repro.serving.aio`) owns the transport and
+no route logic; this module owns the API v1 contract:
 
 1. :meth:`RouteCore.resolve` maps ``(method, path)`` to a
    :class:`Resolved` route *before any body bytes are read*, so unknown
    routes (and unknown predictor kinds) are answered 404 with
    ``Connection: close`` without consuming the payload, and admission
    control can refuse a request before waiting on its body;
-2. the front end performs its transport-specific I/O (read body bytes,
-   blocking or ``await``-ing as appropriate);
-3. :meth:`RouteCore.dispatch` (or the async-friendly
-   ``submit``/``*_reply`` pieces for engine-bound routes) turns the
+2. the front end reads the body bytes;
+3. :meth:`RouteCore.dispatch_simple` (or the ``submit``/``*_reply``
+   pieces the front end awaits for engine-bound routes) turns the
    parsed payload into a :class:`Reply` — status, JSON-ready body,
    headers, and whether the connection must close.
 
-Legacy-shim shaping (flat error bodies, ``Deprecation`` headers) and the
-structured-error contract live here too, so they cannot drift between
-front ends.
+The structured-error contract (:meth:`RouteCore.error_reply`) lives
+here too.
 """
 
 from __future__ import annotations
@@ -27,7 +23,6 @@ from __future__ import annotations
 import json
 import re
 from concurrent.futures import Future
-from concurrent.futures import TimeoutError as FutureTimeout
 
 from repro.obs import log as obs_log
 from repro.obs import metrics as obs_metrics
@@ -89,13 +84,11 @@ _PREDICTOR_REQUESTS = obs_metrics.REGISTRY.gauge(
 
 def route_label(path: str) -> str:
     """Template a request path into a bounded-cardinality metric label."""
-    if path in ("/", "/healthz", "/metrics", "/v1/healthz", "/v1/metrics",
-                "/v1/models", "/v1/traces", "/v1/ingest"):
+    if path in ("/", "/v1/healthz", "/v1/metrics", "/v1/models", "/v1/traces",
+                "/v1/ingest"):
         return path
     if path.startswith("/v1/predict/"):
         return "/v1/predict/{kind}"
-    if path.startswith("/predict/"):
-        return "/predict/{kind}"
     if path.startswith("/v1/batch/"):
         return "/v1/batch/{kind}"
     if path.startswith("/v1/traces/"):
@@ -131,40 +124,28 @@ class Reply:
 class Resolved:
     """One resolved route: everything known before the body is read."""
 
-    __slots__ = ("op", "method", "label", "legacy", "headers", "kind", "name",
-                 "trace_id", "traced", "sheddable", "needs_body", "raw_path")
+    __slots__ = ("op", "method", "label", "kind", "name", "trace_id", "traced",
+                 "sheddable")
 
-    def __init__(self, op: str, method: str, label: str, *, legacy: bool = False,
-                 headers: dict | None = None, kind: str | None = None,
-                 name: str | None = None, trace_id: str | None = None,
-                 traced: bool = False, sheddable: bool = False,
-                 needs_body: bool = False, raw_path: str = ""):
+    def __init__(self, op: str, method: str, label: str, *,
+                 kind: str | None = None, name: str | None = None,
+                 trace_id: str | None = None, traced: bool = False,
+                 sheddable: bool = False):
         self.op = op
         self.method = method
         self.label = label
-        self.legacy = legacy
-        self.headers = headers or {}
         self.kind = kind
         self.name = name
         self.trace_id = trace_id
         self.traced = traced
         self.sheddable = sheddable
-        self.needs_body = needs_body
-        self.raw_path = raw_path
-
-
-def _deprecation_headers(successor: str) -> dict:
-    return {
-        "Deprecation": "true",
-        "Link": f'<{successor}>; rel="successor-version"',
-    }
 
 
 _OVERLOADED_MSG = "the engine did not answer in time; retry later"
 
 
 class RouteCore:
-    """The route table + handlers, shared verbatim by both front ends.
+    """The route table and its handlers.
 
     ``admission`` (an :class:`~repro.serving.admission.AdmissionController`
     or ``None``) gates the sheddable routes and surfaces its counters in
@@ -176,12 +157,10 @@ class RouteCore:
         engine: InferenceEngine,
         *,
         registry: ModelRegistry | None = None,
-        request_timeout: float = 60.0,
         admission=None,
     ):
         self.engine = engine
         self.registry = registry
-        self.request_timeout = request_timeout
         self.admission = admission
 
     # ------------------------------------------------------------ resolve
@@ -194,18 +173,10 @@ class RouteCore:
         """
         label = route_label(path)
         if method == "GET":
-            legacy_map = {"/healthz": "/v1/healthz", "/metrics": "/v1/metrics"}
-            legacy = path in legacy_map
-            headers = None
-            if legacy:
-                headers = _deprecation_headers(legacy_map[path])
-                path = legacy_map[path]
             if path == "/v1/healthz":
-                return Resolved("healthz", method, label, legacy=legacy,
-                                headers=headers)
+                return Resolved("healthz", method, label)
             if path == "/v1/metrics":
-                return Resolved("metrics", method, label, legacy=legacy,
-                                headers=headers)
+                return Resolved("metrics", method, label)
             if path == "/v1/traces":
                 return Resolved("traces", method, label)
             if path.startswith("/v1/traces/"):
@@ -218,46 +189,28 @@ class RouteCore:
                 op = "versions" if m.group(2) == "/versions" else "model"
                 return Resolved(op, method, label, name=m.group(1))
         elif method == "POST":
-            legacy = path.startswith("/predict/")
-            headers = None
-            if legacy:
-                headers = _deprecation_headers("/v1" + path)
-                path = "/v1" + path
             if path.startswith("/v1/predict/"):
                 kind = path[len("/v1/predict/"):]
                 request_schema_for(kind)  # unknown kind -> 404 before body
-                return Resolved("predict", method, label, legacy=legacy,
-                                headers=headers, kind=kind, traced=True,
-                                sheddable=True, needs_body=True)
+                return Resolved("predict", method, label, kind=kind, traced=True,
+                                sheddable=True)
             if path.startswith("/v1/batch/"):
                 kind = path[len("/v1/batch/"):]
                 request_schema_for(kind)
                 return Resolved("batch", method, label, kind=kind, traced=True,
-                                sheddable=True, needs_body=True)
+                                sheddable=True)
             if path == "/v1/ingest":
                 # Sheddable: an overloaded server refuses ingest before the
                 # body read, and the client retries safely (dedup makes a
                 # replayed POST idempotent).
                 return Resolved("ingest", method, label, traced=True,
-                                sheddable=True, needs_body=True)
+                                sheddable=True)
             m = _MODEL_PATH_RE.match(path)
             if m and m.group(2) == "/reload":
                 return Resolved("reload", method, label, name=m.group(1))
         raise ServingError(
             f"no route {path!r}", status=404, code="unknown_route"
         )
-
-    def unresolved(self, method: str, path: str) -> Resolved:
-        """Placeholder for a request :meth:`resolve` rejected.
-
-        Carries just enough (legacy flag, deprecation headers, metric
-        label) for :meth:`error_reply` to shape the refusal exactly as
-        the matching route would have.
-        """
-        legacy = method == "POST" and path.startswith("/predict/")
-        headers = _deprecation_headers("/v1" + path) if legacy else None
-        return Resolved("error", method, route_label(path), legacy=legacy,
-                        headers=headers, raw_path=path)
 
     # --------------------------------------------------------------- body
     def parse_body(self, raw: bytes, *, optional: bool = False) -> dict:
@@ -285,38 +238,22 @@ class RouteCore:
         )
 
     # ----------------------------------------------------------- dispatch
-    def dispatch(self, r: Resolved, query: dict, payload: dict) -> Reply:
-        """Blocking dispatch: resolve -> engine -> shaped reply, in one call."""
-        if r.op == "predict":
-            result = self.engine.predict(
-                r.kind, payload, timeout=self.request_timeout
-            )
-            return self.predict_reply(result, r)
-        if r.op == "batch":
-            futures = self.submit_batch(r.kind, payload)
-            return self.batch_reply(self.collect_batch(r.kind, futures))
-        return self.dispatch_simple(r, query, payload)
-
     def dispatch_simple(self, r: Resolved, query: dict, payload: dict) -> Reply:
-        """Every non-engine route: cheap, synchronous, front-end-shared."""
+        """Every route that does not go through the engine's batcher."""
         if r.op == "healthz":
             return Reply(200, {"status": "ok", "api": "v1",
-                               "models": self.engine.describe()},
-                         headers=r.headers)
+                               "models": self.engine.describe()})
         if r.op == "metrics":
             if query.get("format", [""])[0] == "prometheus":
                 return self.prometheus_reply()
             body = self.engine.metrics()
-            if not r.legacy:
-                # New top-level blocks; the legacy /metrics body keeps its
-                # pre-v1 shape (per-predictor entries only).
-                body["http"] = {"responses": HTTP_REQUESTS.snapshot()}
-                store = self.engine.store_stats()
-                if store is not None:
-                    body["store"] = store
-                if self.admission is not None:
-                    body["admission"] = self.admission.snapshot()
-            return Reply(200, body, headers=r.headers)
+            body["http"] = {"responses": HTTP_REQUESTS.snapshot()}
+            store = self.engine.store_stats()
+            if store is not None:
+                body["store"] = store
+            if self.admission is not None:
+                body["admission"] = self.admission.snapshot()
+            return Reply(200, body)
         if r.op == "traces":
             return Reply(200, {"traces": obs_trace.STORE.summaries()})
         if r.op == "trace":
@@ -348,7 +285,7 @@ class RouteCore:
         if r.op == "ingest":
             req = IngestRequest.validate(payload)
             return Reply(200, self.engine.ingest(req.events))
-        raise ServingError(f"no route {r.raw_path!r}", status=404,
+        raise ServingError(f"no route for op {r.op!r}", status=404,
                            code="unknown_route")
 
     # ------------------------------------------------------ predict/batch
@@ -356,38 +293,14 @@ class RouteCore:
         """Engine handoff for one request (the async path awaits this)."""
         return self.engine.submit(kind, payload)
 
-    def predict_reply(self, result: dict, r: Resolved) -> Reply:
+    def predict_reply(self, result: dict) -> Reply:
         if "error" in result:
-            status = int(result.get("status", 400))
-            err = result["error"]
-            if r.legacy:
-                message = err.get("message") if isinstance(err, dict) else str(err)
-                return Reply(status, {"error": message, "status": status},
-                             headers=r.headers)
-            return Reply(status, {"error": err}, headers=r.headers)
-        return Reply(200, result, headers=r.headers)
+            return Reply(int(result.get("status", 400)), {"error": result["error"]})
+        return Reply(200, result)
 
     def submit_batch(self, kind: str, payload: dict) -> list[Future]:
         batch = BatchRequest.validate(payload)
         return [self.engine.submit(kind, item) for item in batch.requests]
-
-    def collect_batch(self, kind: str, futures: list[Future]) -> list[dict]:
-        """Blocking per-future wait; timeouts/errors become item results."""
-        results = []
-        for future in futures:
-            try:
-                results.append(future.result(timeout=self.request_timeout))
-            except FutureTimeout:
-                self.engine.record_timeout(kind)
-                future.cancel()
-                results.append(self.overloaded_result())
-            except Exception as exc:
-                results.append(
-                    ServingError(
-                        f"{type(exc).__name__}: {exc}", status=500, code="internal"
-                    ).as_result()
-                )
-        return results
 
     def batch_reply(self, results: list[dict]) -> Reply:
         n_errors = sum(1 for result in results if "error" in result)
@@ -415,10 +328,7 @@ class RouteCore:
         """Admit-or-shed decision for a resolved route (None = no gate)."""
         if self.admission is None or not r.sheddable:
             return None
-        decision = self.admission.admit(r.label, tenant)
-        if decision.admitted:
-            return decision
-        return decision
+        return self.admission.admit(r.label, tenant)
 
     def shed_reply(self, decision, r: Resolved) -> Reply:
         """429 + ``Retry-After``; always closes (the body was never read)."""
@@ -437,11 +347,8 @@ class RouteCore:
     # -------------------------------------------------------------- errors
     def error_reply(self, exc: BaseException, r: Resolved | None, *,
                     close: bool = False, extra_headers: dict | None = None) -> Reply:
-        """Any handler exception -> the structured (or legacy) error reply."""
-        legacy = r.legacy if r is not None else False
-        headers = dict(r.headers) if r is not None else {}
-        if extra_headers:
-            headers.update(extra_headers)
+        """Any handler exception -> the structured error reply."""
+        headers = dict(extra_headers or {})
         if isinstance(exc, RegistryCorruptError):
             # The version exists but failed integrity checks; reload aborts
             # before any swap, so the old predictor keeps serving.
@@ -453,11 +360,7 @@ class RouteCore:
             # accepted, and acked events are durable — safe to retry.
             exc = ServingError(str(exc), status=503, code="store_io")
         if isinstance(exc, ServingError):
-            if legacy:
-                body = {"error": str(exc), "status": exc.status}
-            else:
-                body = exc.as_error()
-            return Reply(exc.status, body, headers=headers, close=close)
+            return Reply(exc.status, exc.as_error(), headers=headers, close=close)
         _log.error(
             "http.internal_error",
             route=r.label if r is not None else "other",
@@ -465,11 +368,7 @@ class RouteCore:
             error=f"{type(exc).__name__}: {exc}"[:400],
         )
         message = f"{type(exc).__name__}: {exc}"
-        if legacy:
-            body = {"error": message, "status": 500}
-        else:
-            body = {"error": {"code": "internal", "message": message,
-                              "field": None}}
+        body = {"error": {"code": "internal", "message": message, "field": None}}
         return Reply(500, body, headers=headers, close=close)
 
     # ------------------------------------------------------------ helpers

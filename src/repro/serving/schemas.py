@@ -529,7 +529,11 @@ class ErrorResponse(Schema):
 
     @classmethod
     def from_body(cls, body: dict, status: int = 400) -> "ErrorResponse":
-        """Parse a v1 (or legacy string) error body."""
+        """Parse a v1 error body; any other shape maps to code ``error``.
+
+        Bodies come from outside (a proxy, an older server), so a string
+        ``error`` or a non-JSON-object body still yields a typed error.
+        """
         err = body.get("error") if isinstance(body, dict) else None
         if isinstance(err, dict):
             return cls(

@@ -1,12 +1,11 @@
 """Asyncio front-end tests: routes, keep-alive + pipelining, connection
-hygiene on 404/413/429, and the overload integration — offered load above
-capacity must shed with 429 + ``Retry-After`` and never drop a request
-without a response.
+hygiene on 404/413/429/501, and the overload integration — offered load
+above capacity must shed with 429 + ``Retry-After`` and never drop a
+request without a response.
 
-Also hosts the suite folded in from the retired threaded front end
-(``tests/serving/test_server.py``): the end-to-end acceptance path over
-the legacy unversioned routes, driven through the ``PredictionServer``
-compatibility alias.
+Also hosts the end-to-end acceptance path (bundles loaded from disk with
+regenerated worlds, served scores equal to in-process scores) and its
+error handling.
 """
 
 import http.client
@@ -28,7 +27,7 @@ from repro.serving import (
     AsyncPredictionServer,
     HateGenPredictor,
     InferenceEngine,
-    PredictionServer,
+    ModelRegistry,
     RetweeterPredictor,
     engine_from_store,
 )
@@ -37,7 +36,7 @@ from repro.serving import (
 @pytest.fixture(scope="module")
 def aio_server(registry):
     """A live asyncio v1 server over the session registry."""
-    engine = engine_from_store(registry, max_batch_size=32, max_wait_ms=1.0)
+    engine = engine_from_store(registry, max_batch_size=32)
     with AsyncPredictionServer(engine, port=0, registry=registry) as srv:
         yield srv
 
@@ -103,7 +102,7 @@ class TestRoutes:
                    "timestamp": t.timestamp}
         bodies = []
         for _ in range(2):
-            engine = engine_from_store(registry, max_batch_size=8, max_wait_ms=1.0)
+            engine = engine_from_store(registry, max_batch_size=8)
             with AsyncPredictionServer(engine, port=0, registry=registry) as srv:
                 host, port = srv.address
                 conn = http.client.HTTPConnection(host, port, timeout=30)
@@ -115,16 +114,6 @@ class TestRoutes:
                 conn.close()
         assert bodies[0] == bodies[1]
         assert bodies[0][0] == 200
-
-    def test_legacy_shim_deprecation_headers(self, aio_server, trained_hategen):
-        _, test_tweets = trained_hategen
-        t = test_tweets[0]
-        status, headers, body = raw_request(
-            aio_server, "POST", "/predict/hategen",
-            {"user_id": t.user_id, "hashtag": t.hashtag, "timestamp": t.timestamp},
-        )
-        assert status == 200 and headers.get("Deprecation") == "true"
-        assert "/v1/predict/hategen" in headers.get("Link", "")
 
     def test_trace_id_echoed(self, aio_server, trained_hategen):
         _, test_tweets = trained_hategen
@@ -195,18 +184,28 @@ class TestConnectionHygiene:
         assert buf.count(b'"status": "ok"') == 3
 
 
-def _raw_exchange(server, data: bytes) -> tuple[int, dict, dict]:
-    """Send raw bytes, read until the server closes; (status, headers, body)."""
+def _raw_bytes(server, data: bytes) -> bytes:
+    """Send raw bytes and return everything the server sends until it closes."""
     host, port = server.address
     with socket.create_connection((host, port), timeout=30) as sock:
         sock.sendall(data)
         buf = b""
         while chunk := sock.recv(65536):
             buf += chunk
+    return buf
+
+
+def _parse_response(buf: bytes) -> tuple[int, dict, dict]:
+    """(status, headers, JSON body) of the first response in ``buf``."""
     head, _, body = buf.partition(b"\r\n\r\n")
     lines = head.decode("latin-1").split("\r\n")
     headers = dict(line.split(": ", 1) for line in lines[1:])
     return int(lines[0].split()[1]), headers, json.loads(body)
+
+
+def _raw_exchange(server, data: bytes) -> tuple[int, dict, dict]:
+    """Send raw bytes, read until the server closes; (status, headers, body)."""
+    return _parse_response(_raw_bytes(server, data))
 
 
 class TestFraming:
@@ -251,6 +250,39 @@ class TestFraming:
         status, _, _ = raw_request(aio_server, "GET", "/v1/healthz")
         assert status == 200
 
+    def _assert_501(self, status, headers, reply):
+        assert status == 501
+        assert reply["error"]["code"] == "unsupported_transfer_encoding"
+        assert headers.get("Connection") == "close"
+
+    @pytest.mark.parametrize("content_length", [False, True],
+                             ids=["chunked", "chunked_and_content_length"])
+    def test_chunked_predict_is_501(self, aio_server, trained_hategen, content_length):
+        # With Content-Length too, framing by either header would let the
+        # other smuggle bytes.
+        body = self._hategen_body(trained_hategen)
+        chunked = f"{len(body):x}\r\n".encode() + body + b"\r\n0\r\n\r\n"
+        head = ("POST /v1/predict/hategen HTTP/1.1\r\nHost: x\r\n"
+                "Content-Type: application/json\r\nTransfer-Encoding: chunked\r\n")
+        if content_length:
+            head += f"Content-Length: {len(chunked)}\r\n"
+        self._assert_501(*_raw_exchange(aio_server, (head + "\r\n").encode() + chunked))
+
+    def test_chunked_reload_is_501_and_reloads_nothing(self, tmp_path, loaded_bundles):
+        registry = ModelRegistry(tmp_path / "registry")
+        registry.save_bundle("hategen", loaded_bundles["hategen"])
+        engine = engine_from_store(registry)
+        with AsyncPredictionServer(engine, port=0, registry=registry) as srv:
+            registry.save_bundle("hategen", loaded_bundles["hategen"])  # v2
+            raw = _raw_bytes(srv, (
+                "POST /v1/models/hategen/reload HTTP/1.1\r\nHost: x\r\n"
+                "Transfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n"
+            ).encode())
+            assert raw.count(b"HTTP/1.1 ") == 1  # the chunk is never parsed as a request
+            self._assert_501(*_parse_response(raw))
+            _, _, health = raw_request(srv, "GET", "/v1/healthz")
+        assert health["models"]["hategen"]["source"]["version"] == 1
+
 
 class TestOverload:
     """Offered load > capacity: shed loudly, answer everything."""
@@ -259,7 +291,7 @@ class TestOverload:
     def throttled_server(self, registry):
         # Tiny quota so overload is deterministic regardless of host speed:
         # burst of 4, refilling 2/s, against a burst of 40 requests.
-        engine = engine_from_store(registry, max_batch_size=32, max_wait_ms=1.0)
+        engine = engine_from_store(registry, max_batch_size=32)
         admission = AdmissionController(
             AdmissionConfig(route_rps=2.0, route_burst=4.0)
         )
@@ -319,7 +351,7 @@ class TestOverload:
     ):
         _, test_tweets = trained_hategen
         t = test_tweets[0]
-        engine = engine_from_store(registry, max_batch_size=8, max_wait_ms=1.0)
+        engine = engine_from_store(registry, max_batch_size=8)
         admission = AdmissionController(
             # burst=1, 10 tokens/s: the first predict drains the bucket;
             # the second sheds with Retry-After: 1 and the client's retry
@@ -342,23 +374,14 @@ class TestOverload:
                 # not the 10 ms client backoff.
                 assert elapsed >= 0.5
 
-
-class TestCompatAlias:
-    """The retired threaded front end's public names must keep working."""
-
-    def test_prediction_server_is_async_server(self):
-        assert PredictionServer is AsyncPredictionServer
-
-    def test_alias_serves_the_429_contract(self, registry, trained_hategen):
-        # Construct through the alias exactly as pre-retirement callers do
-        # and verify the admission contract is served unchanged.
+    def test_exhausted_route_quota_sheds_typed_429(self, registry, trained_hategen):
         _, test_tweets = trained_hategen
         t = test_tweets[0]
-        engine = engine_from_store(registry, max_batch_size=8, max_wait_ms=1.0)
+        engine = engine_from_store(registry, max_batch_size=8)
         admission = AdmissionController(
             AdmissionConfig(route_rps=0.001, route_burst=1.0)
         )
-        with PredictionServer(
+        with AsyncPredictionServer(
             engine, port=0, registry=registry, admission=admission
         ) as srv:
             payload = {"user_id": t.user_id, "hashtag": t.hashtag,
@@ -374,11 +397,9 @@ class TestCompatAlias:
 
 
 # ---------------------------------------------------------------------------
-# Folded from the retired threaded front end's suite
-# (tests/serving/test_server.py): the end-to-end serving acceptance path —
-# train -> save bundle -> load (world regenerated) -> serve -> POST ->
-# scores identical to in-process ``trainer.predict_static_scores`` — plus
-# error handling, all over the legacy unversioned routes.
+# The end-to-end serving acceptance path: train -> save bundle -> load (world
+# regenerated) -> serve -> POST -> scores identical to in-process
+# ``trainer.predict_static_scores`` — plus error handling over the same server.
 # ---------------------------------------------------------------------------
 
 
@@ -398,7 +419,7 @@ def _get(url: str):
 
 
 @pytest.fixture(scope="module")
-def legacy_server(registry):
+def bundle_server(registry):
     """A live server over bundles loaded from disk with regenerated worlds.
 
     The retina bundle regenerates its world from the manifest; the hategen
@@ -412,56 +433,55 @@ def legacy_server(registry):
             "hategen": HateGenPredictor(hategen),
         },
         max_batch_size=32,
-        max_wait_ms=1.0,
     )
-    with PredictionServer(engine, port=0) as srv:
+    with AsyncPredictionServer(engine, port=0) as srv:
         yield srv
 
 
-class TestLegacyEndToEnd:
+class TestEndToEnd:
     def test_retweeter_scores_identical_to_in_process(
-        self, legacy_server, trained_retina
+        self, bundle_server, trained_retina
     ):
         trainer, _, test_samples = trained_retina
         for sample in test_samples[:3]:
             expected = trainer.predict_static_scores(sample)
             status, result = _post(
-                legacy_server.url + "/predict/retweeters",
+                bundle_server.url + "/v1/predict/retweeters",
                 {
                     "cascade_id": sample.candidate_set.cascade.root.tweet_id,
                     "user_ids": sample.candidate_set.users,
                 },
             )
             assert status == 200
+            assert set(result) == {"cascade_id", "mode", "interval", "scores",
+                                   "ranking"}
             got = np.array(
                 [result["scores"][str(u)] for u in sample.candidate_set.users]
             )
             np.testing.assert_allclose(got, expected, atol=1e-12)
 
-    def test_hategen_endpoint(self, legacy_server, trained_hategen):
-        _, test_tweets = trained_hategen
-        t = test_tweets[0]
-        status, result = _post(
-            legacy_server.url + "/predict/hategen",
-            {"user_id": t.user_id, "hashtag": t.hashtag, "timestamp": t.timestamp},
-        )
-        assert status == 200
-        assert 0.0 <= result["score"] <= 1.0
-        assert result["label"] in (0, 1)
 
-    def test_healthz(self, legacy_server):
-        status, body = _get(legacy_server.url + "/healthz")
+
+class TestLegacyEndToEnd:
+    """Health and metrics over the bundle-loaded server.
+
+    These checks began on the unversioned ``/healthz`` and ``/metrics``
+    routes; those are retired, so the same assertions run on ``/v1``.
+    """
+
+    def test_healthz(self, bundle_server):
+        status, body = _get(bundle_server.url + "/v1/healthz")
         assert status == 200
         assert body["status"] == "ok"
         assert body["models"]["retweeters"]["mode"] == "static"
         assert body["models"]["hategen"]["model_key"] == "logreg"
 
-    def test_metrics_after_traffic(self, legacy_server, trained_retina):
+    def test_metrics_after_traffic(self, bundle_server, trained_retina):
         _, _, test_samples = trained_retina
         cid = test_samples[0].candidate_set.cascade.root.tweet_id
-        _post(legacy_server.url + "/predict/retweeters",
+        _post(bundle_server.url + "/v1/predict/retweeters",
               {"cascade_id": cid, "top_k": 3})
-        status, body = _get(legacy_server.url + "/metrics")
+        status, body = _get(bundle_server.url + "/v1/metrics")
         assert status == 200
         snap = body["retweeters"]
         assert snap["requests"] >= 1
@@ -469,51 +489,47 @@ class TestLegacyEndToEnd:
         assert "features" in snap["caches"]
 
 
-class TestLegacyErrorHandling:
-    def _post_error(self, url, payload):
+class TestErrorHandling:
+    def _error(self, request):
         try:
-            _post(url, payload)
+            urllib.request.urlopen(request, timeout=60)
         except urllib.error.HTTPError as exc:
             return exc.code, json.load(exc)
         raise AssertionError("expected an HTTP error")
 
-    def test_unknown_route_404(self, legacy_server):
+    def _post_error(self, url, payload):
+        return self._error(urllib.request.Request(
+            url,
+            data=json.dumps(payload).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+        ))
+
+    def test_unknown_cascade_404(self, bundle_server):
         code, body = self._post_error(
-            legacy_server.url + "/predict/nothing", {"a": 1}
+            bundle_server.url + "/v1/predict/retweeters", {"cascade_id": 10**9}
         )
         assert code == 404
+        assert body["error"]["code"] == "not_found"
+        assert "unknown cascade" in body["error"]["message"]
 
-    def test_unknown_cascade_404(self, legacy_server):
+    def test_missing_field_400(self, bundle_server):
         code, body = self._post_error(
-            legacy_server.url + "/predict/retweeters", {"cascade_id": 10**9}
-        )
-        assert code == 404
-        assert "unknown cascade" in body["error"]
-
-    def test_missing_field_400(self, legacy_server):
-        code, body = self._post_error(
-            legacy_server.url + "/predict/retweeters", {}
+            bundle_server.url + "/v1/predict/retweeters", {}
         )
         assert code == 400
-        assert "cascade_id" in body["error"]
+        assert body["error"]["code"] == "missing_field"
+        assert body["error"]["field"] == "cascade_id"
 
-    def test_invalid_json_400(self, legacy_server):
-        req = urllib.request.Request(
-            legacy_server.url + "/predict/retweeters",
+    def test_invalid_json_400(self, bundle_server):
+        code, body = self._error(urllib.request.Request(
+            bundle_server.url + "/v1/predict/retweeters",
             data=b"not json{",
             headers={"Content-Type": "application/json"},
-        )
-        try:
-            urllib.request.urlopen(req, timeout=60)
-        except urllib.error.HTTPError as exc:
-            assert exc.code == 400
-        else:
-            raise AssertionError("expected 400")
+        ))
+        assert code == 400
+        assert body["error"]["code"] == "invalid_json"
 
-    def test_get_unknown_route_404(self, legacy_server):
-        try:
-            _get(legacy_server.url + "/nope")
-        except urllib.error.HTTPError as exc:
-            assert exc.code == 404
-        else:
-            raise AssertionError("expected 404")
+    def test_get_unknown_route_404(self, bundle_server):
+        code, body = self._error(bundle_server.url + "/nope")
+        assert code == 404
+        assert body["error"]["code"] == "unknown_route"

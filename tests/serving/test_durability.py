@@ -19,9 +19,9 @@ import pytest
 from repro import chaos
 from repro.chaos import ChaosPlan, ChaosRule
 from repro.serving import (
+    AsyncPredictionServer,
     InferenceEngine,
     ModelRegistry,
-    PredictionServer,
     RegistryCorruptError,
     RetinaBundle,
     RetweeterPredictor,
@@ -145,9 +145,8 @@ class TestCorruptReloadOverHTTP:
                     reg.load_bundle("retina", 1, world=serving_world.world)
                 )
             },
-            max_wait_ms=0.0,
         )
-        with PredictionServer(engine, port=0, registry=reg) as srv:
+        with AsyncPredictionServer(engine, port=0, registry=reg) as srv:
             def predict():
                 req = urllib.request.Request(
                     srv.url + "/v1/predict/retweeters",
@@ -189,7 +188,7 @@ class TestTypedShutdown:
             def predict_batch(self, payloads):
                 return [dict(p) for p in payloads]
 
-        engine = InferenceEngine({"echo": Echo()}, max_wait_ms=0.0)
+        engine = InferenceEngine({"echo": Echo()})
         engine.start()
         assert engine.predict("echo", {"x": 1}, timeout=10.0) == {"x": 1}
         engine.stop()
@@ -215,7 +214,7 @@ class TestTypedShutdown:
                 release.wait(timeout=10.0)
                 return [{"ok": True} for _ in payloads]
 
-        engine = InferenceEngine({"slow": Slow()}, max_batch_size=1, max_wait_ms=0.0)
+        engine = InferenceEngine({"slow": Slow()}, max_batch_size=1)
         engine.start()
         first = engine.submit("slow", {})   # occupies the gather loop
         queued = engine.submit("slow", {})  # sits in the queue
@@ -242,7 +241,7 @@ class TestTypedShutdown:
             def predict_batch(self, payloads):
                 return [dict(p) for p in payloads]
 
-        engine = InferenceEngine({"echo": Echo()}, max_wait_ms=0.0)
+        engine = InferenceEngine({"echo": Echo()})
         future = engine.submit("echo", {"x": 1})
         engine.stop()
         with pytest.raises(ServingError) as err:

@@ -1,5 +1,6 @@
 """Inference-engine tests: parity, batching, caching, error isolation."""
 
+import queue
 import threading
 
 import numpy as np
@@ -229,7 +230,7 @@ class TestInferenceEngine:
         _, _, test_samples = trained_retina
         cid = test_samples[0].candidate_set.cascade.root.tweet_id
         users = test_samples[0].candidate_set.users
-        engine = InferenceEngine({"retweeters": retweeter}, max_wait_ms=50.0)
+        engine = InferenceEngine({"retweeters": retweeter})
         n_before = retweeter.metrics.n_batches
         futures = [
             engine.submit("retweeters", {"cascade_id": cid, "user_ids": [u]})
@@ -244,7 +245,7 @@ class TestInferenceEngine:
         _, _, test_samples = trained_retina
         cid = test_samples[0].candidate_set.cascade.root.tweet_id
         users = test_samples[0].candidate_set.users
-        engine = InferenceEngine({"retweeters": retweeter}, max_wait_ms=5.0)
+        engine = InferenceEngine({"retweeters": retweeter})
         results, errors = [], []
 
         def client(uid):
@@ -297,6 +298,72 @@ class TestInferenceEngine:
         assert snap["requests"] >= 1
         assert "features" in snap["caches"]
         assert engine.describe()["retweeters"]["mode"] == "static"
+
+
+class _Recorder:
+    """Echo predictor that records the size of every batch it runs."""
+
+    kind = "echo"
+
+    def __init__(self):
+        from repro.serving.metrics import ServingMetrics
+
+        self.metrics = ServingMetrics()
+        self.batch_sizes = []
+
+    def predict_batch(self, payloads):
+        self.batch_sizes.append(len(payloads))
+        return [dict(p) for p in payloads]
+
+
+class _NoTimedGet:
+    """A request queue whose timed ``get`` never returns an item.
+
+    It models the stall of ``SimpleQueue.get(timeout=...)`` that can wait
+    for the next ``put`` instead of timing out: a batcher that waits on a
+    timer for more requests hangs on it.  ``get()`` and ``get_nowait()``
+    delegate to a real queue.
+    """
+
+    def __init__(self):
+        self._queue = queue.SimpleQueue()
+        self.released = threading.Event()
+
+    def put(self, item):
+        self._queue.put(item)
+
+    def get(self, block=True, timeout=None):
+        if timeout is not None:
+            self.released.wait()
+            raise queue.Empty
+        return self._queue.get(block)
+
+    def get_nowait(self):
+        return self._queue.get_nowait()
+
+
+class TestGreedyDrain:
+    """A batch is what is already queued when the engine is free."""
+
+    def test_batcher_never_waits_on_a_timer(self):
+        engine = InferenceEngine({"echo": _Recorder()})
+        stub = engine._queue = _NoTimedGet()
+        with engine:
+            try:
+                for i in range(5):
+                    future = engine.submit("echo", {"i": i})
+                    assert future.result(timeout=5) == {"i": i}
+            finally:
+                stub.released.set()
+
+    def test_queued_requests_drain_in_batches_of_the_cap(self):
+        echo = _Recorder()
+        engine = InferenceEngine({"echo": echo}, max_batch_size=4)
+        futures = [engine.submit("echo", {"i": i}) for i in range(10)]
+        with engine:
+            results = [f.result(timeout=30.0) for f in futures]
+        assert results == [{"i": i} for i in range(10)]
+        assert echo.batch_sizes == [4, 4, 2]
 
 
 class TestCrossCascadeBatching:

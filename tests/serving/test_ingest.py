@@ -15,7 +15,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.client import ServingClient, ServingError
-from repro.serving import PredictionServer, engine_from_store
+from repro.serving import AsyncPredictionServer, engine_from_store
 
 FAR_TS = 1e6  # hours; far outside every generated cascade window
 
@@ -56,8 +56,8 @@ def _fresh_follow(engine):
 @pytest.fixture(scope="module")
 def ingest_server(registry, tmp_path_factory):
     store = _copy_store(registry, tmp_path_factory, "ingest-store")
-    engine = engine_from_store(store, max_batch_size=32, max_wait_ms=1.0)
-    with PredictionServer(engine, port=0, registry=store) as srv:
+    engine = engine_from_store(store, max_batch_size=32)
+    with AsyncPredictionServer(engine, port=0, registry=store) as srv:
         yield srv, engine
 
 
@@ -217,7 +217,7 @@ class TestIngestCLI:
 class TestRestartReplay:
     def test_engine_restart_replays_the_log(self, registry, tmp_path_factory):
         store = _copy_store(registry, tmp_path_factory, "replay-store")
-        engine1 = engine_from_store(store, max_wait_ms=1.0).start()
+        engine1 = engine_from_store(store).start()
         cascade, fresh, tag = _world_material(engine1)
         resp = engine1.ingest([
             {"kind": "hashtag", "tag": "#replayed", "theme": "riots"},
@@ -241,7 +241,7 @@ class TestRestartReplay:
         engine1.stop()
         engine1.event_log.close()
 
-        engine2 = engine_from_store(store, max_wait_ms=1.0).start()
+        engine2 = engine_from_store(store).start()
         assert engine2.event_log.last_seq == 5
         got_old = engine2.predict("retweeters", {
             "cascade_id": cascade.root.tweet_id, "user_ids": probes,

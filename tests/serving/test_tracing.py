@@ -15,8 +15,8 @@ import pytest
 from repro.obs import config as obs_config
 from repro.obs import trace as obs_trace
 from repro.serving import (
+    AsyncPredictionServer,
     InferenceEngine,
-    PredictionServer,
     RetweeterPredictor,
 )
 
@@ -59,12 +59,8 @@ def _get(url):
 
 def _serve(registry):
     retina = registry.load_bundle("retina")
-    engine = InferenceEngine(
-        {"retweeters": RetweeterPredictor(retina)},
-        max_batch_size=8,
-        max_wait_ms=1.0,
-    )
-    return PredictionServer(engine, port=0)
+    engine = InferenceEngine({"retweeters": RetweeterPredictor(retina)}, max_batch_size=8)
+    return AsyncPredictionServer(engine, port=0)
 
 
 def _assert_connected_tree(tree, trace_id):

@@ -1,6 +1,6 @@
 """API v1 tests: versioned routes, typed errors, batch fan-out, the
-deprecation shim (byte-identical legacy responses + ``Deprecation``
-header), model-lifecycle endpoints, and hot reload under concurrent load.
+retired pre-v1 paths, model-lifecycle endpoints, and hot reload under
+concurrent load.
 """
 
 import http.client
@@ -12,10 +12,10 @@ import pytest
 
 from repro.client import ServingClient
 from repro.serving import (
+    AsyncPredictionServer,
     HateGenPredictor,
     InferenceEngine,
     ModelRegistry,
-    PredictionServer,
     RetinaBundle,
     RetweeterPredictor,
     ServingError,
@@ -27,8 +27,8 @@ from repro.serving.schemas import ErrorResponse, HateGenResponse, RetweeterRespo
 @pytest.fixture(scope="module")
 def server(registry):
     """A live v1 server over the session registry (lifecycle routes on)."""
-    engine = engine_from_store(registry, max_batch_size=32, max_wait_ms=1.0)
-    with PredictionServer(engine, port=0, registry=registry) as srv:
+    engine = engine_from_store(registry, max_batch_size=32)
+    with AsyncPredictionServer(engine, port=0, registry=registry) as srv:
         yield srv
 
 
@@ -105,12 +105,20 @@ class TestV1Predict:
         status, _, body = raw_request(server, "POST", "/v1/predict/nothing", {"a": 1})
         assert status == 404 and body["error"]["code"] == "unknown_predictor"
 
-    def test_health_and_metrics(self, client):
+    def test_health_and_metrics(self, client, trained_retina):
         health = client.health()
         assert health.status == "ok" and health.api == "v1"
         assert health.models["retweeters"]["source"]["name"] == "retina"
+        assert health.models["retweeters"]["mode"] == "static"
+        assert health.models["hategen"]["model_key"] == "logreg"
+        _, _, test_samples = trained_retina
+        client.predict_retweeters(
+            test_samples[0].candidate_set.cascade.root.tweet_id, top_k=3
+        )
         metrics = client.metrics()
-        assert "retweeters" in metrics and "caches" in metrics["retweeters"]
+        snap = metrics["retweeters"]
+        assert snap["requests"] >= 1 and "features" in snap["caches"]
+        assert "p50_ms" in snap and "p95_ms" in snap
 
 
 class TestBatchEndpoint:
@@ -160,58 +168,20 @@ class TestBatchEndpoint:
         assert status == 400 and body["error"]["code"] == "empty"
 
 
-class TestDeprecationShim:
-    """Legacy unversioned routes: same bytes, plus deprecation headers."""
+class TestRetiredRoutes:
+    """The pre-v1 unversioned paths are gone: a typed v1 404, like any other."""
 
-    def test_legacy_retweeters_byte_identical(self, server, trained_retina):
-        _, _, test_samples = trained_retina
-        sample = test_samples[0]
-        payload = {
-            "cascade_id": sample.candidate_set.cascade.root.tweet_id,
-            "user_ids": list(sample.candidate_set.users),
-        }
-        s_legacy, h_legacy, legacy = raw_request(
-            server, "POST", "/predict/retweeters", payload
-        )
-        s_v1, h_v1, v1 = raw_request(
-            server, "POST", "/v1/predict/retweeters", payload
-        )
-        assert s_legacy == s_v1 == 200
-        # The PR 1 README response contract, field for field.
-        assert set(legacy) == {"cascade_id", "mode", "interval", "scores", "ranking"}
-        assert legacy == v1  # shim delegates: identical JSON document
-        assert h_legacy.get("Deprecation") == "true"
-        assert "/v1/predict/retweeters" in h_legacy.get("Link", "")
-        assert "Deprecation" not in h_v1
-
-    def test_legacy_hategen_byte_identical(self, server, trained_hategen):
-        _, test_tweets = trained_hategen
-        t = test_tweets[0]
-        payload = {"user_id": t.user_id, "hashtag": t.hashtag, "timestamp": t.timestamp}
-        s_legacy, h_legacy, legacy = raw_request(
-            server, "POST", "/predict/hategen", payload
-        )
-        _, _, v1 = raw_request(server, "POST", "/v1/predict/hategen", payload)
-        assert s_legacy == 200 and legacy == v1
-        assert {"user_id", "hashtag", "timestamp", "score", "label",
-                "probabilistic"} <= set(legacy)
-        assert h_legacy.get("Deprecation") == "true"
-
-    def test_legacy_errors_stay_flat_strings(self, server):
-        status, headers, body = raw_request(
-            server, "POST", "/predict/retweeters", {"cascade_id": 10**9}
-        )
+    @pytest.mark.parametrize("method,path", [
+        ("POST", "/predict/retweeters"),
+        ("GET", "/healthz"),
+        ("GET", "/metrics"),
+    ])
+    def test_pre_v1_paths_are_unknown_routes(self, server, method, path):
+        body = {"cascade_id": 0} if method == "POST" else None
+        status, headers, reply = raw_request(server, method, path, body)
         assert status == 404
-        assert isinstance(body["error"], str) and "unknown cascade" in body["error"]
-        assert body["status"] == 404
-        assert headers.get("Deprecation") == "true"
-
-    def test_legacy_healthz_and_metrics(self, server):
-        status, headers, body = raw_request(server, "GET", "/healthz")
-        assert status == 200 and body["status"] == "ok"
-        assert headers.get("Deprecation") == "true"
-        status, headers, _ = raw_request(server, "GET", "/metrics")
-        assert status == 200 and headers.get("Deprecation") == "true"
+        assert reply["error"]["code"] == "unknown_route"
+        assert "Deprecation" not in headers
 
 
 class TestSocketHygiene:
@@ -272,11 +242,8 @@ class TestModelLifecycleRoutes:
         assert "ghost" in str(exc_info.value)
 
     def test_registryless_server_says_503(self, loaded_bundles):
-        engine = InferenceEngine(
-            {"retweeters": RetweeterPredictor(loaded_bundles["retina"])},
-            max_wait_ms=1.0,
-        )
-        with PredictionServer(engine, port=0) as srv:
+        engine = InferenceEngine({"retweeters": RetweeterPredictor(loaded_bundles["retina"])})
+        with AsyncPredictionServer(engine, port=0) as srv:
             status, _, body = raw_request(srv, "GET", "/v1/models")
             assert status == 503
             assert body["error"]["code"] == "registry_unavailable"
@@ -319,7 +286,7 @@ class TestHotReload:
         self, reload_registry, serving_world
     ):
         registry, extractor, test_samples = reload_registry
-        engine = engine_from_store(registry, ["retina-live"], max_wait_ms=0.5)
+        engine = engine_from_store(registry, ["retina-live"])
         payloads = [
             {"cascade_id": s.candidate_set.cascade.root.tweet_id,
              "user_ids": list(s.candidate_set.users[:3])}
@@ -347,7 +314,7 @@ class TestHotReload:
         def _as_kwargs(p):
             return {"cascade_id": p["cascade_id"], "user_ids": p["user_ids"]}
 
-        with PredictionServer(engine, port=0, registry=registry) as srv:
+        with AsyncPredictionServer(engine, port=0, registry=registry) as srv:
             host, port = srv.address
             threads = [
                 threading.Thread(target=load_client, args=(host, port))
@@ -387,8 +354,8 @@ class TestHotReload:
         registry, extractor, _ = reload_registry
         registry.save_bundle("retina-live", self._v2_bundle(extractor, serving_world))
         registry.set_alias("prod", "retina-live", version=1)
-        engine = engine_from_store(registry, ["retina-live"], max_wait_ms=0.5)
-        with PredictionServer(engine, port=0, registry=registry) as srv:
+        engine = engine_from_store(registry, ["retina-live"])
+        with AsyncPredictionServer(engine, port=0, registry=registry) as srv:
             host, port = srv.address
             with ServingClient(host=host, port=port, retries=0) as client:
                 # Engine started on latest (v2); the alias pins v1.

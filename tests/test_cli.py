@@ -37,6 +37,7 @@ class TestParser:
         ["train-retina", "--shard-size", "8"],
         ["train-hategen", "--workers", "2"],
         ["serve", "--store", "s", "--workers", "2"],
+        ["serve", "--store", "s", "--wait-ms", "1"],
     ])
     def test_process_count_flags_are_gone(self, argv):
         with pytest.raises(SystemExit):
@@ -100,15 +101,15 @@ class TestSaveServePredictRoundTrip:
         assert "macro_f1" in manifest["metrics"]
 
     def test_serve_round_trip_over_http(self, saved_bundle):
-        from repro.serving import PredictionServer, engine_from_store
+        from repro.serving import AsyncPredictionServer, engine_from_store
 
-        engine = engine_from_store(saved_bundle, ["retina-cli"], max_wait_ms=1.0)
+        engine = engine_from_store(saved_bundle, ["retina-cli"])
         predictor = engine.predictors["retweeters"]
         cascade_id = next(iter(predictor._cascades))
-        with PredictionServer(engine, port=0) as server:
+        with AsyncPredictionServer(engine, port=0) as server:
             body = json.dumps({"cascade_id": cascade_id, "top_k": 3}).encode()
             req = urllib.request.Request(
-                server.url + "/predict/retweeters",
+                server.url + "/v1/predict/retweeters",
                 data=body,
                 headers={"Content-Type": "application/json"},
             )
@@ -118,11 +119,11 @@ class TestSaveServePredictRoundTrip:
         assert len(result["ranking"]) == 3
 
     def test_cli_predict_against_url(self, saved_bundle, capsys):
-        from repro.serving import PredictionServer, engine_from_store
+        from repro.serving import AsyncPredictionServer, engine_from_store
 
-        engine = engine_from_store(saved_bundle, ["retina-cli"], max_wait_ms=1.0)
+        engine = engine_from_store(saved_bundle, ["retina-cli"])
         cascade_id = next(iter(engine.predictors["retweeters"]._cascades))
-        with PredictionServer(engine, port=0, registry=saved_bundle) as server:
+        with AsyncPredictionServer(engine, port=0, registry=saved_bundle) as server:
             code = main(
                 ["predict", "--url", server.url, "--name", "retina-cli",
                  "--cascade", str(cascade_id), "--top-k", "2"]
