@@ -301,9 +301,6 @@ def drive_contract(server, label, registry, trainer, te, h_test,
     # Per-route status counters need a GET error on record too.
     raw(server, "GET", "/v1/no/such/route")
     s_v1, _, v1m = raw(server, "GET", "/v1/metrics")
-    pred = v1m.get("retweeters", {})
-    check("/v1/metrics windowed throughput", s_v1 == 200
-          and "requests_per_s_window" in pred and "window_s" in pred)
     responses = v1m.get("http", {}).get("responses", {})
     check("/v1/metrics per-route status counters",
           any(key.endswith("|200") for key in responses)
@@ -319,6 +316,20 @@ def drive_contract(server, label, registry, trainer, te, h_test,
               "text/plain; version=0.0.4")
           and lines and not bad,
           f"unparseable lines: {bad[:3]}")
+    # No predict traffic runs between the two reads, so both views of the
+    # one registry must show the same counts.
+    exposed = dict(ln.rpartition(" ")[::2] for ln in lines if not ln.startswith("#"))
+    pred = v1m.get("retweeters", {})
+    pairs = {
+        "requests": 'repro_request_latency_seconds_count{kind="retweeters"}',
+        "batches": 'repro_engine_batches_total{kind="retweeters"}',
+    }
+    check("/v1/metrics JSON matches the Prometheus exposition", s_v1 == 200
+          and all(str(pred.get(field)) == exposed.get(series)
+                  for field, series in pairs.items())
+          and not any(ln.startswith("repro_predictor_requests") for ln in lines),
+          f"JSON {[pred.get(f) for f in pairs]} vs "
+          f"exposition {[exposed.get(s) for s in pairs.values()]}")
     check("Prometheus carries serving families",
           any(ln.startswith("repro_http_requests_total{") for ln in lines)
           and any("_bucket{" in ln for ln in lines))

@@ -3,8 +3,7 @@
 A :class:`MetricsRegistry` owns named metrics, each optionally labelled
 (``counter.inc(route="/v1/healthz", status="200")``).  Histograms use
 *fixed log-scale buckets* so histograms merge by plain bucket-count
-addition — unlike a rolling latency window, percentile estimates stay
-correct when aggregated across processes or scrapes.
+addition across processes or scrapes.
 
 Two exposition forms: :meth:`MetricsRegistry.snapshot` (nested dicts for
 the JSON ``/v1/metrics`` body) and :meth:`MetricsRegistry.render` (the

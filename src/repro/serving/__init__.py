@@ -38,7 +38,6 @@ from repro.serving.engine import (
     engine_from_store,
     predictor_for_bundle,
 )
-from repro.serving.metrics import ServingMetrics
 from repro.serving.registry import (
     HateGenBundle,
     ModelRegistry,
@@ -57,7 +56,6 @@ __all__ = [
     "TokenBucket",
     "serve_forever_async",
     "LRUCache",
-    "ServingMetrics",
     "ModelRegistry",
     "RegistryCorruptError",
     "RegistryError",

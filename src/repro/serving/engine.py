@@ -43,7 +43,6 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.core.hategen.features import DAY_HOURS
 from repro.serving.cache import LRUCache
-from repro.serving.metrics import ServingMetrics
 from repro.serving.registry import HateGenBundle, ModelRegistry, RetinaBundle
 from repro.serving.schemas import (
     HateGenRequest,
@@ -75,8 +74,8 @@ KIND_FOR_BUNDLE = {"retina": "retweeters", "hategen": "hategen"}
 
 _log = obs_log.get_logger("repro.serving.engine")
 
-#: End-to-end latency through the engine in fixed log-scale buckets —
-#: mergeable across processes/scrapes, unlike the rolling deque window.
+#: The engine's request metrics live only here: ``metrics()`` (the JSON
+#: ``/v1/metrics`` body) and the Prometheus exposition read the same series.
 _LATENCY = obs_metrics.REGISTRY.histogram(
     "repro_request_latency_seconds",
     "End-to-end request latency through the inference engine (seconds).",
@@ -94,6 +93,21 @@ _BATCHES = obs_metrics.REGISTRY.counter(
     "repro_engine_batches_total",
     "Micro-batches executed, by predictor kind.",
     ("kind",),
+)
+_PREDICTIONS = obs_metrics.REGISTRY.counter(
+    "repro_predictions_total",
+    "Predictions returned (scored candidates, or one per label), by kind.",
+    ("kind",),
+)
+_ERRORS = obs_metrics.REGISTRY.counter(
+    "repro_request_errors_total",
+    "Requests answered with an error, by predictor kind.",
+    ("kind",),
+)
+_CACHE_HIT_RATIO = obs_metrics.REGISTRY.gauge(
+    "repro_cache_hit_ratio",
+    "Serving cache hit ratio per predictor/cache.",
+    ("kind", "cache"),
 )
 _TIMEOUTS = obs_metrics.REGISTRY.counter(
     "repro_requests_timed_out_total",
@@ -132,7 +146,6 @@ class RetweeterPredictor:
         self._interval_tag = self.model.n_intervals if self.model.mode == "dynamic" else 0
         self.feature_cache = LRUCache(cache_size)
         self.context_cache = LRUCache(max(64, cache_size // 64))
-        self.metrics = ServingMetrics()
         #: Event-log watermark: highest store seq already folded into this
         #: predictor's caches.  A predictor built over an already-replayed
         #: world starts at the world's watermark (its ``_cascades`` map and
@@ -420,7 +433,6 @@ class HateGenPredictor:
         self.world = bundle.extractor.world
         self._hashtags = {spec.tag for spec in self.world.catalog}
         self.feature_cache = LRUCache(cache_size)
-        self.metrics = ServingMetrics()
         #: Event-log watermark (see :class:`RetweeterPredictor`).
         self._applied_seq = int(getattr(self.world, "_store_watermark", 0))
         self.source: dict | None = None
@@ -618,6 +630,13 @@ class InferenceEngine:
         except IndexError:
             return 0.0
 
+    def _cache_hit_ratios(self) -> dict[tuple[str, str], float]:
+        return {
+            (kind, cache): stats["hit_rate"]
+            for kind, predictor in self.predictors.items()
+            for cache, stats in _predictor_cache_stats(predictor).items()
+        }
+
     # ----------------------------------------------------------- lifecycle
     def start(self) -> "InferenceEngine":
         if self._worker is not None and self._worker.is_alive():
@@ -629,6 +648,7 @@ class InferenceEngine:
         self._depth_fn = lambda: len(self._queued_arrivals)
         _QUEUE_DEPTH.set_fn(self._depth_fn)
         _QUEUE_AGE.set_fn(self._queue_age_s)
+        _CACHE_HIT_RATIO.set_fn(self._cache_hit_ratios)
         self._worker = threading.Thread(
             target=self._run, name="repro-inference-engine", daemon=True
         )
@@ -651,6 +671,7 @@ class InferenceEngine:
                 # claimed the gauges since this one started.
                 _QUEUE_DEPTH.set_fn(None)
                 _QUEUE_AGE.set_fn(None)
+                _CACHE_HIT_RATIO.set_fn(None)
         # The gather loop is gone (or never ran): anything still queued —
         # a submit that raced past the _stopping gate, or one made before
         # start() — would leave its waiter to hit the generic timeout.
@@ -951,7 +972,6 @@ class InferenceEngine:
                     batch_size=len(by_kind[r.kind]),
                 )
             for kind, group in by_kind.items():
-                self.predictors[kind].metrics.record_batch()
                 _BATCHES.inc(kind=kind)
                 self._execute(kind, group)
             if shutdown:
@@ -982,37 +1002,48 @@ class InferenceEngine:
             with obs_trace.batch_context([r.trace for r in group]):
                 outcomes = predictor.predict_batch([r.payload for r in group])
         except BaseException as exc:  # engine must survive bad batches
-            predictor.metrics.record_error()
+            _ERRORS.inc(len(group), kind=kind)
             for r in group:
                 if not r.future.set_running_or_notify_cancel():
                     continue
                 r.future.set_exception(exc)
             return
-        self._deliver(predictor, group, outcomes)
+        self._deliver(kind, group, outcomes)
 
-    def _deliver(self, predictor, group: list[_Request], outcomes: list) -> None:
+    def _deliver(self, kind: str, group: list[_Request], outcomes: list) -> None:
         now = time.perf_counter()
         for r, outcome in zip(group, outcomes):
             if isinstance(outcome, dict) and "error" in outcome:
-                predictor.metrics.record_error()
-                n_items = 0
+                _ERRORS.inc(kind=kind)
             elif isinstance(outcome, dict) and "scores" in outcome:
-                n_items = len(outcome["scores"])
+                _PREDICTIONS.inc(len(outcome["scores"]), kind=kind)
             else:
-                n_items = 1
-            predictor.metrics.record(now - r.submitted_at, n_items=n_items)
-            _LATENCY.observe(now - r.submitted_at, kind=predictor.kind)
+                _PREDICTIONS.inc(kind=kind)
+            _LATENCY.observe(now - r.submitted_at, kind=kind)
             if r.future.set_running_or_notify_cancel():
                 r.future.set_result(outcome)
 
     # ------------------------------------------------------------- health
     def metrics(self) -> dict:
-        """Per-predictor counters + cache stats for ``/metrics``."""
+        """Per-kind counters from the obs registry + cache stats for ``/v1/metrics``.
+
+        Counts are per process since startup; ``p50_ms``/``p95_ms`` are
+        the latency histogram's bucket upper bounds.
+        """
         out = {}
         for kind, predictor in self.predictors.items():
-            entry = dict(predictor.metrics.snapshot())
-            entry["caches"] = _predictor_cache_stats(predictor)
-            out[kind] = entry
+            requests = _LATENCY.merge_counts(kind=kind)[-1]
+            batches = int(_BATCHES.value(kind=kind))
+            out[kind] = {
+                "requests": requests,
+                "predictions": int(_PREDICTIONS.value(kind=kind)),
+                "batches": batches,
+                "errors": int(_ERRORS.value(kind=kind)),
+                "mean_batch_size": round(requests / batches, 3) if batches else 0.0,
+                "p50_ms": round(_LATENCY.quantile(0.50, kind=kind) * 1e3, 3),
+                "p95_ms": round(_LATENCY.quantile(0.95, kind=kind) * 1e3, 3),
+                "caches": _predictor_cache_stats(predictor),
+            }
         return out
 
     def describe(self) -> dict:

@@ -70,16 +70,6 @@ HTTP_REQUESTS = obs_metrics.REGISTRY.counter(
     "HTTP responses by templated route, method, and status code.",
     ("route", "method", "status"),
 )
-_CACHE_HIT_RATIO = obs_metrics.REGISTRY.gauge(
-    "repro_cache_hit_ratio",
-    "Serving cache hit ratio per predictor/cache (refreshed at scrape).",
-    ("kind", "cache"),
-)
-_PREDICTOR_REQUESTS = obs_metrics.REGISTRY.gauge(
-    "repro_predictor_requests",
-    "Lifetime requests served per predictor (refreshed at scrape).",
-    ("kind",),
-)
 
 
 def route_label(path: str) -> str:
@@ -434,21 +424,7 @@ class RouteCore:
         return self.engine.reload_model(registry, name, version)
 
     def prometheus_reply(self) -> Reply:
-        """``/v1/metrics?format=prometheus`` — text exposition.
-
-        Scrape-time gauges (cache hit ratios, per-predictor request
-        totals) are refreshed from one engine snapshot first, so
-        Prometheus sees the same numbers the JSON body would report;
-        admission gauges are callback-backed and refresh themselves.
-        """
-        for kind, entry in self.engine.metrics().items():
-            for cache_name, stats in (entry.get("caches") or {}).items():
-                if not isinstance(stats, dict):
-                    continue  # the "stale" marker rides alongside the caches
-                _CACHE_HIT_RATIO.set(
-                    stats.get("hit_rate", 0.0), kind=kind, cache=cache_name
-                )
-            _PREDICTOR_REQUESTS.set(entry.get("requests", 0), kind=kind)
+        """``/v1/metrics?format=prometheus`` — text exposition of the registry."""
         return Reply(
             200,
             text=obs_metrics.REGISTRY.render(),

@@ -10,6 +10,7 @@ error handling.
 
 import http.client
 import json
+import random
 import socket
 import threading
 import time
@@ -208,6 +209,21 @@ def _raw_exchange(server, data: bytes) -> tuple[int, dict, dict]:
     return _parse_response(_raw_bytes(server, data))
 
 
+def _split_responses(buf: bytes) -> list[tuple[int, dict]]:
+    """Every complete ``(status, JSON body)`` response in ``buf``, in order."""
+    out = []
+    while b"\r\n\r\n" in buf:
+        head, _, rest = buf.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        headers = {k.lower(): v for k, v in (ln.split(": ", 1) for ln in lines[1:])}
+        length = int(headers["content-length"])
+        if len(rest) < length:
+            break
+        out.append((int(lines[0].split()[1]), json.loads(rest[:length])))
+        buf = rest[length:]
+    return out
+
+
 class TestFraming:
     """Malformed framing gets a typed answer, never a dropped socket."""
 
@@ -282,6 +298,73 @@ class TestFraming:
             self._assert_501(*_parse_response(raw))
             _, _, health = raw_request(srv, "GET", "/v1/healthz")
         assert health["models"]["hategen"]["source"]["version"] == 1
+
+    # Seeded framing fuzz: a pipeline of valid requests, split at random
+    # byte offsets or truncated, gets in-order answers or a typed close.
+    FUZZ_SEEDS = range(8)
+
+    def _pipeline(self, rng, trained_hategen) -> list[bytes]:
+        body = self._hategen_body(trained_hategen)
+        get = b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+        post = (
+            b"POST /v1/predict/hategen HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Type: application/json\r\n"
+            + f"Content-Length: {len(body)}\r\n\r\n".encode() + body
+        )
+        return [rng.choice((get, post)) for _ in range(rng.randint(2, 6))]
+
+    @staticmethod
+    def _assert_answers(requests: list[bytes], replies: list) -> None:
+        for request, (status, reply) in zip(requests, replies):
+            assert status == 200
+            if request.startswith(b"GET"):
+                assert reply["status"] == "ok"
+            else:
+                assert reply["label"] in (0, 1)
+
+    @pytest.mark.parametrize("seed", FUZZ_SEEDS)
+    def test_random_splits_answered_in_order(self, aio_server, trained_hategen, seed):
+        rng = random.Random(seed)
+        requests = self._pipeline(rng, trained_hategen)
+        data = b"".join(requests)
+        cuts = sorted(rng.sample(range(1, len(data)), rng.randint(1, 12)))
+        with socket.create_connection(aio_server.address, timeout=10) as sock:
+            for a, b in zip([0] + cuts, cuts + [len(data)]):
+                sock.sendall(data[a:b])
+                time.sleep(rng.uniform(0.0, 0.005))
+            buf = b""
+            while len(replies := _split_responses(buf)) < len(requests):
+                chunk = sock.recv(65536)
+                assert chunk, f"closed after {len(replies)}/{len(requests)} replies"
+                buf += chunk
+        assert len(replies) == len(requests)
+        self._assert_answers(requests, replies)
+
+    @pytest.mark.parametrize("seed", FUZZ_SEEDS)
+    def test_truncated_pipeline_then_half_close(self, aio_server, trained_hategen, seed):
+        rng = random.Random(1000 + seed)
+        requests = self._pipeline(rng, trained_hategen)
+        data = b"".join(requests)
+        cut = rng.randrange(1, len(data))
+        complete, end = 0, 0
+        for request in requests:
+            end += len(request)
+            if end > cut:
+                break
+            complete += 1
+        with socket.create_connection(aio_server.address, timeout=10) as sock:
+            sock.sendall(data[:cut])
+            sock.shutdown(socket.SHUT_WR)
+            buf = b""
+            # A hang surfaces as socket.timeout, failing the test.
+            while chunk := sock.recv(65536):
+                buf += chunk
+        replies = _split_responses(buf)
+        self._assert_answers(requests, replies[:complete])
+        assert len(replies) in (complete, complete + 1), f"{len(replies)} replies"
+        if len(replies) > complete:
+            status, reply = replies[complete]
+            assert 400 <= status < 500 and reply["error"]["code"]
 
 
 class TestOverload:

@@ -1,10 +1,11 @@
-"""Unit tests for the LRU cache and serving metrics."""
+"""Unit tests for the LRU cache and the engine's registry-backed metrics."""
 
 import threading
 
 import pytest
 
-from repro.serving import LRUCache, ServingMetrics
+from repro.obs.metrics import LATENCY_BUCKETS, REGISTRY
+from repro.serving import InferenceEngine, LRUCache
 
 
 class TestLRUCache:
@@ -64,39 +65,84 @@ class TestLRUCache:
         assert len(cache) <= 64
 
 
-class TestServingMetrics:
-    def test_counters_accumulate(self):
-        m = ServingMetrics()
-        m.record(0.010, n_items=3)
-        m.record(0.020)
-        m.record_batch()
-        snap = m.snapshot()
-        assert snap["requests"] == 2
-        assert snap["predictions"] == 4
-        assert snap["batches"] == 1
-        assert snap["mean_batch_size"] == 2.0
+def _series(text: str, name: str, **labels) -> float:
+    """The value of one series in a Prometheus exposition (0 when absent)."""
+    want = "{" + ",".join(f'{k}="{v}"' for k, v in labels.items()) + "}"
+    for line in text.splitlines():
+        series, _, value = line.rpartition(" ")
+        if series == name + want:
+            return float(value)
+    return 0.0
 
-    def test_percentiles_in_ms(self):
-        m = ServingMetrics()
-        for lat in (0.001, 0.002, 0.003, 0.100):
-            m.record(lat)
-        pcts = m.percentiles((50.0, 95.0))
-        assert 1.0 <= pcts["p50_ms"] <= 3.0
-        assert pcts["p95_ms"] > pcts["p50_ms"]
 
-    def test_empty_percentiles_are_zero(self):
-        assert ServingMetrics().percentiles() == {"p50_ms": 0.0, "p95_ms": 0.0}
+class _Mixed:
+    """Scores ``n`` candidates, answers ``bad`` with an error, raises on ``raise``."""
 
-    def test_window_bounds_memory(self):
-        m = ServingMetrics(window=8)
-        for _ in range(100):
-            m.record(0.001)
-        assert len(m._latencies) == 8
+    kind = "mixed"
 
-    def test_throughput_uses_injected_clock(self):
-        ticks = iter([0.0, 2.0, 2.0, 2.0])
-        m = ServingMetrics(clock=lambda: next(ticks))
-        m.record(0.001)
-        snap = m.snapshot()
-        assert snap["uptime_s"] == 2.0
-        assert snap["requests_per_s"] == 0.5
+    def __init__(self):
+        self.feature_cache = LRUCache(maxsize=4)
+
+    def predict_batch(self, payloads):
+        if any(p.get("raise") for p in payloads):
+            raise RuntimeError("kaboom")
+        self.feature_cache.get("probe")
+        return [
+            {"error": {"code": "bad"}} if p.get("bad")
+            else {"scores": {str(i): 0.5 for i in range(p["n"])}}
+            for p in payloads
+        ]
+
+
+class TestMetricsViewsAgree:
+    """The JSON ``/v1/metrics`` fields and the Prometheus series are one store."""
+
+    KIND, IDLE = "views_mixed", "views_idle"
+
+    def _prom(self, kind: str) -> dict:
+        text = REGISTRY.render()
+        return {
+            "requests": _series(text, "repro_request_latency_seconds_count", kind=kind),
+            "batches": _series(text, "repro_engine_batches_total", kind=kind),
+            "errors": _series(text, "repro_request_errors_total", kind=kind),
+            "predictions": _series(text, "repro_predictions_total", kind=kind),
+        }
+
+    def test_json_fields_match_exposition(self):
+        engine = InferenceEngine(
+            {self.KIND: _Mixed(), self.IDLE: _Mixed()}, max_batch_size=4
+        )
+        before = engine.metrics()[self.KIND]
+        # Queued before start: the first four form one batch, the two
+        # raising requests the next.
+        payloads = [{"n": 1}, {"n": 2}, {"n": 3}, {"bad": True},
+                    {"raise": True}, {"raise": True}]
+        futures = [engine.submit(self.KIND, p) for p in payloads]
+        with engine:
+            for future in futures[:4]:
+                future.result(timeout=30.0)
+            for future in futures[4:]:
+                with pytest.raises(RuntimeError, match="kaboom"):
+                    future.result(timeout=30.0)
+            text = REGISTRY.render()
+            hit_ratio = _series(text, "repro_cache_hit_ratio",
+                                kind=self.KIND, cache="features")
+            assert f'repro_cache_hit_ratio{{kind="{self.KIND}",cache="features"}}' in text
+            assert hit_ratio == engine.metrics()[self.KIND]["caches"]["features"]["hit_rate"]
+        after = engine.metrics()
+        snap = after[self.KIND]
+        prom = self._prom(self.KIND)
+        for field in ("requests", "batches", "errors", "predictions"):
+            assert snap[field] == prom[field], field
+        delta = {f: snap[f] - before[f]
+                 for f in ("requests", "batches", "errors", "predictions")}
+        assert delta == {"requests": 4, "batches": 2, "errors": 3, "predictions": 6}
+        assert snap["mean_batch_size"] == round(snap["requests"] / snap["batches"], 3)
+        bounds_ms = {round(b * 1e3, 3) for b in LATENCY_BUCKETS}
+        assert snap["p50_ms"] in bounds_ms and snap["p95_ms"] in bounds_ms
+        assert snap["p50_ms"] <= snap["p95_ms"]
+        idle = after[self.IDLE]
+        assert idle["p50_ms"] == idle["p95_ms"] == 0.0
+        assert idle["requests"] == idle["batches"] == 0 and idle["mean_batch_size"] == 0.0
+        # A stopped engine no longer backs the hit-ratio gauge.
+        assert "repro_cache_hit_ratio{" not in REGISTRY.render()

@@ -180,11 +180,6 @@ class TestTypedShutdown:
         class Echo:
             kind = "echo"
 
-            def __init__(self):
-                from repro.serving.metrics import ServingMetrics
-
-                self.metrics = ServingMetrics()
-
             def predict_batch(self, payloads):
                 return [dict(p) for p in payloads]
 
@@ -204,11 +199,6 @@ class TestTypedShutdown:
 
         class Slow:
             kind = "slow"
-
-            def __init__(self):
-                from repro.serving.metrics import ServingMetrics
-
-                self.metrics = ServingMetrics()
 
             def predict_batch(self, payloads):
                 release.wait(timeout=10.0)
@@ -232,11 +222,6 @@ class TestTypedShutdown:
 
         class Echo:
             kind = "echo"
-
-            def __init__(self):
-                from repro.serving.metrics import ServingMetrics
-
-                self.metrics = ServingMetrics()
 
             def predict_batch(self, payloads):
                 return [dict(p) for p in payloads]

@@ -231,7 +231,7 @@ class TestInferenceEngine:
         cid = test_samples[0].candidate_set.cascade.root.tweet_id
         users = test_samples[0].candidate_set.users
         engine = InferenceEngine({"retweeters": retweeter})
-        n_before = retweeter.metrics.n_batches
+        n_before = engine.metrics()["retweeters"]["batches"]
         futures = [
             engine.submit("retweeters", {"cascade_id": cid, "user_ids": [u]})
             for u in users[:6]
@@ -239,7 +239,7 @@ class TestInferenceEngine:
         with engine:
             results = [f.result(timeout=30.0) for f in futures]
         assert all("scores" in r for r in results)
-        assert retweeter.metrics.n_batches == n_before + 1
+        assert engine.metrics()["retweeters"]["batches"] == n_before + 1
 
     def test_concurrent_submitters_all_answered(self, retweeter, trained_retina):
         _, _, test_samples = trained_retina
@@ -272,7 +272,6 @@ class TestInferenceEngine:
 
         class Exploding:
             kind = "boom"
-            metrics = retweeter.metrics
 
             def predict_batch(self, payloads):
                 raise RuntimeError("kaboom")
@@ -287,6 +286,24 @@ class TestInferenceEngine:
                 {"cascade_id": cid, "user_ids": test_samples[0].candidate_set.users[:2]},
             )
         assert "scores" in good
+
+    def test_raising_batch_counts_one_error_per_request(self):
+        class Exploding:
+            kind = "boom"
+
+            def predict_batch(self, payloads):
+                raise RuntimeError("kaboom")
+
+        engine = InferenceEngine({"boom": Exploding()})
+        errors_before = engine.metrics()["boom"]["errors"]
+        batches_before = engine.metrics()["boom"]["batches"]
+        futures = [engine.submit("boom", {"i": i}) for i in range(3)]
+        with engine:
+            for future in futures:
+                with pytest.raises(RuntimeError, match="kaboom"):
+                    future.result(timeout=30.0)
+        assert engine.metrics()["boom"]["batches"] == batches_before + 1
+        assert engine.metrics()["boom"]["errors"] == errors_before + 3
 
     def test_metrics_and_describe(self, retweeter, trained_retina):
         _, _, test_samples = trained_retina
@@ -306,9 +323,6 @@ class _Recorder:
     kind = "echo"
 
     def __init__(self):
-        from repro.serving.metrics import ServingMetrics
-
-        self.metrics = ServingMetrics()
         self.batch_sizes = []
 
     def predict_batch(self, payloads):
