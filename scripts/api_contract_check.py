@@ -18,8 +18,10 @@ shed by quota returns 429 with ``Retry-After`` and
 
 The observability pass pins the telemetry surface: the Prometheus
 exposition must parse line-by-line, inbound ``X-Trace-Id``
-headers must be echoed, and a forced trace's span tree must be
-retrievable (``--trace-out PATH`` archives it as a CI artifact).
+headers must be echoed, a forced trace's span tree must be
+retrievable (``--trace-out PATH`` archives it as a CI artifact), and
+every ``repro_http_requests_total`` route label the pass emitted must be
+one of the documented templates (``ROUTE_LABELS``).
 
 Run:  PYTHONPATH=src python scripts/api_contract_check.py
 Exit code 0 = contract holds.
@@ -41,6 +43,15 @@ import numpy as np
 # may themselves contain ``}`` (route templates like "/v1/models/{name}"),
 # hence the greedy group.
 PROM_LINE_RE = re.compile(r"^(#.*|[a-zA-Z_:][a-zA-Z0-9_:]*(\{.*\})? [^ ]+)$")
+
+#: The documented ``repro_http_requests_total`` route labels (README,
+#: "Front end"): the route templates, ``/`` and the catch-all ``other``.
+ROUTE_LABELS = frozenset({
+    "/v1/healthz", "/v1/metrics", "/v1/models", "/v1/models/{name}",
+    "/v1/models/{name}/versions", "/v1/models/{name}/reload",
+    "/v1/predict/{kind}", "/v1/batch/{kind}", "/v1/ingest",
+    "/v1/traces", "/v1/traces/{id}", "/", "other",
+})
 
 CHECKS: list[str] = []
 
@@ -333,6 +344,15 @@ def drive_contract(server, label, registry, trainer, te, h_test,
     check("Prometheus carries serving families",
           any(ln.startswith("repro_http_requests_total{") for ln in lines)
           and any("_bucket{" in ln for ln in lines))
+
+    # ---- route labels ---------------------------------------------
+    # Every path the pass sent, retired and unknown ones included, is
+    # counted under a documented label: the label set stays bounded.
+    _, _, final = raw(server, "GET", "/v1/metrics")
+    labels = {key.split("|")[0] for key in final.get("http", {}).get("responses", {})}
+    check("route labels are documented templates",
+          {"/v1/predict/{kind}", "other"} <= labels <= ROUTE_LABELS,
+          f"undocumented labels {sorted(labels - ROUTE_LABELS)}")
     return cid, users
 
 

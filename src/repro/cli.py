@@ -87,7 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--no-admission", action="store_true",
                    help="disable admission control (quotas + load shedding; "
                         "tunable via REPRO_ADMIT_* env vars)")
-    s.add_argument("--quiet", action="store_true", help="suppress request logs")
+    s.add_argument("--quiet", action="store_true",
+                   help="accepted and ignored: the server writes no request logs")
 
     i = sub.add_parser("ingest", help="stream JSONL events into a running server")
     i.add_argument("--url", required=True, metavar="URL",
@@ -260,6 +261,7 @@ def _cmd_train_hategen(args) -> int:
 def _cmd_serve(args) -> int:
     from repro.serving import (
         AdmissionConfig,
+        AdmissionController,
         ModelRegistry,
         engine_from_store,
         serve_forever_async,
@@ -271,11 +273,11 @@ def _cmd_serve(args) -> int:
     except FileNotFoundError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    admission = None if args.no_admission else AdmissionConfig.from_env()
-    serve_forever_async(
-        engine, args.host, args.port, registry=registry,
-        verbose=not args.quiet, admission=admission,
+    admission = None if args.no_admission else AdmissionController(
+        AdmissionConfig.from_env()
     )
+    serve_forever_async(engine, args.host, args.port, registry=registry,
+                        admission=admission)
     return 0
 
 

@@ -9,13 +9,12 @@ Turns trained pipelines into persistent, low-latency prediction services:
 - :mod:`repro.serving.engine` — predictors with vectorised micro-batching
   (a batch is whatever is queued when the engine is free), LRU feature
   caches, and atomic model hot-swap;
-- :mod:`repro.serving.routes` — the route core (one handler table and
-  the structured-error shape) behind the HTTP front end;
-- :mod:`repro.serving.aio` — the HTTP front end: a single-event-loop
+- :mod:`repro.serving.aio` — the whole HTTP layer: a single-event-loop
   ``asyncio`` HTTP/1.1 server (keep-alive, pipelining, future bridging
-  into the micro-batcher) answering ``/v1/predict/{kind}``,
+  into the micro-batcher) with one route table, resolved once per
+  request before its body is read, answering ``/v1/predict/{kind}``,
   ``/v1/batch/{kind}``, ``/v1/models*``, ``/v1/ingest``, ``/v1/traces*``,
-  ``/v1/healthz`` and ``/v1/metrics``;
+  ``/v1/healthz`` and ``/v1/metrics``, and the structured-error shape;
 - :mod:`repro.serving.admission` — bounded accept queue, per-route and
   per-tenant token buckets, and watermark-hysteresis load shedding
   (429 + ``Retry-After``) driven by the engine's live queue signals.
@@ -45,14 +44,12 @@ from repro.serving.registry import (
     RegistryError,
     RetinaBundle,
 )
-from repro.serving.routes import RouteCore
 from repro.serving import schemas
 
 __all__ = [
     "AdmissionConfig",
     "AdmissionController",
     "AsyncPredictionServer",
-    "RouteCore",
     "TokenBucket",
     "serve_forever_async",
     "LRUCache",

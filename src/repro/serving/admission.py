@@ -1,4 +1,4 @@
-"""Admission control for the serving front ends: quotas + load shedding.
+"""Admission control for the HTTP front end: quotas + load shedding.
 
 The serving tier's failure mode used to be *silent saturation*: the
 micro-batching engine queues work without bound, so under overload every
@@ -10,8 +10,8 @@ envelope) or refused immediately with ``429`` + ``Retry-After``:
 - **bounded accept queue** — at most ``max_pending`` admitted requests
   may be in flight through the engine at once;
 - **per-route token buckets** — each sheddable route (the ``/v1/predict``
-  and ``/v1/batch`` families) refills at ``route_rps`` tokens/s with a
-  ``route_burst`` ceiling;
+  and ``/v1/batch`` families and ``/v1/ingest``) refills at
+  ``route_rps`` tokens/s with a ``route_burst`` ceiling;
 - **per-tenant token buckets** — tenants are identified by the
   ``X-Api-Key`` request header (absent header = the anonymous tenant),
   each with its own ``tenant_rps``/``tenant_burst`` bucket so one hot
@@ -175,7 +175,6 @@ class AdmissionConfig:
     ============================  =======================================
     env var                       field
     ============================  =======================================
-    ``REPRO_ADMIT``               ``enabled`` (``0``/``false`` disables)
     ``REPRO_ADMIT_MAX_PENDING``   ``max_pending``
     ``REPRO_ADMIT_RPS``           ``route_rps`` (0 = unlimited)
     ``REPRO_ADMIT_BURST``         ``route_burst``
@@ -188,7 +187,6 @@ class AdmissionConfig:
     ============================  =======================================
     """
 
-    enabled: bool = True
     #: Admitted-but-unanswered requests allowed in flight at once.
     max_pending: int = 512
     #: Per-route token rate (requests/s); 0 disables the route quota.
@@ -223,13 +221,9 @@ class AdmissionConfig:
     @classmethod
     def from_env(cls) -> "AdmissionConfig":
         """The config described by the ``REPRO_ADMIT_*`` environment."""
-        enabled = os.environ.get("REPRO_ADMIT", "1").strip().lower() not in (
-            "0", "false", "no", "off",
-        )
         burst = _env_float("REPRO_ADMIT_BURST", 0.0)
         tenant_burst = _env_float("REPRO_ADMIT_TENANT_BURST", 0.0)
         return cls(
-            enabled=enabled,
             max_pending=int(_env_float("REPRO_ADMIT_MAX_PENDING", cls.max_pending)),
             route_rps=_env_float("REPRO_ADMIT_RPS", cls.route_rps),
             route_burst=burst or None,
@@ -243,12 +237,13 @@ class AdmissionConfig:
 
 
 class AdmissionController:
-    """Admit-or-shed gate shared by both HTTP front ends.
+    """Admit-or-shed gate in front of the HTTP server's data-plane routes.
 
     The controller never touches a request body — it decides from the
     route label, the tenant header, and the engine's live saturation
-    signals, which is what lets both front ends answer 429 *before*
-    reading (or even waiting for) the payload.
+    signals, which is what lets the server answer 429 *before* reading
+    (or even waiting for) the payload.  ``repro serve --no-admission``
+    runs the server without one.
 
     ``depth_fn``/``age_fn`` are zero-argument callables returning the
     engine queue depth and the age of its oldest queued request;
@@ -336,8 +331,6 @@ class AdmissionController:
     def admit(self, route: str, tenant: str | None = None) -> Decision:
         """Decide one request; an admitted one MUST be :meth:`release`-d."""
         cfg = self.config
-        if not cfg.enabled:
-            return _ADMITTED_DECISION
         now = self._clock()
 
         shedding, age = self._saturated()
@@ -390,7 +383,6 @@ class AdmissionController:
         """JSON-ready counters for ``/v1/metrics``."""
         with self._lock:
             return {
-                "enabled": self.config.enabled,
                 "admitted": self.n_admitted,
                 "shed": self.n_shed,
                 "pending": self._pending,

@@ -1,13 +1,18 @@
-"""Asyncio HTTP/1.1 front-end for the inference engine — API v1.
+"""Asyncio HTTP/1.1 server for the inference engine — API v1.
 
-The server drives :class:`~repro.serving.routes.RouteCore` (which owns
-every ``/v1/*`` route and error shape); the transport is a single event
-loop on :func:`asyncio.start_server`:
+This module is the whole HTTP layer: the transport and every ``/v1/*``
+route.  A single event loop on :func:`asyncio.start_server` runs:
 
 - hand-rolled HTTP/1.1 parsing (request line + headers via
   ``readline``), keep-alive by default, and pipelined requests served
-  in order straight out of the reader buffer; bodies are framed by
-  ``Content-Length`` only (a ``Transfer-Encoding`` request gets 501);
+  in order straight out of the reader buffer; bodies are framed by a
+  digits-only ``Content-Length`` (a ``Transfer-Encoding`` request gets
+  501), and a malformed header line gets 400 and a close;
+- one route table: a request's ``(method, path)`` is resolved once,
+  before the body is read, into its metric label, whether it is a
+  data-plane route (sheddable and traced), and its handler — so an
+  unknown route or predictor kind is answered 404 without reading the
+  payload;
 - engine hand-off via :func:`asyncio.wrap_future` around the
   ``concurrent.futures.Future`` that :meth:`InferenceEngine.submit`
   already returns — the event loop *awaits* the micro-batcher without
@@ -16,8 +21,8 @@ loop on :func:`asyncio.start_server`:
 - admission control (:mod:`repro.serving.admission`) runs after route
   resolution but before the body is read, so a shed request costs one
   decision and one small write;
-- the only executor hop is ``asyncio.to_thread`` around model reloads,
-  which genuinely block (bundle deserialisation).
+- the only executor hops are ``asyncio.to_thread`` around model reloads
+  (bundle deserialisation) and ingest (append + fsync), which block.
 
 The event loop runs in a daemon thread so synchronous callers (tests,
 the benchmark, the CLI) use this class like any blocking server:
@@ -28,45 +33,53 @@ port.
 from __future__ import annotations
 
 import asyncio
+import json
+import re
 import signal
 import socket
 import threading
+from typing import Callable, NamedTuple
+from urllib.parse import parse_qs, urlsplit
 
 from repro.obs import log as obs_log
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.serving.admission import AdmissionConfig, AdmissionController
+from repro.serving.admission import AdmissionController
 from repro.serving.engine import InferenceEngine, ServingError
-from repro.serving.registry import ModelRegistry
-from repro.serving.routes import (
-    HTTP_REQUESTS,
-    MAX_BODY_BYTES,
-    TENANT_HEADER,
-    TRACE_ID_RE,
-    Reply,
-    Resolved,
-    RouteCore,
-    route_label,
+from repro.serving.registry import (
+    ModelRegistry,
+    RegistryCorruptError,
+    RegistryError,
 )
+from repro.serving.schemas import (
+    BatchRequest,
+    IngestRequest,
+    ReloadRequest,
+    request_schema_for,
+)
+from repro.store import StoreIOError
 
 __all__ = ["AsyncPredictionServer", "serve_forever_async"]
 
-
-def _build_admission(admission, engine) -> AdmissionController | None:
-    """Normalise the ``admission=`` argument the server accepts."""
-    if admission is None:
-        return None
-    if isinstance(admission, AdmissionConfig):
-        admission = AdmissionController(admission)
-    if admission._depth_fn is None:
-        admission.bind_engine(engine)
-    return admission
+MAX_BODY_BYTES = 8 * 1024 * 1024
 
 _log = obs_log.get_logger("repro.serving.aio")
 
 #: Hard parser bounds — a hostile peer can't make us buffer unboundedly.
 _MAX_LINE = 16 * 1024
 _MAX_HEADERS = 100
+
+#: A field name is an RFC 9110 token.  Whitespace before the colon and a
+#: folded (whitespace-led) continuation line both fail it: 400 (RFC 9112
+#: 5.1, 5.2).
+_FIELD_NAME_RE = re.compile(r"[!#$%&'*+.^_`|~0-9A-Za-z-]+")
+#: Control characters other than HTAB (a bare CR, say) are invalid in a
+#: field value.
+_FIELD_CTL_RE = re.compile(r"[\x00-\x08\x0a-\x1f\x7f]")
+
+#: Client-supplied trace ids are used verbatim when well-formed; anything
+#: else is ignored so a hostile header can't pollute the trace store keys.
+_TRACE_ID_RE = re.compile(r"^[A-Za-z0-9_-]{1,64}$")
 
 #: Requests that died before a reply could be computed: the peer vanished
 #: or stalled while we were still reading its head or body.  Labelled by
@@ -77,6 +90,12 @@ _ABORTED = obs_metrics.REGISTRY.counter(
     labels=("stage",),
 )
 
+HTTP_REQUESTS = obs_metrics.REGISTRY.counter(
+    "repro_http_requests_total",
+    "HTTP responses by templated route, method, and status code.",
+    ("route", "method", "status"),
+)
+
 _STATUS_PHRASES = {
     200: "OK", 400: "Bad Request", 404: "Not Found", 405: "Method Not Allowed",
     409: "Conflict", 413: "Content Too Large", 429: "Too Many Requests",
@@ -85,23 +104,159 @@ _STATUS_PHRASES = {
     503: "Service Unavailable",
 }
 
-
-class _BadRequest(Exception):
-    """Protocol-level garbage: answer 400 (if possible) and hang up."""
-
-    status = 400
-    code = "bad_request"
+_OVERLOADED_MSG = "the engine did not answer in time; retry later"
 
 
-class _HeadTooLarge(_BadRequest):
-    """A request or header line over the parser bound: 431, then hang up."""
+class _BadRequest(ServingError):
+    """Protocol-level garbage: answer 400 (431 for an over-long line), if
+    possible, and hang up."""
 
-    status = 431
-    code = "header_too_large"
+    def __init__(self, message: str, status: int = 400, code: str = "bad_request"):
+        super().__init__(message, status, code=code)
+
+
+class Reply:
+    """One response: status, JSON-ready body (or text), headers, close."""
+
+    __slots__ = ("status", "obj", "text", "content_type", "headers", "close")
+
+    def __init__(self, status: int, obj: dict | None = None, *,
+                 text: str | None = None,
+                 content_type: str = "application/json",
+                 headers: dict | None = None, close: bool = False):
+        self.status = status
+        self.obj = obj
+        self.text = text
+        self.content_type = content_type
+        self.headers = headers or {}
+        self.close = close
+
+    def body_bytes(self) -> bytes:
+        if self.text is not None:
+            return self.text.encode("utf-8")
+        return json.dumps(self.obj).encode("utf-8")
+
+
+class _Route(NamedTuple):
+    #: ``async (server, path parameter, query, raw body) -> Reply``.
+    handler: Callable
+    #: Data-plane routes (predict, batch, ingest) pass admission control
+    #: and get an ``http.request`` root span; control-plane routes do not.
+    data_plane: bool = False
+
+
+#: Paths that are their own metric label.
+_EXACT_PATHS = frozenset(
+    ("/", "/v1/healthz", "/v1/metrics", "/v1/models", "/v1/traces", "/v1/ingest")
+)
+#: ``(prefix, label)``: the rest of the path is the route's parameter.
+_PREFIX_PATHS = (
+    ("/v1/predict/", "/v1/predict/{kind}"),
+    ("/v1/batch/", "/v1/batch/{kind}"),
+    ("/v1/traces/", "/v1/traces/{id}"),
+)
+_MODEL_PATH_RE = re.compile(r"^/v1/models/([A-Za-z0-9._-]+)(/versions|/reload)?$")
+
+
+def _template(path: str) -> tuple[str, str | None]:
+    """``(metric label, path parameter)`` of a request path.
+
+    The label has bounded cardinality: a route template, ``/``, or
+    ``other``.  It depends on the path only, so a wrong method or an
+    unknown kind is still counted under its template.
+    """
+    if path in _EXACT_PATHS:
+        return path, None
+    for prefix, label in _PREFIX_PATHS:
+        if path.startswith(prefix):
+            return label, path[len(prefix):]
+    m = _MODEL_PATH_RE.match(path)
+    if m:
+        return "/v1/models/{name}" + (m.group(2) or ""), m.group(1)
+    return "other", None
+
+
+def _resolve(method: str, path: str, label: str, kind: str | None,
+             headers: dict) -> _Route:
+    """The route for a request, or the :class:`ServingError` refusing it
+    before any body byte is read."""
+    if "transfer-encoding" in headers:
+        # Only Content-Length frames a body here: reading past a chunked
+        # body would desync the connection, and with both headers the
+        # framing is ambiguous (RFC 9112 6.3).  Refuse before routing.
+        raise ServingError(
+            "Transfer-Encoding is not supported; send Content-Length",
+            status=501, code="unsupported_transfer_encoding",
+        )
+    if method not in ("GET", "POST"):
+        raise ServingError(f"method {method!r} not supported",
+                           status=405, code="method_not_allowed")
+    route = _ROUTES.get((method, label))
+    if route is None:
+        raise ServingError(f"no route {path!r}", status=404, code="unknown_route")
+    if label.endswith("{kind}"):
+        request_schema_for(kind)  # unknown predictor kind -> 404
+    return route
+
+
+def _parse_body(raw: bytes, *, optional: bool = False) -> dict:
+    """Parse already-read body bytes into a JSON object payload."""
+    if not raw:
+        if optional:
+            return {}
+        raise ServingError("request body required", code="missing_body")
+    with obs_trace.span("handler.parse", bytes=len(raw)):
+        try:
+            payload = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise ServingError(
+                f"invalid JSON body: {exc}", code="invalid_json"
+            ) from exc
+        if not isinstance(payload, dict):
+            raise ServingError("body must be a JSON object", code="invalid_type")
+    return payload
+
+
+def _error_reply(exc: BaseException, *, close: bool = False,
+                 headers: dict | None = None, label: str = "other",
+                 method: str = "?") -> Reply:
+    """Any handler exception -> the structured error reply."""
+    if isinstance(exc, RegistryCorruptError):
+        # The version exists but failed integrity checks; reload aborts
+        # before any swap, so the old predictor keeps serving.
+        exc = ServingError(str(exc), status=409, code="model_corrupt")
+    elif isinstance(exc, RegistryError):
+        exc = ServingError(str(exc), status=404, code="model_not_found")
+    elif isinstance(exc, StoreIOError):
+        # Append/fsync failure: nothing past the last acked event was
+        # accepted, and acked events are durable — safe to retry.
+        exc = ServingError(str(exc), status=503, code="store_io")
+    if isinstance(exc, ServingError):
+        return Reply(exc.status, exc.as_error(), headers=headers, close=close)
+    _log.error(
+        "http.internal_error",
+        route=label,
+        method=method,
+        error=f"{type(exc).__name__}: {exc}"[:400],
+    )
+    message = f"{type(exc).__name__}: {exc}"
+    body = {"error": {"code": "internal", "message": message, "field": None}}
+    return Reply(500, body, headers=headers, close=close)
+
+
+def _overloaded() -> ServingError:
+    return ServingError(_OVERLOADED_MSG, status=503, code="overloaded")
+
+
+def _aliases(registry: ModelRegistry, name: str) -> dict:
+    return {
+        alias: target["version"]
+        for alias, target in registry.aliases(name).items()
+    }
 
 
 async def _readline(reader: asyncio.StreamReader, timeout: float, what: str) -> bytes:
-    """One head line, or :class:`_HeadTooLarge` when it is over a bound.
+    """One head line; a 431 :class:`_BadRequest` when it is over a bound.
 
     ``StreamReader.readline`` raises ``ValueError`` for a line past the
     reader's buffer limit; lines under that limit but over ``_MAX_LINE``
@@ -110,16 +265,19 @@ async def _readline(reader: asyncio.StreamReader, timeout: float, what: str) -> 
     try:
         line = await asyncio.wait_for(reader.readline(), timeout=timeout)
     except ValueError:
-        raise _HeadTooLarge(f"{what} too long") from None
-    if len(line) > _MAX_LINE:
-        raise _HeadTooLarge(f"{what} too long")
+        line = None
+    if line is None or len(line) > _MAX_LINE:
+        raise _BadRequest(f"{what} too long", 431, "header_too_large")
     return line
 
 
 class AsyncPredictionServer:
-    """Owns the asyncio HTTP server + engine lifecycle.
+    """Owns the asyncio HTTP server, the ``/v1`` routes and the engine
+    lifecycle.
 
-    All routing delegates to :class:`~repro.serving.routes.RouteCore`.
+    ``admission`` gates the data-plane routes and surfaces its counters
+    in the ``/v1/metrics`` body; a controller with no saturation signals
+    of its own is bound to ``engine``'s queue.
     """
 
     def __init__(
@@ -129,9 +287,8 @@ class AsyncPredictionServer:
         port: int = 8000,
         *,
         registry: ModelRegistry | str | None = None,
-        verbose: bool = False,
         request_timeout: float = 60.0,
-        admission: AdmissionController | AdmissionConfig | None = None,
+        admission: AdmissionController | None = None,
         keepalive_timeout: float = 75.0,
         header_timeout: float = 10.0,
     ):
@@ -139,9 +296,9 @@ class AsyncPredictionServer:
         if registry is not None and not isinstance(registry, ModelRegistry):
             registry = ModelRegistry(registry)
         self.registry = registry
-        self.admission = _build_admission(admission, engine)
-        self.core = RouteCore(engine, registry=registry, admission=self.admission)
-        self.verbose = verbose
+        if admission is not None and admission._depth_fn is None:
+            admission.bind_engine(engine)
+        self.admission = admission
         self.request_timeout = request_timeout
         self.keepalive_timeout = keepalive_timeout
         #: Budget for each *subsequent* line of a request head.  A slow-loris
@@ -245,12 +402,8 @@ class AsyncPredictionServer:
             pass
         except _BadRequest as exc:
             try:
-                self._write_reply(
-                    writer, "other", "?", None,
-                    Reply(exc.status, {"error": {"code": exc.code,
-                                                 "message": str(exc), "field": None}},
-                          close=True),
-                )
+                self._write_reply(writer, "other", "?", None,
+                                  _error_reply(exc, close=True))
                 await writer.drain()
             except (ConnectionError, RuntimeError):
                 pass
@@ -299,13 +452,20 @@ class AsyncPredictionServer:
                 return None
             if line in (b"\r\n", b"\n"):
                 break
-            name, sep, value = line.decode("latin-1").partition(":")
-            if not sep:
+            text = line.decode("latin-1").removesuffix("\n").removesuffix("\r")
+            name, sep, value = text.partition(":")
+            value = value.strip(" \t")
+            if not sep or not _FIELD_NAME_RE.fullmatch(name) or _FIELD_CTL_RE.search(value):
                 raise _BadRequest(f"malformed header line {line!r:.80}")
-            name, value = name.strip().lower(), value.strip()
-            if name == "content-length" and headers.get(name, value) != value:
-                # Which length frames the body is ambiguous (RFC 9112 6.3).
-                raise _BadRequest("conflicting Content-Length headers")
+            name = name.lower()
+            if name == "content-length":
+                # 1*DIGIT, or the body's framing is unknown (RFC 9112 6.3):
+                # int() would also take "-1", "+0" and "1_0".
+                if not (value.isascii() and value.isdigit()):
+                    raise _BadRequest(f"bad Content-Length {value!r:.40}")
+                if headers.get(name, value) != value:
+                    # Which length frames the body is ambiguous.
+                    raise _BadRequest("conflicting Content-Length headers")
             headers[name] = value
         else:
             raise _BadRequest("too many headers")
@@ -319,113 +479,83 @@ class AsyncPredictionServer:
         if head is None:
             return False
         method, target, version, headers = head
-        wants_close = (
-            headers.get("connection", "").lower() == "close"
-            or (version == "HTTP/1.0"
-                and headers.get("connection", "").lower() != "keep-alive")
+        connection = headers.get("connection", "").lower()
+        keep_alive = connection != "close" and (
+            version != "HTTP/1.0" or connection == "keep-alive"
         )
         path, query = _split_target(target)
-        route = route_label(path)
-        core = self.core
-
-        refusal = None
-        if "transfer-encoding" in headers:
-            # Only Content-Length frames a body here: reading past a chunked
-            # body would desync the connection, and with both headers the
-            # framing is ambiguous (RFC 9112 6.3).  Refuse before routing.
-            refusal = ServingError(
-                "Transfer-Encoding is not supported; send Content-Length",
-                status=501, code="unsupported_transfer_encoding",
-            )
-        elif method not in ("GET", "POST"):
-            refusal = ServingError(f"method {method!r} not supported",
-                                   status=405, code="method_not_allowed")
-        if refusal is not None:
-            self._write_reply(writer, route, method, None,
-                              core.error_reply(refusal, None, close=True))
-            await writer.drain()
-            return False
+        label, arg = _template(path)
 
         try:
-            resolved = core.resolve(method, path)
+            route = _resolve(method, path, label, arg, headers)
         except ServingError as exc:
-            # Unknown route / unknown kind: any POST body was never read,
-            # so the connection is out of sync — close it.
-            reply = core.error_reply(exc, None, close=(method == "POST"))
-            self._write_reply(writer, route, method, None, reply)
+            # Nothing of the body was read: a POST's is still on the wire,
+            # and a refused method's framing is unknown — close.
+            reply = _error_reply(exc, close=(method == "POST" or exc.status != 404))
+            self._write_reply(writer, label, method, None, reply)
             await writer.drain()
-            return not reply.close and not wants_close
+            return keep_alive and not reply.close
 
-        if method == "GET":
-            reply = await self._handle_get(core, resolved, query)
-            self._write_reply(writer, route, method, None, reply)
-            await writer.drain()
-            return not wants_close
-
-        # POST: admission gate before the body read, then trace + dispatch.
-        admitted = core.check_admission(resolved, headers.get(TENANT_HEADER.lower()))
-        if admitted is not None and not admitted.admitted:
-            self._write_reply(
-                writer, route, method, None, core.shed_reply(admitted, resolved)
-            )
-            await writer.drain()
-            return False
+        admitted = None
+        if route.data_plane and self.admission is not None:
+            admitted = self.admission.admit(label, headers.get("x-api-key"))
+            if not admitted.admitted:
+                # 429 + Retry-After; always closes (the body was never read).
+                exc = ServingError(
+                    f"request shed ({admitted.reason}); retry after "
+                    f"{admitted.retry_after_header}s",
+                    status=429,
+                    code="shed_" + admitted.reason,
+                )
+                reply = _error_reply(
+                    exc, close=True,
+                    headers={"Retry-After": admitted.retry_after_header},
+                )
+                self._write_reply(writer, label, method, None, reply)
+                await writer.drain()
+                return False
         try:
-            inbound = (headers.get("x-trace-id") or "").strip()
-            if not TRACE_ID_RE.match(inbound):
-                inbound = ""
-            root = (
-                obs_trace.start_trace(
+            root = obs_trace.NOOP
+            if route.data_plane:
+                inbound = headers.get("x-trace-id", "")
+                if not _TRACE_ID_RE.match(inbound):
+                    inbound = ""
+                root = obs_trace.start_trace(
                     "http.request",
                     trace_id=inbound or None,
                     sampled=True if inbound else None,
-                    method="POST",
-                    route=route,
+                    method=method,
+                    route=label,
                 )
-                if resolved.traced
-                else obs_trace.NOOP
-            )
             with root:
-                reply = await self._handle_post(
-                    core, resolved, reader, headers, query
-                )
-                self._write_reply(writer, route, method, root.trace_id, reply)
+                reply = await self._dispatch(route, label, method, arg, query,
+                                             headers, reader)
+                self._write_reply(writer, label, method, root.trace_id, reply)
             await writer.drain()
-            return not reply.close and not wants_close
+            return keep_alive and not reply.close
         finally:
             if admitted is not None:
-                core.admission.release()
+                self.admission.release()
 
-    # ------------------------------------------------------------- handlers
-    async def _handle_get(
-        self, core: RouteCore, resolved: Resolved, query: dict
-    ) -> Reply:
-        try:
-            return core.dispatch_simple(resolved, query, {})
-        except Exception as exc:
-            return core.error_reply(exc, resolved)
-
-    async def _handle_post(
-        self,
-        core: RouteCore,
-        resolved: Resolved,
-        reader: asyncio.StreamReader,
-        headers: dict,
-        query: dict,
-    ) -> Reply:
+    async def _dispatch(self, route: _Route, label: str, method: str,
+                        arg: str | None, query: dict, headers: dict,
+                        reader: asyncio.StreamReader) -> Reply:
+        """Read the body, then run the route's handler."""
         # Body size policing before the read: answer 413 off the headers
-        # alone so an oversized body is never buffered.
-        try:
-            length = int(headers.get("content-length") or 0)
-        except ValueError:
-            raise _BadRequest("bad Content-Length") from None
-        if length > MAX_BODY_BYTES:
-            return core.error_reply(core.body_too_large(length), resolved, close=True)
+        # alone so an oversized body is never buffered.  The length is
+        # digits only; one longer than the limit's is over it unparsed.
+        length = headers.get("content-length", "0").lstrip("0") or "0"
+        if len(length) > len(str(MAX_BODY_BYTES)) or int(length) > MAX_BODY_BYTES:
+            exc = ServingError(
+                f"body too large ({length} bytes; the limit is {MAX_BODY_BYTES})",
+                status=413, code="body_too_large",
+            )
+            return _error_reply(exc, close=True)
         raw = b""
-        if length > 0:
+        if length != "0":
             try:
                 raw = await asyncio.wait_for(
-                    reader.readexactly(length), timeout=self.request_timeout
+                    reader.readexactly(int(length)), timeout=self.request_timeout
                 )
             except (asyncio.IncompleteReadError, asyncio.TimeoutError,
                     ConnectionError):
@@ -434,56 +564,144 @@ class AsyncPredictionServer:
                 _ABORTED.inc(stage="body")
                 raise
         try:
-            payload = core.parse_body(raw, optional=(resolved.op == "reload"))
-        except ServingError as exc:
+            return await route.handler(self, arg, query, raw)
+        except Exception as exc:
             # An unparseable body was still *read*, so keep-alive survives;
             # a missing one means there is nothing to resync on — close.
-            return core.error_reply(
-                exc, resolved, close=(exc.code == "missing_body")
-            )
+            missing = isinstance(exc, ServingError) and exc.code == "missing_body"
+            return _error_reply(exc, close=missing, label=label, method=method)
 
-        try:
-            if resolved.op == "predict":
-                return await self._predict(core, resolved, payload)
-            if resolved.op == "batch":
-                return await self._batch(core, resolved, payload)
-            # Reload genuinely blocks (bundle deserialisation): the one
-            # executor hop in this front end.
-            return await asyncio.to_thread(
-                core.dispatch_simple, resolved, query, payload
-            )
-        except Exception as exc:
-            return core.error_reply(exc, resolved)
+    # ------------------------------------------------------------- handlers
+    # Each takes (path parameter, query, raw body) and returns a Reply;
+    # ``_ROUTES`` below maps (method, label) to them.
+    async def _healthz(self, arg, query, raw) -> Reply:
+        return Reply(200, {"status": "ok", "api": "v1",
+                           "models": self.engine.describe()})
 
-    async def _predict(
-        self, core: RouteCore, resolved: Resolved, payload: dict
-    ) -> Reply:
-        future = core.submit(resolved.kind, payload)
+    async def _metrics(self, arg, query, raw) -> Reply:
+        if query.get("format", [""])[0] == "prometheus":
+            return Reply(
+                200,
+                text=obs_metrics.REGISTRY.render(),
+                content_type="text/plain; version=0.0.4; charset=utf-8",
+            )
+        body = self.engine.metrics()
+        body["http"] = {"responses": HTTP_REQUESTS.snapshot()}
+        store = self.engine.store_stats()
+        if store is not None:
+            body["store"] = store
+        if self.admission is not None:
+            body["admission"] = self.admission.snapshot()
+        return Reply(200, body)
+
+    async def _traces(self, arg, query, raw) -> Reply:
+        return Reply(200, {"traces": obs_trace.STORE.summaries()})
+
+    async def _trace(self, trace_id, query, raw) -> Reply:
+        tree = obs_trace.STORE.trace(trace_id)
+        if tree is None:
+            raise ServingError(
+                f"unknown trace {trace_id!r}", status=404, code="unknown_trace"
+            )
+        return Reply(200, tree)
+
+    async def _models(self, arg, query, raw) -> Reply:
+        registry = self._registry()
+        models = []
+        for name in registry.list_models():
+            versions = registry.list_versions(name)
+            models.append(
+                {
+                    "name": name,
+                    "kind": registry.manifest(name)["kind"],
+                    "versions": versions,
+                    "latest": versions[-1],
+                    "aliases": _aliases(registry, name),
+                }
+            )
+        return Reply(200, {"models": models})
+
+    async def _model(self, name, query, raw) -> Reply:
+        version = query.get("version")
+        if version is not None:
+            try:
+                version = int(version[0])
+            except ValueError:
+                raise ServingError(
+                    f"version: {version[0]!r} is not a valid int",
+                    code="invalid_type",
+                    field="version",
+                ) from None
+        return Reply(200, self._registry().manifest(name, version))
+
+    async def _versions(self, name, query, raw) -> Reply:
+        registry = self._registry()
+        name, _ = registry.resolve(name)
+        versions = registry.list_versions(name)
+        return Reply(200, {
+            "name": name,
+            "versions": versions,
+            "latest": versions[-1],
+            "aliases": _aliases(registry, name),
+        })
+
+    async def _reload(self, name, query, raw) -> Reply:
+        payload = _parse_body(raw, optional=True)
+        # Alias reads and bundle deserialisation block: run them off the loop.
+        return Reply(200, await asyncio.to_thread(self._reload_model, name, payload))
+
+    def _reload_model(self, name: str, payload: dict) -> dict:
+        registry = self._registry()
+        req = ReloadRequest.validate(payload)
+        version = req.version
+        if req.alias is not None:
+            alias_name, alias_version = registry.resolve(req.alias)
+            if alias_name != registry.resolve(name)[0]:
+                raise ServingError(
+                    f"alias {req.alias!r} points at model {alias_name!r}, "
+                    f"not {name!r}",
+                    status=409,
+                    code="alias_mismatch",
+                    field="alias",
+                )
+            version = alias_version if version is None else version
+        return self.engine.reload_model(registry, name, version)
+
+    async def _ingest(self, arg, query, raw) -> Reply:
+        req = IngestRequest.validate(_parse_body(raw))
+        # Append + fsync block: run them off the event loop.
+        return Reply(200, await asyncio.to_thread(self.engine.ingest, req.events))
+
+    async def _predict(self, kind, query, raw) -> Reply:
+        future = self.engine.submit(kind, _parse_body(raw))
         try:
             result = await asyncio.wait_for(
                 asyncio.wrap_future(future), timeout=self.request_timeout
             )
         except asyncio.TimeoutError:
-            core.engine.record_timeout(resolved.kind)
+            # Accepted but never answered: 503 + Retry-After.
+            self.engine.record_timeout(kind)
             future.cancel()
-            return core.overloaded_reply(resolved)
-        return core.predict_reply(result)
+            return _error_reply(_overloaded(), headers={"Retry-After": "1"})
+        if "error" in result:
+            return Reply(int(result.get("status", 400)), {"error": result["error"]})
+        return Reply(200, result)
 
-    async def _batch(
-        self, core: RouteCore, resolved: Resolved, payload: dict
-    ) -> Reply:
-        futures = core.submit_batch(resolved.kind, payload)
-        wrapped = [asyncio.wrap_future(f) for f in futures]
-        if wrapped:
-            await asyncio.wait(wrapped, timeout=self.request_timeout)
+    async def _batch(self, kind, query, raw) -> Reply:
+        batch = BatchRequest.validate(_parse_body(raw))
+        wrapped = [
+            asyncio.wrap_future(self.engine.submit(kind, item))
+            for item in batch.requests
+        ]
+        await asyncio.wait(wrapped, timeout=self.request_timeout)
         results = []
         for aw in wrapped:
             if not aw.done():
-                core.engine.record_timeout(resolved.kind)
+                self.engine.record_timeout(kind)
                 aw.cancel()
-                results.append(core.overloaded_result())
+                results.append(_overloaded().as_result())
             elif aw.cancelled():
-                results.append(core.overloaded_result())
+                results.append(_overloaded().as_result())
             elif aw.exception() is not None:
                 exc = aw.exception()
                 results.append(
@@ -493,7 +711,19 @@ class AsyncPredictionServer:
                 )
             else:
                 results.append(aw.result())
-        return core.batch_reply(results)
+        n_errors = sum(1 for result in results if "error" in result)
+        return Reply(200, {"results": results, "n_ok": len(results) - n_errors,
+                           "n_errors": n_errors})
+
+    def _registry(self) -> ModelRegistry:
+        if self.registry is None:
+            raise ServingError(
+                "no model registry attached to this server; start it with "
+                "`repro serve --store ...` to enable model lifecycle routes",
+                status=503,
+                code="registry_unavailable",
+            )
+        return self.registry
 
     # --------------------------------------------------------------- writer
     def _write_reply(
@@ -525,10 +755,26 @@ class AsyncPredictionServer:
         writer.write(head + body)
 
 
+#: The API v1 surface: ``(method, label) -> route``.
+_ROUTES = {
+    ("GET", "/v1/healthz"): _Route(AsyncPredictionServer._healthz),
+    ("GET", "/v1/metrics"): _Route(AsyncPredictionServer._metrics),
+    ("GET", "/v1/traces"): _Route(AsyncPredictionServer._traces),
+    ("GET", "/v1/traces/{id}"): _Route(AsyncPredictionServer._trace),
+    ("GET", "/v1/models"): _Route(AsyncPredictionServer._models),
+    ("GET", "/v1/models/{name}"): _Route(AsyncPredictionServer._model),
+    ("GET", "/v1/models/{name}/versions"): _Route(AsyncPredictionServer._versions),
+    ("POST", "/v1/models/{name}/reload"): _Route(AsyncPredictionServer._reload),
+    ("POST", "/v1/predict/{kind}"): _Route(AsyncPredictionServer._predict, data_plane=True),
+    ("POST", "/v1/batch/{kind}"): _Route(AsyncPredictionServer._batch, data_plane=True),
+    # An overloaded server refuses ingest before the body read too; the
+    # client retries safely (dedup makes a replayed POST idempotent).
+    ("POST", "/v1/ingest"): _Route(AsyncPredictionServer._ingest, data_plane=True),
+}
+
+
 def _split_target(target: str) -> tuple[str, dict]:
     """Split a request target into (path, query dict-of-lists)."""
-    from urllib.parse import parse_qs, urlsplit
-
     parts = urlsplit(target)
     return parts.path.rstrip("/") or "/", parse_qs(parts.query)
 
@@ -539,8 +785,7 @@ def serve_forever_async(
     port: int,
     *,
     registry: ModelRegistry | str | None = None,
-    verbose: bool = True,
-    admission: AdmissionController | AdmissionConfig | None = None,
+    admission: AdmissionController | None = None,
 ) -> None:
     """Blocking serve loop for the CLI; Ctrl-C or SIGTERM stops it.
 
@@ -550,7 +795,7 @@ def serve_forever_async(
     default SIGINT handler back, so Ctrl-C / ``kill -INT`` stop it too.
     """
     server = AsyncPredictionServer(
-        engine, host, port, registry=registry, verbose=verbose, admission=admission
+        engine, host, port, registry=registry, admission=admission
     )
     previous = {}
     if threading.current_thread() is threading.main_thread():

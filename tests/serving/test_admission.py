@@ -187,24 +187,21 @@ class TestPendingGate:
         assert ctrl.admit(route).admitted
         assert ctrl.pending == 2
 
-    def test_disabled_controller_admits_everything(self):
-        ctrl = controller(FakeClock(), enabled=False, max_pending=1)
-        assert all(ctrl.admit("/v1/predict/{kind}").admitted for _ in range(10))
-        assert ctrl.pending == 0  # nothing tracked when disabled
-
     def test_snapshot_counts(self):
         ctrl = controller(FakeClock(), max_pending=1)
         ctrl.admit("/v1/predict/{kind}")
         ctrl.admit("/v1/predict/{kind}")  # queue_full
         snap = ctrl.snapshot()
         assert snap["admitted"] == 1 and snap["shed"] == 1
-        assert snap["pending"] == 1 and snap["enabled"] is True
+        # Admission is off only as ``admission=None`` (repro serve
+        # --no-admission), so a controller has no "enabled" switch.
+        assert snap["pending"] == 1 and "enabled" not in snap
 
 
 class TestConfigFromEnv:
     def test_defaults(self):
         cfg = AdmissionConfig.from_env()
-        assert cfg.enabled and cfg.route_rps == 0.0 and cfg.max_pending == 512
+        assert cfg.route_rps == 0.0 and cfg.max_pending == 512
 
     def test_env_overrides(self, monkeypatch):
         monkeypatch.setenv("REPRO_ADMIT_MAX_PENDING", "32")
@@ -221,10 +218,6 @@ class TestConfigFromEnv:
         assert cfg.tenant_rps == 10.0 and cfg.tenant_burst is None
         assert cfg.depth_high == 64 and cfg.depth_low == 8
         assert cfg.age_high_s == 0.5 and cfg.age_low_s == 0.1
-
-    def test_disable_via_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ADMIT", "off")
-        assert not AdmissionConfig.from_env().enabled
 
     def test_bad_number_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_ADMIT_RPS", "fast")

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.client import ServingClient
+from repro.obs import metrics as obs_metrics
 from repro.serving import (
     AdmissionConfig,
     AdmissionController,
@@ -130,6 +131,71 @@ class TestRoutes:
         assert any(sp["name"] == "http.request" for sp in tree["spans"])
 
 
+#: ``(method, path, body, status, route label)``: every documented route,
+#: then unknown paths, methods and kinds.  ``HATEGEN`` stands for a valid
+#: hategen predict payload.  Side-effect free: reload names a model that
+#: does not exist and ingest sends no events.
+HATEGEN = object()
+ROUTE_TABLE = [
+    ("GET", "/v1/healthz", None, 200, "/v1/healthz"),
+    ("GET", "/v1/metrics", None, 200, "/v1/metrics"),
+    ("GET", "/v1/metrics?format=prometheus", None, 200, "/v1/metrics"),
+    ("GET", "/v1/traces", None, 200, "/v1/traces"),
+    ("GET", "/v1/traces/no-such-trace", None, 404, "/v1/traces/{id}"),
+    ("GET", "/v1/models", None, 200, "/v1/models"),
+    ("GET", "/v1/models/retina", None, 200, "/v1/models/{name}"),
+    ("GET", "/v1/models/retina/versions", None, 200, "/v1/models/{name}/versions"),
+    ("POST", "/v1/models/ghost/reload", {}, 404, "/v1/models/{name}/reload"),
+    ("POST", "/v1/predict/hategen", HATEGEN, 200, "/v1/predict/{kind}"),
+    ("POST", "/v1/batch/hategen", [HATEGEN], 200, "/v1/batch/{kind}"),
+    ("POST", "/v1/ingest", {}, 400, "/v1/ingest"),
+    ("GET", "/", None, 404, "/"),
+    ("GET", "/nope", None, 404, "other"),
+    ("GET", "/healthz", None, 404, "other"),
+    ("GET", "/v1/models/bad$name", None, 404, "other"),
+    ("POST", "/v1/predict/nothing", {"a": 1}, 404, "/v1/predict/{kind}"),
+    ("POST", "/v1/batch/nothing", {"requests": [{}]}, 404, "/v1/batch/{kind}"),
+    ("GET", "/v1/predict/hategen", None, 404, "/v1/predict/{kind}"),
+    ("GET", "/v1/ingest", None, 404, "/v1/ingest"),
+    ("GET", "/v1/models/retina/reload", None, 404, "/v1/models/{name}/reload"),
+    ("POST", "/v1/healthz", {}, 404, "/v1/healthz"),
+    ("POST", "/v1/models/retina", {}, 404, "/v1/models/{name}"),
+    ("PUT", "/v1/healthz", None, 405, "/v1/healthz"),
+    ("DELETE", "/v1/models/retina", None, 405, "/v1/models/{name}"),
+    ("PATCH", "/nope", None, 405, "other"),
+]
+
+
+def _http_counts() -> dict:
+    return dict(obs_metrics.REGISTRY.snapshot().get("repro_http_requests_total", {}))
+
+
+@pytest.mark.parametrize("method,path,body,status,label", ROUTE_TABLE,
+                         ids=[f"{m} {p}" for m, p, *_ in ROUTE_TABLE])
+def test_route_table_status_and_label(aio_server, trained_hategen,
+                                      method, path, body, status, label):
+    t = trained_hategen[1][0]
+    payload = {"user_id": t.user_id, "hashtag": t.hashtag, "timestamp": t.timestamp}
+    if body is HATEGEN:
+        body = payload
+    elif body == [HATEGEN]:
+        body = {"requests": [payload]}
+    before = _http_counts()
+    host, port = aio_server.address
+    conn = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        conn.request(method, path,
+                     json.dumps(body).encode() if body is not None else None)
+        got = conn.getresponse().status
+    finally:
+        conn.close()
+    after = _http_counts()
+    delta = {k: v - before.get(k, 0) for k, v in after.items()
+             if v != before.get(k, 0)}
+    assert got == status
+    assert delta == {f"{label}|{method}|{status}": 1}
+
+
 class TestConnectionHygiene:
     def test_unknown_kind_404_closes_without_reading_body(self, aio_server):
         status, headers, body = raw_request(
@@ -224,6 +290,60 @@ def _split_responses(buf: bytes) -> list[tuple[int, dict]]:
     return out
 
 
+# Header-line mutations: each edits ``lines`` (``Name: value`` strings) in
+# place and returns whether the request keeps its meaning.  The ones that
+# keep it come first in ``_MUTATIONS``.
+def _mutate_case(rng, lines):
+    i = rng.randrange(len(lines))
+    name, _, value = lines[i].partition(":")
+    lines[i] = "".join(rng.choice((c.lower(), c.upper())) for c in name) + ":" + value
+    return True
+
+
+def _mutate_ows(rng, lines):
+    def pad():
+        return "".join(rng.choice(" \t") for _ in range(rng.randint(0, 3)))
+
+    i = rng.randrange(len(lines))
+    name, _, value = lines[i].partition(":")
+    lines[i] = f"{name}:{pad()}{value.strip()}{pad()}"
+    return True
+
+
+def _mutate_duplicate(rng, lines):
+    lines.insert(rng.randrange(len(lines) + 1), rng.choice(lines))
+    return True
+
+
+def _mutate_no_colon(rng, lines):
+    lines.insert(rng.randrange(len(lines) + 1),
+                 rng.choice(("X-Garbage", "garbage line", "Host x")))
+    return False
+
+
+def _mutate_folded(rng, lines):
+    lines.insert(rng.randrange(len(lines) + 1),
+                 rng.choice(" \t") + rng.choice(("continued", "X-Folded: yes")))
+    return False
+
+
+def _mutate_space_before_colon(rng, lines):
+    i = rng.randrange(len(lines))
+    name, _, value = lines[i].partition(":")
+    lines[i] = name + rng.choice((" ", "\t", "  ")) + ":" + value
+    return False
+
+
+def _mutate_control_char(rng, lines):
+    ctl = rng.choice(("\x00", "\x0b", "\x0c", "\r", "\x7f"))
+    lines.insert(rng.randrange(len(lines) + 1), f"X-Ctl: a{ctl}b")
+    return False
+
+
+_MUTATIONS = (_mutate_case, _mutate_ows, _mutate_duplicate, _mutate_no_colon,
+              _mutate_folded, _mutate_space_before_colon, _mutate_control_char)
+
+
 class TestFraming:
     """Malformed framing gets a typed answer, never a dropped socket."""
 
@@ -298,6 +418,86 @@ class TestFraming:
             self._assert_501(*_parse_response(raw))
             _, _, health = raw_request(srv, "GET", "/v1/healthz")
         assert health["models"]["hategen"]["source"]["version"] == 1
+
+    def test_get_body_is_read_before_the_next_request(self, aio_server):
+        # A GET's body is framed by Content-Length like any other; left
+        # unread, "hello" would prefix the next request line.
+        get = b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\n"
+        raw = _raw_bytes(aio_server, get + b"Content-Length: 5\r\n\r\nhello"
+                         + get + b"Connection: close\r\n\r\n")
+        replies = _split_responses(raw)
+        assert [status for status, _ in replies] == [200, 200]
+        assert all(reply["status"] == "ok" for _, reply in replies)
+
+    # int() takes all of these; Content-Length is 1*DIGIT (RFC 9112 8.6).
+    @pytest.mark.parametrize("value", ["-1", "+0", "0_0", "1_0", ""],
+                             ids=["minus", "plus", "underscore_0", "underscore_10",
+                                  "empty"])
+    def test_non_digit_content_length_is_400(self, aio_server, value):
+        raw = _raw_bytes(aio_server, (
+            "POST /v1/predict/hategen HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {value}\r\nConnection: close\r\n\r\n"
+        ).encode() + b'{"a": 123}')
+        assert raw.count(b"HTTP/1.1 ") == 1
+        status, headers, reply = _parse_response(raw)
+        assert status == 400 and reply["error"]["code"] == "bad_request"
+        assert headers.get("Connection") == "close"
+
+    # Both used to answer 200 and reload.  Whitespace before the colon is
+    # a 400 by RFC 9112 5.1.
+    @pytest.mark.parametrize("line", ["Content-Length: -1", "Content-Length : 0"])
+    def test_bad_content_length_reloads_nothing(self, tmp_path, loaded_bundles, line):
+        registry = ModelRegistry(tmp_path / "registry")
+        registry.save_bundle("hategen", loaded_bundles["hategen"])
+        engine = engine_from_store(registry)
+        with AsyncPredictionServer(engine, port=0, registry=registry) as srv:
+            registry.save_bundle("hategen", loaded_bundles["hategen"])  # v2
+            status, headers, reply = _raw_exchange(srv, (
+                "POST /v1/models/hategen/reload HTTP/1.1\r\nHost: x\r\n"
+                f"{line}\r\nConnection: close\r\n\r\n"
+            ).encode())
+            _, _, health = raw_request(srv, "GET", "/v1/healthz")
+        assert status == 400 and reply["error"]["code"] == "bad_request"
+        assert headers.get("Connection") == "close"
+        assert health["models"]["hategen"]["source"]["version"] == 1
+
+    # Seeded header-mutation fuzz.  A mutation that keeps the request's
+    # meaning must give a byte-identical body; any other must get a typed
+    # 400 or 431 and Connection: close — never a dropped socket or a hang.
+    MUTATION_SEEDS = range(40)
+
+    @pytest.mark.parametrize("seed", MUTATION_SEEDS)
+    def test_header_mutations(self, aio_server, trained_hategen, seed):
+        rng = random.Random(2000 + seed)
+        if rng.random() < 0.5:
+            start, lines, body = "GET /v1/healthz HTTP/1.1", [], b""
+        else:
+            body = self._hategen_body(trained_hategen)
+            start = "POST /v1/predict/hategen HTTP/1.1"
+            lines = ["Content-Type: application/json", f"Content-Length: {len(body)}"]
+        lines = ["Host: x", "Accept: */*", *lines, "Connection: close"]
+
+        def send(lines):
+            head = "\r\n".join([start, *lines]) + "\r\n\r\n"
+            raw = _raw_bytes(aio_server, head.encode("latin-1") + body)
+            assert raw.count(b"HTTP/1.1 ") == 1, raw[:200]
+            return raw
+
+        expected = send(lines).partition(b"\r\n\r\n")[2]
+        preserving = True
+        # In table order, so a case or whitespace edit never gives a
+        # garbage line the colon it lacked.
+        chosen = rng.sample(_MUTATIONS, rng.randint(1, 3))
+        for mutate in sorted(chosen, key=_MUTATIONS.index):
+            preserving &= mutate(rng, lines)
+        raw = send(lines)
+        if preserving:
+            assert raw.partition(b"\r\n\r\n")[2] == expected, lines
+        else:
+            status, headers, reply = _parse_response(raw)
+            assert status in (400, 431), lines
+            assert reply["error"]["code"] in ("bad_request", "header_too_large")
+            assert headers.get("Connection") == "close"
 
     # Seeded framing fuzz: a pipeline of valid requests, split at random
     # byte offsets or truncated, gets in-order answers or a typed close.
