@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+import threading
 import time
 from collections import OrderedDict
 
@@ -159,6 +160,9 @@ class PagedMatrix:
             "degraded_blocks": 0,
         }
         self._closed = False
+        # The row API is called from the serving thread and the ingest
+        # thread; block LRU state is compound, so each call holds this.
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------ block I/O
     def _block_rows(self, bid: int) -> tuple[int, int]:
@@ -266,16 +270,18 @@ class PagedMatrix:
         if len(rows) == 0:
             return out
         bids = rows // self.page_rows
-        for bid in np.unique(bids):
-            block = self._get_block(int(bid))
-            sel = bids == bid
-            out[sel] = block[rows[sel] - int(bid) * self.page_rows]
+        with self._lock:
+            for bid in np.unique(bids):
+                block = self._get_block(int(bid))
+                sel = bids == bid
+                out[sel] = block[rows[sel] - int(bid) * self.page_rows]
         return out
 
     def read_row(self, row: int) -> np.ndarray:
         """One row (a copy, like ``read_rows``)."""
         bid, off = divmod(int(row), self.page_rows)
-        return self._get_block(bid)[off].copy()
+        with self._lock:
+            return self._get_block(bid)[off].copy()
 
     def write_rows(self, rows, values) -> None:
         """Scatter ``values`` into the matrix, marking touched blocks dirty."""
@@ -284,12 +290,13 @@ class PagedMatrix:
         if len(rows) == 0:
             return
         bids = rows // self.page_rows
-        for bid in np.unique(bids):
-            bid = int(bid)
-            block = self._get_block(bid)
-            sel = bids == bid
-            block[rows[sel] - bid * self.page_rows] = values[sel]
-            self._dirty.add(bid)
+        with self._lock:
+            for bid in np.unique(bids):
+                bid = int(bid)
+                block = self._get_block(bid)
+                sel = bids == bid
+                block[rows[sel] - bid * self.page_rows] = values[sel]
+                self._dirty.add(bid)
 
     @property
     def resident_pages(self) -> int:
@@ -297,7 +304,8 @@ class PagedMatrix:
 
     @property
     def resident_nbytes(self) -> int:
-        return sum(b.nbytes for b in self._pages.values())
+        with self._lock:
+            return sum(b.nbytes for b in self._pages.values())
 
     # ------------------------------------------------------------ lifecycle
     def flush(self) -> None:
@@ -308,26 +316,28 @@ class PagedMatrix:
         been attempted, so one bad block can't block the rest.
         """
         first_err: PagedIOError | None = None
-        for bid in sorted(self._dirty):
-            try:
-                self._writeback(bid, self._pages[bid])
-            except PagedIOError as exc:
-                self._mark_degraded(bid)
-                if first_err is None:
-                    first_err = exc
-                continue
-            self._dirty.discard(bid)
+        with self._lock:
+            for bid in sorted(self._dirty):
+                try:
+                    self._writeback(bid, self._pages[bid])
+                except PagedIOError as exc:
+                    self._mark_degraded(bid)
+                    if first_err is None:
+                        first_err = exc
+                    continue
+                self._dirty.discard(bid)
         if first_err is not None:
             raise first_err
 
     def clear(self) -> None:
         """Drop resident pages and re-sparse the backing file (all zeros)."""
-        self._pages.clear()
-        self._dirty.clear()
-        self._degraded.clear()
-        self.stats["degraded_blocks"] = 0
-        os.ftruncate(self._fd, 0)
-        os.ftruncate(self._fd, max(self._nbytes, 1))
+        with self._lock:
+            self._pages.clear()
+            self._dirty.clear()
+            self._degraded.clear()
+            self.stats["degraded_blocks"] = 0
+            os.ftruncate(self._fd, 0)
+            os.ftruncate(self._fd, max(self._nbytes, 1))
 
     def close(self) -> None:
         if self._closed:

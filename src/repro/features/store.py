@@ -227,6 +227,7 @@ class FeatureStore:
         """
         pool = list(self.world.history.get(uid, []))
         pool.extend(self._in_window.get(uid, []))
+        # Ingested tweets never enter: validate_event_for_world admits t >= 0 only.
         pool = [tw for tw in pool if tw.timestamp < 0.0]
         pool.sort(key=lambda tw: tw.timestamp)
         return pool[-self.history_size :]
@@ -255,15 +256,11 @@ class FeatureStore:
             n_non = len(recent) - n_hate
             hate_ratio = n_hate / (n_non + 1.0)
             lex_vec = self.lexicon.vector_over(texts)
-            rt_count_ratio = int(self._rts_hate[i]) / (int(self._rts_non[i]) + 1.0)
-            rt_tweet_ratio = int(self._n_rt_hate[i]) / (int(self._n_rt_non[i]) + 1.0)
             user = world.users[uid]
             scalars = np.array(
                 [
                     hate_ratio,
-                    rt_count_ratio,
-                    rt_tweet_ratio,
-                    float(world.network.follower_count(uid)),
+                    *self._counter_scalars(i, uid),
                     user.account_age_days / 365.0,
                     float(len({t.hashtag for t in recent})),
                 ]
@@ -275,6 +272,20 @@ class FeatureStore:
                 doc_vecs = self.doc2vec.transform(texts[-5:], random_state=0)
                 docv[k] = np.mean(doc_vecs, axis=0)
         return hist, docv
+
+    def _counter_scalars(self, i: int, uid: int) -> tuple[float, float, float]:
+        """The history scalars live ingest can move, in block order.
+
+        Retweet-count ratio, retweeted-tweet ratio and follower count: the
+        only parts of a history row that read state an ingested event
+        changes.  ``_user_blocks`` and ``_patch_counters`` both call this,
+        so a patched row is bit-identical to a rebuilt one.
+        """
+        return (
+            int(self._rts_hate[i]) / (int(self._rts_non[i]) + 1.0),
+            int(self._n_rt_hate[i]) / (int(self._n_rt_non[i]) + 1.0),
+            float(self.world.network.follower_count(uid)),
+        )
 
     def ensure(self, user_ids) -> None:
         """Compute history blocks for any not-yet-built users, in one batch."""
@@ -509,24 +520,55 @@ class FeatureStore:
                 dropped += len(stale)
         return dropped
 
+    def _patch_counters(self, rows: list[int]) -> int:
+        """Rewrite the counter scalars of the already-built ``rows`` in place.
+
+        Unbuilt rows stay lazy: they build later from the updated counters.
+        A paged read/write that fails persistently marks the rows unbuilt
+        instead, so `ensure` (or the degraded-read path) recomputes them
+        from the world — ingest never fails after its events are durable.
+        Returns the number of built rows touched.
+        """
+        idx = np.array([i for i in rows if self._built[i]], dtype=np.int64)
+        if not len(idx):
+            return 0
+        values = np.array(
+            [self._counter_scalars(i, int(self._uids[i])) for i in idx.tolist()]
+        )
+        lo = self._d_hist - N_HISTORY_SCALARS + 1  # hate ratio comes first
+        cols = slice(lo, lo + values.shape[1])
+        if self.storage == "paged":
+            try:
+                block = self.history.read_rows(idx)
+                block[:, cols] = values
+                self.history.write_rows(idx, block)
+            except PagedIOError:
+                self._built[idx] = False
+        else:
+            self.history[idx, cols] = values
+        return len(idx)
+
     def apply_events(self, stored_events) -> dict[str, int]:
-        """Surgically fold already-world-applied events into the store.
+        """Fold already-world-applied events into the store, in place.
 
         Call *after* :func:`repro.store.apply_events_to_world` mutated this
         store's world.  Guarded by a per-store watermark, so overlapping
-        batches (and stores sharing one world) are safe.  Rebuilding a
-        dirtied history row later reads the updated counters/world, so the
-        row is bit-identical to a cold build over the mutated world.
+        batches (and stores sharing one world) are safe.
 
-        Returns per-structure invalidation counts (also exported on the
-        ``repro_store_invalidations_total`` counter).
+        Ingest changes only counters: a retweet moves its root author's
+        retweet-count and retweeted-tweet ratios, a follow its followee's
+        follower count.  Those three scalars are recomputed in place on
+        built rows with the expressions `_user_blocks` uses, so each patched
+        row is bit-identical to a cold build over the mutated world.  No
+        ingest event changes a text block: ingested tweets are dated
+        t >= 0 and every text block reads only the pre-t=0 window, so the
+        tf-idf, lexicon and Doc2Vec parts of a row are never recomputed.
+
+        Returns per-structure counts (also exported on the
+        ``repro_store_invalidations_total`` counter); ``history_row``
+        counts the built rows patched.
         """
-        counts = {
-            "history_row": 0,
-            "retweet_counts": 0,
-            "distance_cache": 0,
-            "in_window": 0,
-        }
+        counts = {"history_row": 0, "retweet_counts": 0, "distance_cache": 0}
         events = [s for s in stored_events if s.seq > self._applied_seq]
         if not events:
             return counts
@@ -538,20 +580,10 @@ class FeatureStore:
             if s.event.kind == "retweet":
                 batch_rts[s.event.tweet_id] = batch_rts.get(s.event.tweet_id, 0) + 1
         seen_rts: dict[int, int] = {}
-        dirty_rows: set[int] = set()
+        touched: set[int] = set()
         for s in events:
             ev = s.event
-            if ev.kind == "tweet":
-                cascade = cascade_index.get(ev.tweet_id)
-                if cascade is not None:
-                    bucket = self._in_window.setdefault(ev.user_id, [])
-                    if all(t is not cascade.root for t in bucket):
-                        bucket.append(cascade.root)
-                        counts["in_window"] += 1
-                i = self._index.get(ev.user_id)
-                if i is not None:
-                    dirty_rows.add(int(i))
-            elif ev.kind == "retweet":
+            if ev.kind == "retweet":
                 cascade = cascade_index.get(ev.tweet_id)
                 if cascade is None:
                     continue
@@ -570,20 +602,19 @@ class FeatureStore:
                     if pre_size == 0:
                         self._n_rt_non[i] += 1
                 counts["retweet_counts"] += 1
-                dirty_rows.add(int(i))
+                touched.add(int(i))
             elif ev.kind == "follow":
                 # The followee's history row embeds their follower count.
                 i = self._index.get(ev.followee)
                 if i is not None:
-                    dirty_rows.add(int(i))
+                    touched.add(int(i))
                 counts["distance_cache"] += self._invalidate_distances(
                     ev.followee, ev.follower
                 )
-            # hashtag events touch no store structure: catalog membership
-            # is pinned at the extractor layer.
-        for i in dirty_rows:
-            self._built[i] = False
-        counts["history_row"] = len(dirty_rows)
+            # Tweet events touch no store structure (see above), and hashtag
+            # events none either: catalog membership is pinned at the
+            # extractor layer.
+        counts["history_row"] = self._patch_counters(sorted(touched))
         self._applied_seq = events[-1].seq
         for structure, n in counts.items():
             if n:

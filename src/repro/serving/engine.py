@@ -244,10 +244,15 @@ class RetweeterPredictor:
         Applies the events to the world (watermark-guarded no-op when a
         co-resident predictor sharing the world got there first) and the
         extractor, registers new cascades for lookup, then surgically
-        evicts only the cache entries the events invalidate:
+        evicts only the cache entries the events invalidate.  The store
+        patches counter scalars in place and no ingest event changes a
+        text block, so an evicted row is rebuilt by a store gather, not
+        by tf-idf or Doc2Vec.  Evicted:
 
-        - candidate rows for users whose history row / prior-retweet count
-          changed (tweet author, retweet root author, retweeter, followee);
+        - candidate rows of the retweet root author (retweet ratios), the
+          retweeter (prior-retweet count), the followee (follower count)
+          and the tweet author (conservatively: a new tweet changes none
+          of their blocks);
         - per-cascade contexts whose day's trending set a new tweet moved;
         - the whole candidate-row cache on a follow — rows embed
           shortest-path lengths and the changed distances cannot be mapped
