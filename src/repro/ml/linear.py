@@ -2,13 +2,13 @@
 
 Both optimise smooth convex objectives with L-BFGS (scipy) and analytic
 gradients, supporting per-class weights ('balanced') as used in the paper's
-Table III parameter settings.
+Table III parameter settings.  scipy is imported inside ``fit`` only, so
+importing (or predicting with) these models does not load it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
 
 from repro.ml.base import BaseEstimator, ClassifierMixin, resolve_class_weight
 from repro.utils.validation import (
@@ -92,6 +92,8 @@ class LogisticRegression(BaseEstimator, ClassifierMixin):
                 grad = grad_coef
             return loss, grad
 
+        from scipy.optimize import minimize
+
         size = d + 1 if self.fit_intercept else d
         result = minimize(
             objective,
@@ -167,6 +169,8 @@ class LinearSVC(BaseEstimator, ClassifierMixin):
             else:
                 grad = grad_coef
             return loss, grad
+
+        from scipy.optimize import minimize
 
         size = d + 1 if self.fit_intercept else d
         result = minimize(

@@ -109,6 +109,25 @@ def roc_curve(y_true, y_score) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return fpr, tpr, thresholds
 
 
+def _average_ranks(a: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``a`` with ties given their mean rank, as float64.
+
+    Bit-identical to ``scipy.stats.rankdata(a)`` (method ``'average'``),
+    including its NaN policy: any NaN makes every rank NaN.
+    """
+    if np.isnan(a).any():
+        return np.full(a.shape, np.nan)
+    order = np.argsort(a, kind="stable")
+    sorted_a = a[order]
+    starts_group = np.ones(a.size, dtype=bool)
+    starts_group[1:] = sorted_a[1:] != sorted_a[:-1]
+    first = np.flatnonzero(starts_group)  # 0-based first position of each tie
+    last = np.append(first[1:], a.size)  # 1-based last position of each tie
+    ranks = np.empty(a.size, dtype=np.float64)
+    ranks[order] = (0.5 * (first + 1 + last))[np.cumsum(starts_group) - 1]
+    return ranks
+
+
 def roc_auc_score(y_true, y_score) -> float:
     """Area under the ROC curve (probability a positive outranks a negative).
 
@@ -121,9 +140,7 @@ def roc_auc_score(y_true, y_score) -> float:
     n_neg = int(len(y_true) - n_pos)
     if n_pos == 0 or n_neg == 0:
         raise ValueError("roc_auc_score requires both classes present")
-    from scipy.stats import rankdata
-
-    ranks = rankdata(y_score)
+    ranks = _average_ranks(y_score)
     rank_sum = float(ranks[y_true].sum())
     u = rank_sum - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ml.metrics import (
+    _average_ranks,
     accuracy_score,
     average_precision_at_k,
     confusion_matrix,
@@ -116,6 +117,56 @@ class TestRocAuc:
         a1 = roc_auc_score(y, s)
         a2 = roc_auc_score(y, np.exp(s))  # strictly monotone
         assert a1 == pytest.approx(a2)
+
+
+# Scores drawn mostly from a small pool so ties are common, including the
+# signed zeros (equal under comparison) and both infinities.
+_TIED_SCORES = st.one_of(
+    st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.25, 1.0, np.inf]),
+    st.floats(allow_nan=False),
+)
+
+
+def _with_nan(scores, nan_at):
+    """Scores as float64, with a NaN inserted at ``nan_at`` unless it is None."""
+    if nan_at is not None:
+        scores = scores[:nan_at] + [np.nan] + scores[nan_at:]
+    return np.array(scores, dtype=np.float64)
+
+
+class TestAverageRanks:
+    """``_average_ranks`` is bit-identical to ``scipy.stats.rankdata``."""
+
+    @given(st.lists(_TIED_SCORES, max_size=40), st.none() | st.integers(0, 40))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scipy_rankdata(self, scores, nan_at):
+        from scipy.stats import rankdata
+
+        a = _with_nan(scores, nan_at)
+        got, want = _average_ranks(a), rankdata(a)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @given(
+        st.lists(st.tuples(st.booleans(), _TIED_SCORES), min_size=2, max_size=40),
+        st.none() | st.integers(0, 40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_auc_is_mann_whitney_on_scipy_ranks(self, pairs, nan_at):
+        from scipy.stats import rankdata
+
+        y = np.array([p[0] for p in pairs])
+        if nan_at is not None:
+            y = np.insert(y, min(nan_at, len(y)), nan_at % 2 == 0)
+        s = _with_nan([p[1] for p in pairs], nan_at)
+        n_pos = int(y.sum())
+        n_neg = len(y) - n_pos
+        if n_pos == 0 or n_neg == 0:
+            return
+        u = float(rankdata(s)[y].sum()) - n_pos * (n_pos + 1) / 2.0
+        want = u / (n_pos * n_neg)
+        got = roc_auc_score(y, s)
+        assert got == want or (np.isnan(got) and np.isnan(want))
 
 
 class TestRanking:

@@ -1,0 +1,47 @@
+"""Serving, training and the paper pipeline start without importing scipy.
+
+scipy is needed only to fit the linear models (L-BFGS).  A fresh interpreter
+imports every entry module, computes an ROC-AUC, and must hold no ``scipy``
+module until ``LogisticRegression.fit`` runs.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+_PROBE = """
+import json, sys
+import repro.cli, repro.serving, repro.serving.aio, repro.data
+import repro.core.retina, repro.core.hategen
+from repro.ml import LogisticRegression
+from repro.ml.metrics import roc_auc_score
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+auc = roc_auc_score([0, 1, 0, 1, 1], [0.1, 0.9, 0.4, 0.4, 0.7])
+before = scipy_modules()
+clf = LogisticRegression().fit([[0.0], [1.0], [0.2], [0.9]], [0, 1, 0, 1])
+print(json.dumps({
+    "auc": auc,
+    "before_fit": before,
+    "optimize_after_fit": "scipy.optimize" in sys.modules,
+    "pred": clf.predict([[0.0], [1.0]]).tolist(),
+}))
+"""
+
+
+def test_entry_modules_do_not_import_scipy():
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", _PROBE], cwd=ROOT, env=env,
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    got = json.loads(out.stdout.strip().splitlines()[-1])
+    assert got["auc"] == 5.5 / 6
+    assert got["before_fit"] == []
+    assert got["optimize_after_fit"] is True
+    assert got["pred"] == [0, 1]
