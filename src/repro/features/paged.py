@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import os
 import tempfile
-import threading
 import time
 from collections import OrderedDict
 
@@ -160,9 +159,9 @@ class PagedMatrix:
             "degraded_blocks": 0,
         }
         self._closed = False
-        # The row API is called from the serving thread and the ingest
-        # thread; block LRU state is compound, so each call holds this.
-        self._lock = threading.Lock()
+        # Not thread-safe: the block LRU is compound state.  Its only
+        # caller, FeatureStore, runs on one thread — the training loop, or
+        # the serving engine's batcher, which also applies ingest.
 
     # ------------------------------------------------------------ block I/O
     def _block_rows(self, bid: int) -> tuple[int, int]:
@@ -270,18 +269,16 @@ class PagedMatrix:
         if len(rows) == 0:
             return out
         bids = rows // self.page_rows
-        with self._lock:
-            for bid in np.unique(bids):
-                block = self._get_block(int(bid))
-                sel = bids == bid
-                out[sel] = block[rows[sel] - int(bid) * self.page_rows]
+        for bid in np.unique(bids):
+            block = self._get_block(int(bid))
+            sel = bids == bid
+            out[sel] = block[rows[sel] - int(bid) * self.page_rows]
         return out
 
     def read_row(self, row: int) -> np.ndarray:
         """One row (a copy, like ``read_rows``)."""
         bid, off = divmod(int(row), self.page_rows)
-        with self._lock:
-            return self._get_block(bid)[off].copy()
+        return self._get_block(bid)[off].copy()
 
     def write_rows(self, rows, values) -> None:
         """Scatter ``values`` into the matrix, marking touched blocks dirty."""
@@ -290,22 +287,16 @@ class PagedMatrix:
         if len(rows) == 0:
             return
         bids = rows // self.page_rows
-        with self._lock:
-            for bid in np.unique(bids):
-                bid = int(bid)
-                block = self._get_block(bid)
-                sel = bids == bid
-                block[rows[sel] - bid * self.page_rows] = values[sel]
-                self._dirty.add(bid)
+        for bid in np.unique(bids):
+            bid = int(bid)
+            block = self._get_block(bid)
+            sel = bids == bid
+            block[rows[sel] - bid * self.page_rows] = values[sel]
+            self._dirty.add(bid)
 
     @property
     def resident_pages(self) -> int:
         return len(self._pages)
-
-    @property
-    def resident_nbytes(self) -> int:
-        with self._lock:
-            return sum(b.nbytes for b in self._pages.values())
 
     # ------------------------------------------------------------ lifecycle
     def flush(self) -> None:
@@ -316,28 +307,26 @@ class PagedMatrix:
         been attempted, so one bad block can't block the rest.
         """
         first_err: PagedIOError | None = None
-        with self._lock:
-            for bid in sorted(self._dirty):
-                try:
-                    self._writeback(bid, self._pages[bid])
-                except PagedIOError as exc:
-                    self._mark_degraded(bid)
-                    if first_err is None:
-                        first_err = exc
-                    continue
-                self._dirty.discard(bid)
+        for bid in sorted(self._dirty):
+            try:
+                self._writeback(bid, self._pages[bid])
+            except PagedIOError as exc:
+                self._mark_degraded(bid)
+                if first_err is None:
+                    first_err = exc
+                continue
+            self._dirty.discard(bid)
         if first_err is not None:
             raise first_err
 
     def clear(self) -> None:
         """Drop resident pages and re-sparse the backing file (all zeros)."""
-        with self._lock:
-            self._pages.clear()
-            self._dirty.clear()
-            self._degraded.clear()
-            self.stats["degraded_blocks"] = 0
-            os.ftruncate(self._fd, 0)
-            os.ftruncate(self._fd, max(self._nbytes, 1))
+        self._pages.clear()
+        self._dirty.clear()
+        self._degraded.clear()
+        self.stats["degraded_blocks"] = 0
+        os.ftruncate(self._fd, 0)
+        os.ftruncate(self._fd, max(self._nbytes, 1))
 
     def close(self) -> None:
         if self._closed:

@@ -14,15 +14,17 @@ route.  A single event loop on :func:`asyncio.start_server` runs:
   unknown route or predictor kind is answered 404 without reading the
   payload;
 - engine hand-off via :func:`asyncio.wrap_future` around the
-  ``concurrent.futures.Future`` that :meth:`InferenceEngine.submit`
-  already returns — the event loop *awaits* the micro-batcher without
-  parking a thread per in-flight request, so thousands of concurrent
-  requests cost coroutines, not stacks;
+  ``concurrent.futures.Future`` that :meth:`InferenceEngine.submit` (a
+  read) or :meth:`InferenceEngine.submit_ingest` (an ingest batch)
+  returns — the event loop *awaits* the batcher without parking a thread
+  per in-flight request, so thousands of concurrent requests cost
+  coroutines, not stacks; both wait at most ``request_timeout``, then
+  answer 503 with ``Retry-After``;
 - admission control (:mod:`repro.serving.admission`) runs after route
   resolution but before the body is read, so a shed request costs one
   decision and one small write;
-- the only executor hops are ``asyncio.to_thread`` around model reloads
-  (bundle deserialisation) and ingest (append + fsync), which block.
+- the only executor hop is ``asyncio.to_thread`` around model reloads,
+  which read the registry and then wait for the batcher to swap.
 
 The event loop runs in a daemon thread so synchronous callers (tests,
 the benchmark, the CLI) use this class like any blocking server:
@@ -667,25 +669,29 @@ class AsyncPredictionServer:
             version = alias_version if version is None else version
         return self.engine.reload_model(registry, name, version)
 
-    async def _ingest(self, arg, query, raw) -> Reply:
-        req = IngestRequest.validate(_parse_body(raw))
-        # Append + fsync block: run them off the event loop.
-        return Reply(200, await asyncio.to_thread(self.engine.ingest, req.events))
-
-    async def _predict(self, kind, query, raw) -> Reply:
-        future = self.engine.submit(kind, _parse_body(raw))
+    async def _engine_reply(self, kind: str, future) -> Reply:
+        """Await an engine future for at most ``request_timeout``."""
         try:
             result = await asyncio.wait_for(
                 asyncio.wrap_future(future), timeout=self.request_timeout
             )
         except asyncio.TimeoutError:
-            # Accepted but never answered: 503 + Retry-After.
+            # Accepted but never answered: 503 + Retry-After.  Cancelling
+            # stops a job that has not started; a started ingest completes,
+            # and its retry is acked by dedup.
             self.engine.record_timeout(kind)
             future.cancel()
             return _error_reply(_overloaded(), headers={"Retry-After": "1"})
         if "error" in result:
             return Reply(int(result.get("status", 400)), {"error": result["error"]})
         return Reply(200, result)
+
+    async def _ingest(self, arg, query, raw) -> Reply:
+        req = IngestRequest.validate(_parse_body(raw))
+        return await self._engine_reply("ingest", self.engine.submit_ingest(req.events))
+
+    async def _predict(self, kind, query, raw) -> Reply:
+        return await self._engine_reply(kind, self.engine.submit(kind, _parse_body(raw)))
 
     async def _batch(self, kind, query, raw) -> Reply:
         batch = BatchRequest.validate(_parse_body(raw))

@@ -14,18 +14,20 @@ feature blocks are LRU-cached by (user, cascade, interval) and
 batch-built through the columnar extractor on misses, full rows are
 assembled once per micro-batch, and a single model forward covers every
 request that shares a context.  :class:`InferenceEngine` wraps the
-predictors with a queue + worker thread that coalesces concurrent
+predictors with a queue + batcher thread that coalesces concurrent
 requests into micro-batches, which is what the HTTP layer submits to.
 
-Model lifecycle: :meth:`InferenceEngine.reload_model` loads a bundle
-version from a registry and atomically swaps the serving predictor —
-the micro-batch in flight finishes on the old predictor, later ones run
-on the new one.
+Once the engine has started, the batcher thread is the only thread that
+touches the live world, the feature stores and the predictor caches:
+ingest batches and model swaps are jobs on the same queue as the reads,
+run in arrival order.  A read queued after an ingest ack sees that ack's
+events, and a reload cannot miss an event acked while it loads.
 """
 
 from __future__ import annotations
 
 import collections
+import contextvars
 import dataclasses
 import os
 import queue
@@ -34,6 +36,7 @@ import time
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -147,10 +150,12 @@ class RetweeterPredictor:
         self.feature_cache = LRUCache(cache_size)
         self.context_cache = LRUCache(max(64, cache_size // 64))
         #: Event-log watermark: highest store seq already folded into this
-        #: predictor's caches.  A predictor built over an already-replayed
-        #: world starts at the world's watermark (its ``_cascades`` map and
-        #: empty caches already reflect those events).
-        self._applied_seq = int(getattr(self.world, "_store_watermark", 0))
+        #: predictor.  Over an already-replayed world it starts at the
+        #: world's watermark, or lower at the bundle's ``prior_seq``, so a
+        #: replay still counts the retweets its prior counts lack.
+        self._applied_seq = min(
+            int(getattr(self.world, "_store_watermark", 0)), self.extractor._prior_seq
+        )
         #: ``{"name", "version"}`` of the registry bundle this predictor
         #: serves, set by :func:`engine_from_store` / reloads.
         self.source: dict | None = None
@@ -579,6 +584,9 @@ class _Request:
     #: belongs to (None when untraced), so batch spans land in its trace.
     trace: tuple[str, str] | None = None
     dequeued_at: float = 0.0
+    #: A job (ingest, model swap) instead of a read: the batcher calls it
+    #: alone, after the reads gathered before it.
+    job: Callable[[], object] | None = None
 
 
 _SHUTDOWN = object()
@@ -587,7 +595,7 @@ _SHUTDOWN = object()
 class InferenceEngine:
     """Coalesces concurrent requests into vectorised micro-batches.
 
-    A batch is whatever is queued when the engine is free: a gather
+    A batch is whatever is queued when the engine is free: the batcher
     thread blocks for one request, takes up to ``max_batch_size - 1``
     more that are already waiting (never waiting for new ones), groups
     them by predictor kind, and executes each group via
@@ -595,9 +603,10 @@ class InferenceEngine:
     so batches grow; an idle stream is served one request at a time with
     no added latency.
 
-    :meth:`swap_predictor` replaces the predictor serving a kind with
-    zero dropped requests: the predictor reference is swapped (atomic
-    under the GIL) and the batch in flight finishes on the old one.
+    The batcher is the single writer of serving state: ingest
+    (:meth:`submit_ingest`) and model swaps (:meth:`reload_model`) are
+    jobs on the same FIFO queue.  A batch ends at a job; its reads run
+    first, then the job runs alone, so no read overlaps a write.
     """
 
     def __init__(
@@ -624,10 +633,6 @@ class InferenceEngine:
         #: Durable event log (see :mod:`repro.store`) backing live ingest;
         #: attached by :meth:`attach_store`, ``None`` = ingest disabled.
         self.event_log: EventLog | None = None
-        #: Serialises ingest batches: append order defines the replayable
-        #: history, so two concurrent POSTs must not interleave validation
-        #: against a half-applied world.
-        self._ingest_lock = threading.Lock()
 
     def _queue_age_s(self) -> float:
         try:
@@ -691,9 +696,11 @@ class InferenceEngine:
 
     # ------------------------------------------------------ model lifecycle
     def swap_predictor(self, kind: str, predictor):
-        """Atomically replace the predictor serving ``kind``; returns the old.
+        """Replace the predictor serving ``kind``; returns the old one.
 
-        The micro-batch in flight finishes on the old predictor.
+        Once the engine has started, call this only from a batcher job
+        (:meth:`reload_model` does): the batch before the job finished on
+        the old predictor, and the reads after it run on the new one.
         """
         old = self.predictors.get(kind)
         self.predictors[kind] = predictor
@@ -704,39 +711,43 @@ class InferenceEngine:
     ) -> dict:
         """Load a registry bundle and swap it in; returns what's serving now.
 
-        ``name`` may be a model name or an alias.  The existing predictor's
-        world is reused when the manifest records the same world config, so
-        a reload pays bundle I/O — not world regeneration.
+        ``name`` may be a model name or an alias.  Only the manifest read
+        runs on the calling thread.  Loading the bundle (over the live
+        world when the manifest records the same world config, so a reload
+        pays bundle I/O, not world regeneration), replaying the event log
+        past the new predictor's watermark and the swap run as one batcher
+        job: no ingest lands between them.  Blocks until the job has run.
         """
         if not isinstance(registry, ModelRegistry):
             registry = ModelRegistry(registry)
         manifest = registry.manifest(name, version)
         kind = KIND_FOR_BUNDLE[manifest["kind"]]
-        old = self.predictors.get(kind)
-        world = None
-        if old is not None and dataclasses.asdict(old.world.config) == manifest["world_config"]:
-            world = old.world
-        bundle = registry.load_bundle(manifest["name"], manifest["version"], world=world)
-        predictor = predictor_for_bundle(bundle)
-        predictor.source = {"name": manifest["name"], "version": manifest["version"]}
-        if self.event_log is not None:
-            # Replay the durable log through the incoming predictor before
-            # it serves: ingested events survive a model swap, whether the
-            # new bundle shares the old (already-replayed) world or brings
-            # a fresh one.
-            predictor.apply_events(self.event_log.events(0))
-        previous = self.swap_predictor(kind, predictor)
-        prev_source = getattr(previous, "source", None) or {}
-        return {
-            "name": manifest["name"],
-            "version": manifest["version"],
-            "kind": kind,
-            "previous_version": prev_source.get("version"),
-        }
+
+        def swap() -> dict:
+            old = self.predictors.get(kind)
+            config = dataclasses.asdict(old.world.config) if old is not None else None
+            world = old.world if config == manifest["world_config"] else None
+            bundle = registry.load_bundle(manifest["name"], manifest["version"], world=world)
+            predictor = predictor_for_bundle(bundle)
+            predictor.source = {"name": manifest["name"], "version": manifest["version"]}
+            if self.event_log is not None:
+                predictor.apply_events(self.event_log.events(predictor._applied_seq))
+            previous = self.swap_predictor(kind, predictor)
+            prev_source = getattr(previous, "source", None) or {}
+            return {
+                "name": manifest["name"],
+                "version": manifest["version"],
+                "kind": kind,
+                "previous_version": prev_source.get("version"),
+            }
+
+        return self._submit_job(swap).result()
 
     # ------------------------------------------------------------- ingest
     def attach_store(self, event_log: EventLog) -> int:
         """Attach the durable event log and replay it into every predictor.
+
+        Call before :meth:`start`: the replay runs on the calling thread.
 
         Replays the full log: each predictor resumes past its own
         watermark (the bundle's recorded ``prior_seq`` / the shared
@@ -759,6 +770,8 @@ class InferenceEngine:
     def ingest(self, items: list[dict]) -> dict:
         """Durably append a batch of events and fold them into serving state.
 
+        Once the engine has started, only the batcher may call this.
+
         Per item: schema validation, then semantic validation against the
         serving world(s), then a crash-safe append to the event log — the
         item is acked (its assigned ``seq`` returned) only after fsync.
@@ -771,85 +784,48 @@ class InferenceEngine:
         Inside one batch, earlier items take effect before later ones are
         validated (a tweet can be retweeted by the next item).
         """
-        if self.event_log is None:
-            raise ServingError(
-                "no event log attached to this engine; start the server "
-                "from a model store to enable ingest",
-                status=503,
-                code="store_unavailable",
-            )
-        if self._stopping.is_set():
-            raise ServingError(
-                "engine is shutting down; request refused",
-                status=503,
-                code="engine_shutdown",
-            )
-        worlds: dict[int, object] = {
-            id(p.world): p.world for p in self.predictors.values()
-        }
+        worlds = {id(p.world): p.world for p in self.predictors.values()}.values()
         results: list[dict] = []
-        accepted = deduped = errors = 0
         applied: list[StoredEvent] = []
-        with self._ingest_lock:
-            with obs_trace.span("ingest.append", events=len(items)):
-                for item in items:
-                    try:
-                        wire = validate_event_payload(item)
-                        event = event_from_wire(wire)
-                    except ServingError as exc:
-                        results.append(exc.as_result())
-                        errors += 1
-                        continue
-                    except ValueError as exc:
-                        results.append(
-                            ServingError(
-                                str(exc), code="invalid_event"
-                            ).as_result()
-                        )
-                        errors += 1
-                        continue
+        with obs_trace.span("ingest.append", events=len(items)):
+            for item in items:
+                try:
+                    event = event_from_wire(validate_event_payload(item))
                     # Duplicates skip semantic validation: the original is
                     # already applied, so re-validating would reject it
                     # ("already retweeted") instead of acking its seq.
                     if self.event_log.seq_for_hash(event_hash(event)) is None:
-                        msg = None
-                        for world in worlds.values():
+                        for world in worlds:
                             msg = validate_event_for_world(world, event)
                             if msg is not None:
-                                break
-                        if msg is not None:
-                            results.append(
-                                ServingError(
-                                    msg, status=409, code="invalid_event"
-                                ).as_result()
-                            )
-                            errors += 1
-                            continue
-                    seq, h, was_dup = self.event_log.append(event)
-                    if was_dup:
-                        deduped += 1
-                    else:
-                        stored = StoredEvent(seq=seq, hash=h, event=event)
-                        # Apply to the world(s) now so later items in this
-                        # batch validate against the updated state.
-                        for world in worlds.values():
-                            apply_events_to_world(world, [stored])
-                        applied.append(stored)
-                        accepted += 1
-                    results.append(
-                        {"seq": seq, "hash": h, "deduped": was_dup,
-                         "kind": event.kind}
-                    )
-            if applied:
-                with obs_trace.span("ingest.invalidate", events=len(applied)):
-                    for predictor in self.predictors.values():
-                        predictor.apply_events(applied)
+                                raise ServingError(msg, status=409, code="invalid_event")
+                except ServingError as exc:
+                    results.append(exc.as_result())
+                    continue
+                except ValueError as exc:
+                    results.append(ServingError(str(exc), code="invalid_event").as_result())
+                    continue
+                seq, h, was_dup = self.event_log.append(event)
+                if not was_dup:
+                    stored = StoredEvent(seq=seq, hash=h, event=event)
+                    # Apply to the world(s) now so later items in this
+                    # batch validate against the updated state.
+                    for world in worlds:
+                        apply_events_to_world(world, [stored])
+                    applied.append(stored)
+                results.append(
+                    {"seq": seq, "hash": h, "deduped": was_dup, "kind": event.kind}
+                )
+        if applied:
+            with obs_trace.span("ingest.invalidate", events=len(applied)):
+                for predictor in self.predictors.values():
+                    predictor.apply_events(applied)
         with obs_trace.span("ingest.reply"):
             return {
                 "results": results,
-                "accepted": accepted,
-                "deduped": deduped,
-                "n_errors": errors,
+                "accepted": len(applied),
+                "deduped": sum(1 for r in results if r.get("deduped")),
+                "n_errors": sum(1 for r in results if "error" in r),
                 "last_seq": self.event_log.last_seq,
             }
 
@@ -871,25 +847,46 @@ class InferenceEngine:
         Requests submitted before :meth:`start` are buffered and served in
         the first micro-batch once the worker runs.
         """
+        if kind not in self.predictors:
+            raise ServingError(
+                f"unknown predictor {kind!r}; loaded: {sorted(self.predictors)}",
+                status=404,
+                code="unknown_predictor",
+            )
+        return self._enqueue(_Request(
+            kind=kind,
+            payload=payload,
+            future=Future(),
+            trace=obs_trace.current_context(),
+        ))
+
+    def submit_ingest(self, items: list[dict]) -> Future:
+        """Queue an ingest batch; the future holds its ack.  The batcher
+        runs :meth:`ingest` after the reads queued before it."""
+        if self.event_log is None:
+            raise ServingError(
+                "no event log attached to this engine; start the server "
+                "from a model store to enable ingest",
+                status=503,
+                code="store_unavailable",
+            )
+        return self._submit_job(lambda: self.ingest(items))
+
+    def _submit_job(self, fn: Callable[[], object]) -> Future:
+        """Queue ``fn`` to run alone on the batcher thread, in a copy of the
+        caller's context (so the spans it opens join the caller's trace)."""
+        context = contextvars.copy_context()
+        return self._enqueue(_Request(
+            kind="job", payload={}, future=Future(), job=lambda: context.run(fn),
+        ))
+
+    def _enqueue(self, request: _Request) -> Future:
         if self._stopping.is_set():
             raise ServingError(
                 "engine is shutting down; request refused",
                 status=503,
                 code="engine_shutdown",
             )
-        predictor = self.predictors.get(kind)
-        if predictor is None:
-            raise ServingError(
-                f"unknown predictor {kind!r}; loaded: {sorted(self.predictors)}",
-                status=404,
-                code="unknown_predictor",
-            )
-        request = _Request(
-            kind=kind,
-            payload=payload,
-            future=Future(),
-            trace=obs_trace.current_context(),
-        )
         self._queued_arrivals.append(request.submitted_at)
         self._queue.put(request)
         return request.future
@@ -929,11 +926,12 @@ class InferenceEngine:
 
     # ------------------------------------------------------------- worker
     def _gather(self) -> list:
-        """Block for one request, then take what is already queued, up to the cap."""
+        """Block for one request, then take what is already queued, up to
+        the cap; a job ends the batch."""
         batch = [self._queue.get()]
         while batch[-1] is not _SHUTDOWN:
             self._dequeue(batch[-1])
-            if len(batch) == self.max_batch_size:
+            if len(batch) == self.max_batch_size or batch[-1].job is not None:
                 break
             try:
                 batch.append(self._queue.get_nowait())
@@ -951,8 +949,9 @@ class InferenceEngine:
     def _run(self) -> None:
         while True:
             batch = self._gather()
-            shutdown = _SHUTDOWN in batch
-            requests = [r for r in batch if r is not _SHUTDOWN]
+            shutdown = batch[-1] is _SHUTDOWN
+            job = None if shutdown or batch[-1].job is None else batch[-1]
+            requests = batch[:-1] if shutdown or job else batch
             by_kind: dict[str, list[_Request]] = {}
             for r in requests:
                 by_kind.setdefault(r.kind, []).append(r)
@@ -979,6 +978,8 @@ class InferenceEngine:
             for kind, group in by_kind.items():
                 _BATCHES.inc(kind=kind)
                 self._execute(kind, group)
+            if job is not None:
+                self._run_job(job)
             if shutdown:
                 self._fail_queued()
                 return
@@ -1000,6 +1001,16 @@ class InferenceEngine:
             self._dequeue(item)
             if item.future.set_running_or_notify_cancel():
                 item.future.set_exception(exc)
+
+    def _run_job(self, request: _Request) -> None:
+        if not request.future.set_running_or_notify_cancel():
+            return  # cancelled while queued: it never runs
+        try:
+            result = request.job()
+        except BaseException as exc:  # the batcher must survive a bad job
+            request.future.set_exception(exc)
+        else:
+            request.future.set_result(result)
 
     def _execute(self, kind: str, group: list[_Request]) -> None:
         predictor = self.predictors[kind]

@@ -90,9 +90,10 @@ def _entity_keys(event: Event):
 class EventLog:
     """Durable append-only log with content-hash dedup and replay.
 
-    Thread-safe: appends serialise on an internal lock (the serving
-    engine calls ``append`` from request handlers while ``events`` may
-    stream for replay).
+    One thread writes: the serving engine appends from its batcher
+    thread, which also replays.  A lock still guards the in-memory state,
+    because ``/v1/metrics`` reads :meth:`stats` from the event-loop
+    thread while the batcher appends.
     """
 
     def __init__(self, root: str, *, segment_max_bytes: int = 4 << 20,
@@ -341,15 +342,6 @@ class EventLog:
             }
 
     # ----------------------------------------------------------- lifecycle
-    def sync(self) -> None:
-        with self._lock:
-            if self._fh is not None:
-                self._fh.flush()
-                self._fsync(
-                    self._fh,
-                    os.path.join(self.root, _segment_name(self._segment_index)),
-                )
-
     def close(self) -> None:
         with self._lock:
             if self._fh is not None:

@@ -6,8 +6,6 @@ a resident ndarray under any eviction schedule, and a ``storage="paged"``
 """
 
 import os
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -100,44 +98,6 @@ class TestPagedMatrix:
         assert os.path.exists(path)
         pm.close()
         assert not os.path.exists(path)
-
-    def test_concurrent_writers_lose_no_update(self):
-        """Serving and ingest threads share a store's matrices.
-
-        With one resident page, every write evicts another writer's block;
-        unsynchronised, a write could land in a block already evicted (a
-        lost update) or find its block popped mid-lookup (``KeyError``).
-        """
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for _ in range(3):
-                pm = PagedMatrix(16, 2, page_rows=2, max_pages=1)
-                want = np.zeros((16, 2))
-                errors = []
-
-                def writer(w):
-                    try:
-                        for k in range(200):
-                            r = 4 * ((k + w) % 4) + w  # rows owned by w
-                            want[r] = k
-                            pm.write_rows(np.array([r]), np.full((1, 2), float(k)))
-                    except Exception as exc:  # asserted empty below
-                        errors.append(exc)
-
-                threads = [threading.Thread(target=writer, args=(w,)) for w in range(4)]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=30)
-                try:
-                    assert not any(t.is_alive() for t in threads)
-                    assert errors == []
-                    np.testing.assert_array_equal(pm.read_rows(np.arange(16)), want)
-                finally:
-                    pm.close()
-        finally:
-            sys.setswitchinterval(old)
 
 
 class TestPagedStoreParity:

@@ -1,4 +1,5 @@
-"""POST /v1/ingest end to end: route, SDK, CLI, liveness, restart replay.
+"""POST /v1/ingest end to end: route, SDK, CLI, liveness, restart replay,
+reloads beside ingest, and the ingest wait bound.
 
 Every fixture copies the session registry to a private directory before
 attaching an event log — ingested events must never leak into other
@@ -6,9 +7,11 @@ test modules' engines via replay, and the engines here regenerate their
 own worlds so the shared ``serving_world`` is never mutated.
 """
 
+import http.client
 import io
 import json
 import shutil
+import threading
 
 import numpy as np
 import pytest
@@ -125,8 +128,6 @@ class TestIngestRoute:
         host, port = srv.address
         last = engine.event_log.last_seq
         # Raw POST: the SDK would reject these client-side before the wire.
-        import http.client
-
         conn = http.client.HTTPConnection(host, port, timeout=30)
         try:
             body = json.dumps({"events": [
@@ -219,7 +220,7 @@ class TestRestartReplay:
         store = _copy_store(registry, tmp_path_factory, "replay-store")
         engine1 = engine_from_store(store).start()
         cascade, fresh, tag = _world_material(engine1)
-        resp = engine1.ingest([
+        resp = engine1.submit_ingest([
             {"kind": "hashtag", "tag": "#replayed", "theme": "riots"},
             {"kind": "tweet", "tweet_id": 920001, "user_id": fresh[0],
              "hashtag": "#replayed", "text": "survives restarts",
@@ -229,7 +230,7 @@ class TestRestartReplay:
             {"kind": "retweet", "tweet_id": 920001, "user_id": fresh[2],
              "timestamp": FAR_TS + 1},
             _fresh_follow(engine1),
-        ])
+        ]).result(timeout=60)
         assert resp["accepted"] == 5 and resp["n_errors"] == 0
         probes = fresh[:6]
         want_old = engine1.predict("retweeters", {
@@ -256,3 +257,136 @@ class TestRestartReplay:
             )
         engine2.stop()
         engine2.event_log.close()
+
+
+def _post_ingest(srv, events) -> tuple[int, dict, dict]:
+    """One raw POST /v1/ingest (no SDK retries): (status, headers, body)."""
+    host, port = srv.address
+    conn = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        conn.request("POST", "/v1/ingest", json.dumps({"events": events}).encode(),
+                     {"Content-Type": "application/json"})
+        resp = conn.getresponse()
+        return resp.status, dict(resp.getheaders()), json.loads(resp.read())
+    finally:
+        conn.close()
+
+
+class TestReloadBesideIngest:
+    def test_ingest_acked_during_reload_is_served_by_the_new_predictor(
+        self, registry, tmp_path_factory
+    ):
+        """An ingest lands while the reloaded predictor is about to swap in.
+
+        The hook holds ``swap_predictor`` until the ingest is acked or a
+        second has passed.  If ingest ran beside the reload, the ack would
+        come first and reach only the old predictor; on the batcher it
+        waits for the reload job, then applies to the new predictor.
+        """
+        store = _copy_store(registry, tmp_path_factory, "reload-ingest-store")
+        engine = engine_from_store(store)
+        _, fresh, tag = _world_material(engine)
+        tweet = {"kind": "tweet", "tweet_id": 990001, "user_id": fresh[0],
+                 "hashtag": tag, "text": "acked mid reload", "timestamp": FAR_TS}
+        acks: list = []
+        ingests: list[threading.Thread] = []
+        swap = engine.swap_predictor
+
+        def swap_with_ingest_in_flight(kind, predictor):
+            if not ingests:
+                thread = threading.Thread(
+                    target=lambda: acks.append(_post_ingest(srv, [tweet]))
+                )
+                ingests.append(thread)
+                thread.start()
+                thread.join(timeout=1.0)
+            return swap(kind, predictor)
+
+        engine.swap_predictor = swap_with_ingest_in_flight
+        with AsyncPredictionServer(engine, port=0, registry=store) as srv:
+            host, port = srv.address
+            with ServingClient(host=host, port=port) as client:
+                assert client.reload("retina").kind == "retweeters"
+                ingests[0].join(timeout=30)
+                status, _, body = acks[0]
+                assert status == 200 and body["accepted"] == 1
+                resp = client.predict_retweeters(990001, user_ids=fresh[1:4])
+                assert set(resp.scores) == {str(u) for u in fresh[1:4]}
+                assert (engine.store_stats()["watermarks"]["retweeters"]
+                        == engine.event_log.last_seq)
+        engine.event_log.close()
+
+    def test_reload_keeps_ingested_retweets_in_prior_counts(
+        self, registry, tmp_path_factory
+    ):
+        """After a reload over the shared world, scores equal a restart's."""
+        store = _copy_store(registry, tmp_path_factory, "reload-prior-store")
+        engine = engine_from_store(store).start()
+        world = engine.predictors["retweeters"].world
+        # The retweeter becomes a prior retweeter of the root author, a
+        # peer feature of every cascade that author starts.
+        by_author: dict = {}
+        for c in world.cascades:
+            by_author.setdefault(c.root.user_id, []).append(c)
+        cascade, other = next(cs[:2] for cs in by_author.values() if len(cs) >= 2)
+        present = {r.user_id for r in cascade.retweets} | {cascade.root.user_id}
+        fresh = [u for u in sorted(world.users) if u not in present]
+        reply = engine.submit_ingest([
+            {"kind": "retweet", "tweet_id": cascade.root.tweet_id,
+             "user_id": fresh[0], "timestamp": FAR_TS},
+        ]).result(timeout=60)
+        assert reply["accepted"] == 1
+        query = {"cascade_id": other.root.tweet_id, "user_ids": fresh[:4]}
+        engine.reload_model(store, "retina")
+        reloaded = engine.predict("retweeters", query)
+        engine.stop()
+        engine.event_log.close()
+
+        restarted = engine_from_store(store).start()
+        try:
+            assert reloaded == restarted.predict("retweeters", query)
+        finally:
+            restarted.stop()
+            restarted.event_log.close()
+
+
+class TestIngestWaitBound:
+    def test_timeout_is_503_and_a_job_cancelled_before_it_starts_appends_nothing(
+        self, registry, tmp_path_factory
+    ):
+        store = _copy_store(registry, tmp_path_factory, "ingest-timeout-store")
+        engine = engine_from_store(store)
+        first, second = _fresh_follow(engine), _fresh_follow(engine)
+        gate = threading.Event()
+        ingest = engine.ingest
+
+        def held_ingest(items):
+            gate.wait(timeout=30)
+            return ingest(items)
+
+        engine.ingest = held_ingest
+        with AsyncPredictionServer(engine, port=0, registry=store,
+                                   request_timeout=0.3) as srv:
+            base = engine.event_log.last_seq
+            # The first job starts and holds the batcher past the bound.
+            status, headers, body = _post_ingest(srv, [first])
+            assert status == 503 and headers["Retry-After"] == "1"
+            assert body["error"]["code"] == "overloaded"
+            # The second is still queued when its bound runs out.
+            status, _, _ = _post_ingest(srv, [second])
+            assert status == 503
+            gate.set()
+            del engine.ingest
+            cascade, fresh, _ = _world_material(engine)
+            engine.predict("retweeters", {"cascade_id": cascade.root.tweet_id,
+                                          "user_ids": fresh[:1]})  # drains the queue
+            assert engine.event_log.last_seq == base + 1  # only the started job
+            # Retries: the started batch is acked by dedup, the cancelled
+            # one is accepted now.
+            status, _, body = _post_ingest(srv, [first])
+            assert status == 200 and body["deduped"] == 1
+            assert body["results"][0]["seq"] == base + 1
+            status, _, body = _post_ingest(srv, [second])
+            assert status == 200 and body["accepted"] == 1
+            assert body["results"][0]["seq"] == base + 2
+        engine.event_log.close()
