@@ -14,8 +14,12 @@ are a fancy-index away:
 - prior-retweet counts — CSR over (root user, candidate) pairs, looked up
   for a whole candidate list with one ``searchsorted``;
 - peer distances — one single-source BFS per root user
-  (:meth:`InformationNetwork.distances_from`), cached across cascades that
-  share a root.
+  (:meth:`InformationNetwork.distances_array_from`), cached across cascades
+  that share a root.
+
+The store is also the serving path's only cache of candidate features:
+``hits``/``misses`` count requested rows that were already built and rows
+built on demand, and :meth:`stats` reports them for ``/v1/metrics``.
 
 Every value is bit-identical to the seed per-candidate computation: batch
 tf-idf rows equal single-document rows, BFS layers equal per-pair BFS hop
@@ -187,19 +191,18 @@ class FeatureStore:
         self._prior_cols: np.ndarray | None = None
         self._prior_data: np.ndarray | None = None
 
-        # Single-source BFS results keyed by (root, cutoff).  FIFO-capped:
-        # the per-root dicts are the store's only large variable-size
-        # entries, and a long-running server must not grow without bound.
-        self._dist_cache: dict[tuple[int, int], dict[int, int]] = {}
-        self._dist_cache_cap = 4096
-        # Frozen-network counterpart: int16 per-row distance arrays, capped
-        # by bytes (a per-root dict at 10^6 users would be ~100x larger).
+        # Single-source BFS results keyed by (root, cutoff): int16 per-row
+        # distance arrays, FIFO-capped by bytes so a long-running server
+        # does not grow without bound.
         self._dist_arr_cache: dict[tuple[int, int], np.ndarray] = {}
         self._dist_arr_cache_cap = max(1, _DIST_ARRAY_CACHE_BYTES // max(1, 2 * n))
         # Doc2Vec tweet embeddings keyed by tweet text (inference is
         # deterministic at random_state=0 and depends only on the text, so
         # rebuilds and serving share it and edited copies can never alias).
         self._tweet_vec_cache: dict[str, np.ndarray] = {}
+        #: Requested rows that were already built / rows built on demand.
+        self.hits = 0
+        self.misses = 0
         #: Reads served by recomputation after persistent paged I/O failure.
         self.degraded_reads = 0
         #: Highest event-log sequence number already reflected here.  A
@@ -232,25 +235,25 @@ class FeatureStore:
         pool.sort(key=lambda tw: tw.timestamp)
         return pool[-self.history_size :]
 
-    def _user_blocks(self, missing: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        """(history rows, mean Doc2Vec rows) for a list of unbuilt users.
+    def _user_blocks(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(history rows, mean Doc2Vec rows) for an array of store rows.
 
         The tf-idf transform of the joined history texts — the widest part
         of the block — runs once over the whole list; each row of a batch
         transform is bit-identical to the single-document transform the
         seed path ran, and every other block is a pure function of one
-        user's history, so any partition of ``missing`` produces identical
-        rows.
+        user's history, so any partition of ``rows`` produces identical
+        rows.  It is also the degraded-read path when paged block I/O
+        fails persistently: the recomputed rows equal what the file held.
         """
-        recents = {uid: self._recent(uid) for uid in missing}
-        joined = [" ".join(t.text for t in recents[uid]) for uid in missing]
+        uids = self._uids[rows].tolist()
+        recents = [self._recent(uid) for uid in uids]
+        joined = [" ".join(t.text for t in recent) for recent in recents]
         tfidf = self.text_vectorizer.transform(joined)
-        hist = np.empty((len(missing), self._d_hist))
-        docv = np.zeros((len(missing), self.doc2vec_dim))
+        hist = np.empty((len(uids), self._d_hist))
+        docv = np.zeros((len(uids), self.doc2vec_dim))
         world = self.world
-        for k, uid in enumerate(missing):
-            i = self._index[uid]
-            recent = recents[uid]
+        for k, (i, uid, recent) in enumerate(zip(rows.tolist(), uids, recents)):
             texts = [t.text for t in recent]
             n_hate = sum(t.is_hate for t in recent)
             n_non = len(recent) - n_hate
@@ -287,47 +290,82 @@ class FeatureStore:
             float(self.world.network.follower_count(uid)),
         )
 
-    def ensure(self, user_ids) -> None:
-        """Compute history blocks for any not-yet-built users, in one batch."""
-        missing = [
-            int(u) for u in dict.fromkeys(user_ids) if not self._built[self._index[u]]
-        ]
-        if not missing:
-            return
-        hist, docv = self._user_blocks(missing)
-        idx = np.fromiter(
-            (self._index[u] for u in missing), dtype=np.int64, count=len(missing)
+    def _rows_of(self, user_ids) -> np.ndarray:
+        """(n,) store rows of a user list; -1 marks users the store lacks."""
+        if isinstance(self._index, _IdentityIndex):
+            idx = np.asarray(user_ids, dtype=np.int64)
+            return np.where((idx >= 0) & (idx < self._index.n), idx, -1)
+        return np.fromiter(
+            (self._index.get(u, -1) for u in user_ids),
+            dtype=np.int64,
+            count=len(user_ids),
         )
-        if self.storage == "paged":
-            self.history.write_rows(idx, hist)
-            self.doc_vecs.write_rows(idx, docv)
-        else:
-            self.history[idx] = hist
-            self.doc_vecs[idx] = docv
-        self._built[idx] = True
 
-    def _rebuild_rows(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Recompute (history, doc-vec) rows for store indices ``idx``.
+    def ensure(self, user_ids) -> np.ndarray:
+        """Build any not-yet-built rows in one batch; returns the store rows.
 
-        ``_user_blocks`` is a pure function of one user's world state, so
-        the recomputed rows are bit-identical to what the paged file held —
-        this is the degraded-read path when block I/O fails persistently.
+        One bitmap gather decides what to build; each unbuilt row is built
+        once, in first-request order.  Counts ``misses`` (rows built) and
+        ``hits`` (the requested rows that needed no build).
         """
-        uids = [int(self._uids[i]) for i in idx]
-        return self._user_blocks(uids)
+        idx = self._rows_of(user_ids)
+        if len(idx) and idx.min() < 0:
+            raise KeyError(user_ids[int(np.argmin(idx))])
+        missing = idx[~self._built[idx]]
+        if len(missing):
+            _, first = np.unique(missing, return_index=True)
+            missing = missing[np.sort(first)]
+            hist, docv = self._user_blocks(missing)
+            if self.storage == "paged":
+                self.history.write_rows(missing, hist)
+                self.doc_vecs.write_rows(missing, docv)
+            else:
+                self.history[missing] = hist
+                self.doc_vecs[missing] = docv
+            self._built[missing] = True
+        self.misses += len(missing)
+        self.hits += len(idx) - len(missing)
+        return idx
+
+    def stats(self) -> dict:
+        """Row counters for the ``caches.features`` block of ``/v1/metrics``.
+
+        ``size`` is the number of built rows and ``maxsize`` the number of
+        users; ``hit_rate`` is computed from the ``hits``/``misses`` reported.
+        No lock: a serving store has one writer (the engine's batcher
+        thread), so a snapshot taken beside it may trail by one ``ensure``.
+        """
+        hits, misses = self.hits, self.misses
+        total = hits + misses
+        return {
+            "size": self._built.count(),
+            "maxsize": self.n_users,
+            "hits": hits,
+            "misses": misses,
+            "hit_rate": round(hits / total, 4) if total else 0.0,
+        }
 
     def _degraded_read(self, matrix, which: str, idx: np.ndarray) -> np.ndarray:
         """Serve a failed paged read by rebuilding the rows from the world."""
         _DEGRADED_READS.inc(matrix=which)
         self.degraded_reads += 1
         _log.warning("store.degraded_read", matrix=which, n_rows=int(len(idx)))
-        hist, docv = self._rebuild_rows(idx)
+        hist, docv = self._user_blocks(idx)
         values = hist if which == "history" else docv
         try:  # heal the backing store when the fault was transient
             matrix.write_rows(idx, values)
         except PagedIOError:
             pass
         return values
+
+    def _read(self, matrix, which: str, idx: np.ndarray) -> np.ndarray:
+        """Gather built rows; a paged read that fails is recomputed instead."""
+        if self.storage == "paged":
+            try:
+                return matrix.read_rows(idx)
+            except PagedIOError:
+                return self._degraded_read(matrix, which, idx)
+        return matrix[idx]
 
     def history_rows(self, user_ids) -> np.ndarray:
         """(n, d_hist) history blocks for a user list (built on demand).
@@ -336,45 +374,19 @@ class FeatureStore:
         recomputing the rows through the builder path (bit-identical) —
         the request degrades to slower, never to an error.
         """
-        self.ensure(user_ids)
-        idx = np.fromiter(
-            (self._index[u] for u in user_ids), dtype=np.int64, count=len(user_ids)
-        )
-        if self.storage == "paged":
-            try:
-                return self.history.read_rows(idx)
-            except PagedIOError:
-                return self._degraded_read(self.history, "history", idx)
-        return self.history[idx]
+        return self._read(self.history, "history", self.ensure(user_ids))
 
     def user_block(self, user_id: int) -> dict:
         """Seed-shaped ``{"history": ..., "doc_vec": ...}`` for one user."""
-        self.ensure([user_id])
-        i = self._index[user_id]
-        if self.storage == "paged":
-            idx = np.array([i], dtype=np.int64)
-            try:
-                history = self.history.read_row(i)
-            except PagedIOError:
-                history = self._degraded_read(self.history, "history", idx)[0]
-            try:
-                doc_vec = self.doc_vecs.read_row(i)
-            except PagedIOError:
-                doc_vec = self._degraded_read(self.doc_vecs, "doc_vecs", idx)[0]
-            return {"history": history, "doc_vec": doc_vec}
-        return {"history": self.history[i], "doc_vec": self.doc_vecs[i]}
+        idx = self.ensure([user_id])
+        return {
+            "history": self._read(self.history, "history", idx)[0],
+            "doc_vec": self._read(self.doc_vecs, "doc_vecs", idx)[0],
+        }
 
     def doc_vec(self, user_id: int) -> np.ndarray:
         """Mean Doc2Vec vector of one user's recent history."""
-        self.ensure([user_id])
-        if self.storage == "paged":
-            i = self._index[user_id]
-            try:
-                return self.doc_vecs.read_row(i)
-            except PagedIOError:
-                idx = np.array([i], dtype=np.int64)
-                return self._degraded_read(self.doc_vecs, "doc_vecs", idx)[0]
-        return self.doc_vecs[self._index[user_id]]
+        return self._read(self.doc_vecs, "doc_vecs", self.ensure([user_id]))[0]
 
     def tweet_vec(self, tweet) -> np.ndarray:
         """Cached deterministic Doc2Vec embedding of one tweet's text."""
@@ -421,11 +433,7 @@ class FeatureStore:
             return out
         cols = self._prior_cols[lo:hi]
         data = self._prior_data[lo:hi]
-        tgt = np.fromiter(
-            (self._index.get(u, -1) for u in user_ids),
-            dtype=np.int64,
-            count=len(user_ids),
-        )
+        tgt = self._rows_of(user_ids)
         pos = np.searchsorted(cols, tgt)
         pos_c = np.minimum(pos, len(cols) - 1)
         found = (cols[pos_c] == tgt) & (pos < len(cols))
@@ -433,23 +441,13 @@ class FeatureStore:
         return out
 
     # -------------------------------------------------------- peer features
-    def distances(self, source: int, cutoff: int = 4) -> dict[int, int]:
-        """Cached single-source BFS distances from ``source``."""
-        key = (source, cutoff)
-        cached = self._dist_cache.get(key)
-        if cached is None:
-            cached = self.world.network.distances_from(source, cutoff)
-            while len(self._dist_cache) >= self._dist_cache_cap:
-                self._dist_cache.pop(next(iter(self._dist_cache)))
-            self._dist_cache[key] = cached
-        return cached
-
     def distance_array(self, source: int, cutoff: int = 4) -> np.ndarray:
-        """Cached (n,) int16 BFS distances per CSR row (frozen networks).
+        """Cached (n,) int16 BFS distances per CSR row.
 
         ``cutoff + 1`` marks unreached rows — value-identical to
-        ``distances(source, cutoff).get(uid, cutoff + 1)`` for every user,
-        at ~2 bytes/user instead of a Python dict entry.
+        ``network.distances_from(source, cutoff).get(uid, cutoff + 1)`` for
+        every user, at ~2 bytes/user instead of a Python dict entry.  Every
+        world freezes its network; an unfrozen one raises ``RuntimeError``.
         """
         key = (source, cutoff)
         cached = self._dist_arr_cache.get(key)
@@ -463,62 +461,40 @@ class FeatureStore:
     def peer_block(self, root_user: int, user_ids, cutoff: int = 4) -> np.ndarray:
         """(n, 2) peer block [shortest path, prior retweets] for a user list.
 
-        One BFS from the root covers every candidate; the seed path ran one
-        BFS per (root, candidate) pair.  Frozen networks use the vectorised
-        array BFS and a row gather; unfrozen ones the per-root dict — the
-        two produce identical values.
+        One vectorised BFS from the root covers every candidate (the seed
+        path ran one BFS per (root, candidate) pair); each candidate's
+        distance is then a row gather.
         """
-        far = cutoff + 1
-        network = self.world.network
-        if getattr(network, "is_frozen", False):
-            arr = self.distance_array(root_user, cutoff)
-            rows = network.row_index(user_ids)
-            spl = np.where(rows >= 0, arr[np.maximum(rows, 0)], far).astype(np.float64)
-        else:
-            dist = self.distances(root_user, cutoff)
-            spl = np.fromiter(
-                (dist.get(u, far) for u in user_ids),
-                dtype=np.float64,
-                count=len(user_ids),
-            )
+        arr = self.distance_array(root_user, cutoff)
+        rows = self.world.network.row_index(user_ids)
+        spl = np.where(rows >= 0, arr[np.maximum(rows, 0)], cutoff + 1).astype(np.float64)
         return np.stack([spl, self.prior_counts(root_user, user_ids)], axis=1)
 
     # ----------------------------------------------------------- live ingest
     def _invalidate_distances(self, followee: int, follower: int) -> int:
-        """Drop cached BFS results a new ``followee -> follower`` edge stales.
+        """Drop cached BFS arrays a new ``followee -> follower`` edge stales.
 
-        A cached distance map/array from source ``s`` changes only when the
-        new edge shortens the follower's distance: ``d_s(followee) + 1 <
-        d_s(follower)`` (absent/unreached = ``cutoff + 1``).  Everything
-        else keeps serving — distances elsewhere cannot shrink through an
-        edge that doesn't improve its own endpoint.
+        A cached distance array from source ``s`` changes only when the new
+        edge shortens the follower's distance: ``d_s(followee) + 1 <
+        d_s(follower)`` (unreached = ``cutoff + 1``).  Everything else keeps
+        serving — distances elsewhere cannot shrink through an edge that
+        doesn't improve its own endpoint.
         """
-        dropped = 0
-        stale_keys = [
-            key
-            for key, dmap in self._dist_cache.items()
-            if dmap.get(followee, key[1] + 1) + 1 < dmap.get(follower, key[1] + 1)
-        ]
-        for key in stale_keys:
-            del self._dist_cache[key]
-        dropped += len(stale_keys)
-        if self._dist_arr_cache:
-            network = self.world.network
-            erow = network._row(followee) if getattr(network, "is_frozen", False) else -1
-            frow = network._row(follower) if erow >= 0 else -1
-            if erow < 0 or frow < 0:
-                dropped += len(self._dist_arr_cache)
-                self._dist_arr_cache.clear()
-            else:
-                stale = [
-                    key
-                    for key, arr in self._dist_arr_cache.items()
-                    if int(arr[erow]) + 1 < int(arr[frow])
-                ]
-                for key in stale:
-                    del self._dist_arr_cache[key]
-                dropped += len(stale)
-        return dropped
+        if not self._dist_arr_cache:
+            return 0
+        network = self.world.network
+        erow, frow = network._row(followee), network._row(follower)
+        if erow < 0 or frow < 0:
+            stale = list(self._dist_arr_cache)
+        else:
+            stale = [
+                key
+                for key, arr in self._dist_arr_cache.items()
+                if int(arr[erow]) + 1 < int(arr[frow])
+            ]
+        for key in stale:
+            del self._dist_arr_cache[key]
+        return len(stale)
 
     def _patch_counters(self, rows: list[int]) -> int:
         """Rewrite the counter scalars of the already-built ``rows`` in place.
@@ -529,7 +505,8 @@ class FeatureStore:
         from the world — ingest never fails after its events are durable.
         Returns the number of built rows touched.
         """
-        idx = np.array([i for i in rows if self._built[i]], dtype=np.int64)
+        idx = np.asarray(rows, dtype=np.int64)
+        idx = idx[self._built[idx]]
         if not len(idx):
             return 0
         values = np.array(
@@ -631,7 +608,6 @@ class FeatureStore:
         else:
             self.history[:] = 0.0
             self.doc_vecs[:] = 0.0
-        self._dist_cache.clear()
         self._dist_arr_cache.clear()
         self._tweet_vec_cache.clear()
 

@@ -7,8 +7,8 @@ Turns trained pipelines into persistent, low-latency prediction services:
 - :mod:`repro.serving.schemas` — declarative request/response schemas,
   one validation layer shared by server, engine, and client;
 - :mod:`repro.serving.engine` — predictors with vectorised micro-batching
-  (a batch is whatever is queued when the engine is free), LRU feature
-  caches, and atomic model hot-swap;
+  (a batch is whatever is queued when the engine is free), candidate
+  features read from the feature store, and atomic model hot-swap;
 - :mod:`repro.serving.aio` — the whole HTTP layer: a single-event-loop
   ``asyncio`` HTTP/1.1 server (keep-alive, pipelining, future bridging
   into the micro-batcher) with one route table, resolved once per

@@ -1,10 +1,9 @@
-"""Thread-safe LRU cache for extracted features.
+"""Thread-safe LRU cache.
 
-Feature extraction dominates serving latency (tf-idf transforms, Doc2Vec
-inference, graph lookups), so the engine memoises per-candidate feature
-rows keyed by ``(user, cascade, interval)``.  A plain ``OrderedDict`` with
-a lock is sufficient: entries are small ndarrays and the hot path is a
-single dict lookup.
+The retweeter predictor keeps its per-cascade contexts (root-tweet block,
+tweet and news embeddings) in one, keyed by cascade id.  A plain
+``OrderedDict`` with a lock is sufficient: entries are small ndarrays and
+the hot path is a single dict lookup.
 """
 
 from __future__ import annotations

@@ -9,16 +9,17 @@ Two predictor classes answer queries against a loaded bundle:
 
 Both validate payloads through :mod:`repro.serving.schemas` (the same
 layer the HTTP server and the Python client use) and expose
-``predict_batch(payloads)`` whose work is vectorised: small per-candidate
-feature blocks are LRU-cached by (user, cascade, interval) and
-batch-built through the columnar extractor on misses, full rows are
-assembled once per micro-batch, and a single model forward covers every
-request that shares a context.  :class:`InferenceEngine` wraps the
+``predict_batch(payloads)`` whose work is vectorised: per-candidate
+feature blocks are read straight from the extractor's
+:class:`~repro.features.store.FeatureStore` (the one cache of built user
+rows, patched in place by ingest), full rows are assembled once per
+micro-batch, and a single model forward covers every request that shares
+a context.  :class:`InferenceEngine` wraps the
 predictors with a queue + batcher thread that coalesces concurrent
 requests into micro-batches, which is what the HTTP layer submits to.
 
 Once the engine has started, the batcher thread is the only thread that
-touches the live world, the feature stores and the predictor caches:
+touches the live world, the feature stores and the context cache:
 ingest batches and model swaps are jobs on the same queue as the reads,
 run in arrival order.  A read queued after an ingest ack sees that ack's
 events, and a reload cannot miss an event acked while it loads.
@@ -118,6 +119,9 @@ _TIMEOUTS = obs_metrics.REGISTRY.counter(
     ("kind",),
 )
 
+#: Per-cascade context entries the retweeter keeps (LRU).
+_CONTEXT_CACHE_SIZE = 128
+
 
 # ------------------------------------------------------------- retweeters
 class RetweeterPredictor:
@@ -128,27 +132,23 @@ class RetweeterPredictor:
     the candidate audience defaulting to the cascade's deterministic one).
 
     Per-candidate feature blocks (peer + history, without the per-cascade
-    tail) are cached by ``(user, cascade, interval)``; the per-cascade
-    context (tweet/news embeddings, shared endogenous + tweet block) is
-    cached separately, so a cold user on a warm cascade only pays its small
-    block — built batched through the columnar extractor — and full rows are
-    assembled once per micro-batch.
+    tail) are built on every request by the extractor's columnar
+    ``candidate_block``: a gather from a cached BFS array plus a gather of
+    history rows from the feature store, which builds a row once and
+    patches it in place on ingest.  Only the per-cascade context
+    (tweet/news embeddings, shared endogenous + tweet block) is cached,
+    and full rows are assembled once per micro-batch.
     """
 
     kind = "retweeters"
 
-    def __init__(self, bundle: RetinaBundle, *, cache_size: int = 8192):
+    def __init__(self, bundle: RetinaBundle):
         self.bundle = bundle
         self.model = bundle.model
         self.extractor = bundle.extractor
         self.world = bundle.extractor.world
         self._cascades = {c.root.tweet_id: c for c in self.world.cascades}
-        # Dynamic-mode rows are identical across intervals (features are
-        # interval-independent); the interval tag keys the cache per the
-        # model's unroll length so a bundle swap cannot alias rows.
-        self._interval_tag = self.model.n_intervals if self.model.mode == "dynamic" else 0
-        self.feature_cache = LRUCache(cache_size)
-        self.context_cache = LRUCache(max(64, cache_size // 64))
+        self.context_cache = LRUCache(_CONTEXT_CACHE_SIZE)
         #: Event-log watermark: highest store seq already folded into this
         #: predictor.  Over an already-replayed world it starts at the
         #: world's watermark, or lower at the bundle's ``prior_seq``, so a
@@ -159,6 +159,11 @@ class RetweeterPredictor:
         #: ``{"name", "version"}`` of the registry bundle this predictor
         #: serves, set by :func:`engine_from_store` / reloads.
         self.source: dict | None = None
+
+    @property
+    def feature_store(self):
+        """The store candidate rows are read from (``caches.features``)."""
+        return self.extractor.store_
 
     def describe(self) -> dict:
         out = {
@@ -189,8 +194,7 @@ class RetweeterPredictor:
         """Per-cascade blocks shared by every candidate row.
 
         ``shared`` is the endogenous + root-tweet block stored once per
-        cascade; candidate rows cache only their small per-user block and
-        the full matrix is assembled per micro-batch.
+        cascade; the full matrix is assembled per micro-batch.
         """
         ctx = self.context_cache.get(cascade.root.tweet_id)
         if ctx is None:
@@ -206,31 +210,6 @@ class RetweeterPredictor:
             }
             self.context_cache.put(cascade.root.tweet_id, ctx)
         return ctx
-
-    def _candidate_rows(self, cascade, uids: list[int]) -> np.ndarray:
-        """(n, d_cand) per-candidate blocks, cache-first with batched misses.
-
-        Cache hits are per-(user, cascade, interval) lookups as before, but
-        every miss in the batch is built in one call to the extractor's
-        columnar ``candidate_block`` — one BFS and one store gather instead
-        of per-key scalar lookups.
-        """
-        rows: list[np.ndarray | None] = [None] * len(uids)
-        missing: list[tuple[int, int]] = []
-        cid = cascade.root.tweet_id
-        for i, uid in enumerate(uids):
-            row = self.feature_cache.get((uid, cid, self._interval_tag))
-            if row is None:
-                missing.append((i, uid))
-            else:
-                rows[i] = row
-        if missing:
-            built = self.extractor.candidate_block(cascade, [u for _, u in missing])
-            for (i, uid), row in zip(missing, built):
-                row = row.copy()  # a view would pin the whole batch buffer
-                rows[i] = row
-                self.feature_cache.put((uid, cid, self._interval_tag), row)
-        return np.stack(rows)
 
     def default_candidates(self, cascade) -> list[int]:
         """Deterministic candidate audience when the query names no users."""
@@ -248,20 +227,11 @@ class RetweeterPredictor:
 
         Applies the events to the world (watermark-guarded no-op when a
         co-resident predictor sharing the world got there first) and the
-        extractor, registers new cascades for lookup, then surgically
-        evicts only the cache entries the events invalidate.  The store
-        patches counter scalars in place and no ingest event changes a
-        text block, so an evicted row is rebuilt by a store gather, not
-        by tf-idf or Doc2Vec.  Evicted:
-
-        - candidate rows of the retweet root author (retweet ratios), the
-          retweeter (prior-retweet count), the followee (follower count)
-          and the tweet author (conservatively: a new tweet changes none
-          of their blocks);
-        - per-cascade contexts whose day's trending set a new tweet moved;
-        - the whole candidate-row cache on a follow — rows embed
-          shortest-path lengths and the changed distances cannot be mapped
-          back to cached keys without a BFS per cached cascade.
+        extractor, and registers new cascades for lookup.  Candidate rows
+        need no eviction: the store patches the counter scalars of built
+        rows in place and drops the BFS arrays a follow stales, and every
+        read builds its rows from the store.  What is evicted is the
+        per-cascade contexts whose day's trending set a new tweet moved.
         """
         events = [s for s in stored_events if s.seq > self._applied_seq]
         if not events:
@@ -269,32 +239,16 @@ class RetweeterPredictor:
         apply_events_to_world(self.world, events)
         counts = self.extractor.apply_events(events)
         index = getattr(self.world, "_store_cascade_index", None) or {}
-        dirty_users: set[int] = set()
         dirty_days: set[int] = set()
-        clear_features = False
         for s in events:
             ev = s.event
             if ev.kind == "tweet":
                 cascade = index.get(ev.tweet_id)
                 if cascade is not None:
                     self._cascades[ev.tweet_id] = cascade
-                dirty_users.add(ev.user_id)
                 dirty_days.add(int(ev.timestamp // DAY_HOURS))
-            elif ev.kind == "retweet":
-                dirty_users.add(ev.user_id)
-                cascade = self._cascades.get(ev.tweet_id)
-                if cascade is not None:
-                    dirty_users.add(cascade.root.user_id)
-            elif ev.kind == "follow":
-                dirty_users.add(ev.followee)
-                clear_features = True
         self._applied_seq = events[-1].seq
         evicted = 0
-        if clear_features:
-            evicted += len(self.feature_cache)
-            self.feature_cache.clear()
-        elif dirty_users:
-            evicted += self.feature_cache.evict_if(lambda k: k[0] in dirty_users)
         if dirty_days:
             cascades = self._cascades
 
@@ -305,7 +259,7 @@ class RetweeterPredictor:
                     and int(c.root.timestamp // DAY_HOURS) in dirty_days
                 )
 
-            evicted += self.context_cache.evict_if(_stale_context)
+            evicted = self.context_cache.evict_if(_stale_context)
         counts["cache_evictions"] = evicted
         return counts
 
@@ -373,8 +327,6 @@ class RetweeterPredictor:
         n_rows = 0
         feature_span = obs_trace.batch_span("serve.feature_build")
         with feature_span:
-            hits0 = self.feature_cache.hits
-            misses0 = self.feature_cache.misses
             for cascade_id, idxs in groups.items():
                 cascade = parsed[idxs[0]]["cascade"]
                 ctx = self._context(cascade)
@@ -385,15 +337,11 @@ class RetweeterPredictor:
                         if uid not in position:
                             position[uid] = len(users)
                             users.append(uid)
-                cand = self._candidate_rows(cascade, users)
+                cand = self.extractor.candidate_block(cascade, users)
                 n_rows += len(users)
                 packs.append((cand, ctx["shared"], ctx["tweet_vec"], ctx["news_vecs"]))
                 positions.append(position)
-            feature_span.annotate(
-                cache_hits=self.feature_cache.hits - hits0,
-                cache_misses=self.feature_cache.misses - misses0,
-                rows=n_rows,
-            )
+            feature_span.annotate(rows=n_rows)
 
         with obs_trace.batch_span(
             "model.forward", kind=self.kind, rows=n_rows, cascades=len(groups)
@@ -429,23 +377,28 @@ class HateGenPredictor:
     """Scores (user, hashtag, timestamp) hate-generation queries.
 
     Payloads validate against :class:`~repro.serving.schemas.HateGenRequest`.
-    Feature vectors are cached by the query triple; the whole micro-batch
-    is transformed and scored in one classifier call.
+    Each query's feature vector is assembled from the extractor's feature
+    store on every request; the whole micro-batch is transformed and
+    scored in one classifier call.
     """
 
     kind = "hategen"
 
-    def __init__(self, bundle: HateGenBundle, *, cache_size: int = 8192):
+    def __init__(self, bundle: HateGenBundle):
         self.bundle = bundle
         self.model = bundle.model
         self.transforms = list(bundle.transforms)
         self.extractor = bundle.extractor
         self.world = bundle.extractor.world
         self._hashtags = {spec.tag for spec in self.world.catalog}
-        self.feature_cache = LRUCache(cache_size)
         #: Event-log watermark (see :class:`RetweeterPredictor`).
         self._applied_seq = int(getattr(self.world, "_store_watermark", 0))
         self.source: dict | None = None
+
+    @property
+    def feature_store(self):
+        """The store query vectors are read from (``caches.features``)."""
+        return self.extractor.store_
 
     def describe(self) -> dict:
         out = {
@@ -466,40 +419,17 @@ class HateGenPredictor:
         World + extractor application are watermark-guarded (shared worlds
         apply once).  Newly registered hashtags become queryable — scored
         with a zero endogenous slot, since the fitted dimensionality is
-        pinned to the catalog at fit time.  Cached sample vectors are
-        evicted for users whose history row changed and for timestamps on
-        days whose trending set moved.
+        pinned to the catalog at fit time.  Nothing here is cached, so
+        nothing is evicted: the next query reads the patched store rows
+        and the extractor's updated trending sets.
         """
         events = [s for s in stored_events if s.seq > self._applied_seq]
         if not events:
             return {}
         apply_events_to_world(self.world, events)
         counts = self.extractor.apply_events(events)
-        index = getattr(self.world, "_store_cascade_index", None) or {}
-        dirty_users: set[int] = set()
-        dirty_days: set[int] = set()
-        for s in events:
-            ev = s.event
-            if ev.kind == "tweet":
-                dirty_users.add(ev.user_id)
-                dirty_days.add(int(ev.timestamp // DAY_HOURS))
-            elif ev.kind == "retweet":
-                dirty_users.add(ev.user_id)
-                cascade = index.get(ev.tweet_id)
-                if cascade is not None:
-                    dirty_users.add(cascade.root.user_id)
-            elif ev.kind == "follow":
-                dirty_users.add(ev.followee)
-            elif ev.kind == "hashtag":
-                self._hashtags.add(ev.tag)
+        self._hashtags.update(s.event.tag for s in events if s.event.kind == "hashtag")
         self._applied_seq = events[-1].seq
-        evicted = 0
-        if dirty_users or dirty_days:
-            evicted = self.feature_cache.evict_if(
-                lambda k: k[0] in dirty_users
-                or int(k[2] // DAY_HOURS) in dirty_days
-            )
-        counts["cache_evictions"] = evicted
         return counts
 
     def _validate(self, payload: dict) -> dict:
@@ -524,16 +454,6 @@ class HateGenPredictor:
             "timestamp": req.timestamp,
         }
 
-    def _vector(self, req: dict) -> np.ndarray:
-        key = (req["user_id"], req["hashtag"], req["timestamp"])
-        vec = self.feature_cache.get(key)
-        if vec is None:
-            vec = self.extractor.sample_vector(
-                req["user_id"], req["hashtag"], req["timestamp"]
-            )
-            self.feature_cache.put(key, vec)
-        return vec
-
     def _scores(self, X: np.ndarray) -> np.ndarray:
         if hasattr(self.model, "predict_proba"):
             return self.model.predict_proba(X)[:, 1]
@@ -551,13 +471,11 @@ class HateGenPredictor:
         if live:
             feature_span = obs_trace.batch_span("serve.feature_build")
             with feature_span:
-                hits0, misses0 = self.feature_cache.hits, self.feature_cache.misses
-                X = np.stack([self._vector(req) for req in parsed])
-                feature_span.annotate(
-                    cache_hits=self.feature_cache.hits - hits0,
-                    cache_misses=self.feature_cache.misses - misses0,
-                    rows=len(parsed),
+                sample_vector = self.extractor.sample_vector
+                X = np.stack(
+                    [sample_vector(r["user_id"], r["hashtag"], r["timestamp"]) for r in parsed]
                 )
+                feature_span.annotate(rows=len(parsed))
             with obs_trace.batch_span("model.forward", kind=self.kind, rows=len(parsed)):
                 for t in self.transforms:
                     X = t.transform(X)
@@ -1069,10 +987,14 @@ class InferenceEngine:
 
 # ---------------------------------------------------------- cache plumbing
 def _predictor_cache_stats(predictor) -> dict:
-    """Atomic stats of every LRU cache a predictor exposes."""
+    """Stats of a predictor's feature store and its context LRU, if any.
+
+    ``features`` is the store that holds the predictor's candidate rows;
+    ``contexts`` is the retweeter's per-cascade context LRU.
+    """
     caches = {}
-    if hasattr(predictor, "feature_cache"):
-        caches["features"] = predictor.feature_cache.stats()
+    if hasattr(predictor, "feature_store"):
+        caches["features"] = predictor.feature_store.stats()
     if hasattr(predictor, "context_cache"):
         caches["contexts"] = predictor.context_cache.stats()
     return caches

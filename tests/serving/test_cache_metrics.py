@@ -76,17 +76,22 @@ def _series(text: str, name: str, **labels) -> float:
 
 
 class _Mixed:
-    """Scores ``n`` candidates, answers ``bad`` with an error, raises on ``raise``."""
+    """Scores ``n`` candidates, answers ``bad`` with an error, raises on ``raise``.
+
+    Each payload reads two rows of a real feature store, which backs the
+    ``caches.features`` block as it does for the serving predictors.
+    """
 
     kind = "mixed"
 
-    def __init__(self):
-        self.feature_cache = LRUCache(maxsize=4)
+    def __init__(self, feature_store):
+        self.feature_store = feature_store
 
     def predict_batch(self, payloads):
         if any(p.get("raise") for p in payloads):
             raise RuntimeError("kaboom")
-        self.feature_cache.get("probe")
+        for _ in payloads:
+            self.feature_store.history_rows([0, 1])
         return [
             {"error": {"code": "bad"}} if p.get("bad")
             else {"scores": {str(i): 0.5 for i in range(p["n"])}}
@@ -108,9 +113,10 @@ class TestMetricsViewsAgree:
             "predictions": _series(text, "repro_predictions_total", kind=kind),
         }
 
-    def test_json_fields_match_exposition(self):
+    def test_json_fields_match_exposition(self, loaded_bundles):
+        store = loaded_bundles["hategen"].extractor.store_
         engine = InferenceEngine(
-            {self.KIND: _Mixed(), self.IDLE: _Mixed()}, max_batch_size=4
+            {self.KIND: _Mixed(store), self.IDLE: _Mixed(store)}, max_batch_size=4
         )
         before = engine.metrics()[self.KIND]
         # Queued before start: the first four form one batch, the two
@@ -128,7 +134,9 @@ class TestMetricsViewsAgree:
             hit_ratio = _series(text, "repro_cache_hit_ratio",
                                 kind=self.KIND, cache="features")
             assert f'repro_cache_hit_ratio{{kind="{self.KIND}",cache="features"}}' in text
-            assert hit_ratio == engine.metrics()[self.KIND]["caches"]["features"]["hit_rate"]
+            features = engine.metrics()[self.KIND]["caches"]["features"]
+            assert features == store.stats() and features["hits"] >= 2
+            assert hit_ratio == features["hit_rate"] > 0.0
         after = engine.metrics()
         snap = after[self.KIND]
         prom = self._prom(self.KIND)

@@ -1,4 +1,4 @@
-"""Inference-engine tests: parity, batching, caching, error isolation."""
+"""Inference-engine tests: parity, batching, store reads, error isolation."""
 
 import queue
 import threading
@@ -12,6 +12,7 @@ from repro.serving import (
     RetweeterPredictor,
     ServingError,
 )
+from repro.store import FollowEvent, StoredEvent, event_hash
 
 
 @pytest.fixture()
@@ -52,20 +53,58 @@ class TestRetweeterPredictor:
         merged = {**results[0]["scores"], **results[1]["scores"]}
         assert merged == results[2]["scores"]
 
-    def test_feature_cache_hits_on_repeat(self, retweeter, trained_retina):
+    def test_repeat_read_builds_no_rows(self, retweeter, trained_retina):
         _, _, test_samples = trained_retina
         sample = test_samples[1]
+        users = sample.candidate_set.users
         payload = {
             "cascade_id": sample.candidate_set.cascade.root.tweet_id,
-            "user_ids": sample.candidate_set.users,
+            "user_ids": users,
         }
-        retweeter.feature_cache.clear()
+        store = retweeter.feature_store
         first = retweeter.predict_batch([payload])[0]
-        misses = retweeter.feature_cache.misses
+        hits, misses = store.hits, store.misses
         second = retweeter.predict_batch([payload])[0]
-        assert retweeter.feature_cache.misses == misses  # all rows cached
-        assert retweeter.feature_cache.hits >= len(sample.candidate_set.users)
+        assert store.misses == misses  # every row was built by the first read
+        assert store.hits == hits + len(users)
         assert first["scores"] == second["scores"]
+        stats = store.stats()
+        assert stats["hits"] == store.hits and stats["misses"] == store.misses
+        assert stats["maxsize"] == store.n_users
+        assert len(set(users)) <= stats["size"] <= stats["maxsize"]
+
+    def test_follow_ingest_rebuilds_no_row_and_matches_cold(
+        self, registry, trained_retina
+    ):
+        """A follow patches rows in place; the next read equals a cold predictor."""
+        _, _, test_samples = trained_retina
+        live = RetweeterPredictor(registry.load_bundle("retina"))  # own world
+        sample = test_samples[2]
+        cascade = sample.candidate_set.cascade
+        root = cascade.root.user_id
+        network = live.world.network
+        users = sample.candidate_set.users
+        payload = {"cascade_id": cascade.root.tweet_id, "user_ids": users}
+        far = [u for u in users
+               if u != root and network.shortest_path_length(root, u, cutoff=4) > 1]
+        # The root gains a follower (a far candidate moves to distance 1),
+        # and a candidate gains a follower (its built row's count moves).
+        followee = next(u for u in users if u not in (root, far[0]))
+        follower = next(u for u in sorted(live.world.users)
+                        if u != followee and not network.follows(u, followee))
+        events = [FollowEvent(followee=root, follower=far[0]),
+                  FollowEvent(followee=followee, follower=follower)]
+        before = live.predict_batch([payload])[0]
+        live.apply_events(
+            [StoredEvent(i + 1, event_hash(ev), ev) for i, ev in enumerate(events)]
+        )
+        store = live.feature_store
+        hits, misses = store.hits, store.misses
+        after = live.predict_batch([payload])[0]
+        assert store.misses == misses and store.hits == hits + len(users)
+        assert after["scores"][str(far[0])] != before["scores"][str(far[0])]
+        cold = RetweeterPredictor(registry.load_bundle("retina", world=live.world))
+        assert cold.predict_batch([payload])[0]["scores"] == after["scores"]
 
     def test_default_candidates_when_users_omitted(self, retweeter, trained_retina):
         _, _, test_samples = trained_retina
@@ -203,15 +242,17 @@ class TestHateGenPredictor:
         assert results[0]["status"] == 404
         assert results[1]["status"] == 404
 
-    def test_vector_cache_reused(self, hategen, trained_hategen):
+    def test_repeat_query_builds_no_rows(self, hategen, trained_hategen):
         _, test_tweets = trained_hategen
         t = test_tweets[0]
         payload = {"user_id": t.user_id, "hashtag": t.hashtag, "timestamp": t.timestamp}
-        hategen.feature_cache.clear()
-        hategen.predict_batch([payload])
-        misses = hategen.feature_cache.misses
-        hategen.predict_batch([payload])
-        assert hategen.feature_cache.misses == misses
+        store = hategen.feature_store
+        first = hategen.predict_batch([payload])[0]
+        hits, misses = store.hits, store.misses
+        second = hategen.predict_batch([payload])[0]
+        assert store.misses == misses
+        assert store.hits > hits
+        assert first == second
 
 
 class TestInferenceEngine:
