@@ -163,7 +163,6 @@ class HateGenFeatureExtractor:
         # Retained for live ingest: a tweet event bumps its (day, tag)
         # count and re-derives that day's trending set from here.
         self._trend_counts = counts
-        self._trend_seq = int(getattr(self.world, "_store_watermark", 0))
         self._trending: dict[int, set[str]] = {}
         for day, items in days.items():
             items.sort(key=lambda kv: -kv[1])
@@ -188,11 +187,6 @@ class HateGenFeatureExtractor:
     def _user_block(self, user_id: int) -> dict:
         """Per-user history features and mean Doc2Vec vector (store-backed)."""
         return self.store_.user_block(user_id)
-
-    def _topic_block(self, user_id: int, hashtag: str) -> np.ndarray:
-        tag_vec = self.doc2vec_.word_vector(f"#{hashtag.lower()}")
-        user_vec = self._user_block(user_id)["doc_vec"]
-        return np.array([cosine_similarity(user_vec, tag_vec)])
 
     def _endogen_block(self, timestamp: float) -> np.ndarray:
         day = int(timestamp // DAY_HOURS)
@@ -239,9 +233,11 @@ class HateGenFeatureExtractor:
     def sample_vector(self, user_id: int, hashtag: str, timestamp: float) -> np.ndarray:
         """Full feature vector for one (user, hashtag, t0) sample."""
         check_fitted(self, "text_vectorizer_")
+        user = self._user_block(user_id)  # one store read for both blocks
+        tag_vec = self.doc2vec_.word_vector(f"#{hashtag.lower()}")
         blocks = {
-            "history": self._user_block(user_id)["history"],
-            "topic": self._topic_block(user_id, hashtag),
+            "history": user["history"],
+            "topic": np.array([cosine_similarity(user["doc_vec"], tag_vec)]),
             "endogen": self._endogen_block(timestamp),
             "exogen": self._exogen_block(timestamp),
         }
@@ -310,11 +306,13 @@ class HateGenFeatureExtractor:
         Delegates store-level invalidation to
         :meth:`FeatureStore.apply_events`, then updates the trending
         counts and drops the endogenous-vector cache for affected days.
-        Watermark-guarded, so overlapping batches are no-ops.
+        Guarded by the store's watermark (both start at the world's and
+        advance together), so overlapping batches are no-ops.
         """
         check_fitted(self, "text_vectorizer_")
+        applied_seq = self.store_._applied_seq
         counts = self.store_.apply_events(stored_events)
-        events = [s for s in stored_events if s.seq > self._trend_seq]
+        events = [s for s in stored_events if s.seq > applied_seq]
         dirty_days: set[int] = set()
         for s in events:
             if s.event.kind == "tweet":
@@ -325,8 +323,6 @@ class HateGenFeatureExtractor:
         for day in dirty_days:
             self._trending[day] = self._trending_for_day(day)
             self._endogen_cache.pop(day, None)
-        if events:
-            self._trend_seq = events[-1].seq
         counts["endogen_day"] = len(dirty_days)
         if dirty_days:
             from repro.features.store import _INVALIDATIONS

@@ -3,24 +3,23 @@
 :class:`SyntheticWorld` materialises everything — every ``User`` object,
 every history tweet, an ``(n, n)`` dyadic matrix — which caps it near
 10^4 users.  :class:`WorldStream` builds the same *kind* of world at
-10^5–10^6 users by keeping only columnar per-user arrays and the frozen
-CSR network resident:
+10^5–10^6 users by keeping only columnar per-user arrays and the CSR
+network resident:
 
 - **edges** stream from :class:`~repro.graph.generators.FollowerEdgeStream`
-  (fast mode) in chunks straight into the CSR builder — the Python
-  adjacency dicts never exist;
+  (fast mode) in chunks straight into the CSR builder;
 - **users** are columnar (activity, account age, hate propensity,
   community); ``User`` objects materialise lazily through an LRU view;
 - **histories** are synthesised on demand per user from a
   per-user-seeded generator (``default_rng([seed, uid])``), so the same
   uid always gets the same history without storing any of them;
-- **cascades** are drawn on demand over the frozen graph
+- **cascades** are drawn on demand over the CSR graph
   (:meth:`StreamedWorld.iter_cascades`) instead of being pre-simulated.
 
 A :class:`StreamedWorld` exposes the attribute surface
-:class:`~repro.features.store.FeatureStore` consumes (``users`` with a
-``user_ids`` fast path, ``network``, ``history.get``, ``tweets``,
-``cascades``), so the paged feature store runs unmodified on top.
+:class:`~repro.features.store.FeatureStore` consumes (``users``,
+``network``, ``history.get``, ``tweets``, ``cascades``), so the paged
+feature store runs unmodified on top.
 
 This mode is its own distribution — heavy-tailed, community-structured,
 like the resident generator, but not draw-compatible with
@@ -83,19 +82,13 @@ class _LazyUsers:
     """Mapping-like ``uid -> User`` view over columnar per-user arrays.
 
     Materialises ``User`` objects on demand behind an LRU so a
-    million-user world never holds a million dataclass instances.  The
-    ``user_ids`` array is the feature store's fast path around
-    ``sorted(world.users)``.
+    million-user world never holds a million dataclass instances.
     """
 
     def __init__(self, world: "StreamedWorld", cap: int):
         self._world = world
         self._cap = max(1, cap)
         self._cache: "OrderedDict[int, User]" = OrderedDict()
-
-    @property
-    def user_ids(self) -> np.ndarray:
-        return self._world.user_ids
 
     def __len__(self) -> int:
         return len(self._world.user_ids)
@@ -198,7 +191,7 @@ class _LazyHistories:
 
 @dataclass
 class StreamedWorld:
-    """A world whose resident state is columnar arrays + a frozen CSR net."""
+    """A world whose resident state is columnar arrays + a CSR network."""
 
     config: WorldStreamConfig
     network: InformationNetwork
@@ -220,7 +213,7 @@ class StreamedWorld:
             self.history = _LazyHistories(self, self.config.history_cache)
 
     def iter_cascades(self, n_cascades: int, mean_size: float = 12.0, seed: int = 1):
-        """Yield synthetic cascades drawn over the frozen graph on demand.
+        """Yield synthetic cascades drawn over the CSR graph on demand.
 
         Roots are popularity-weighted; participants spread follower-first
         over CSR rows.  Nothing is stored — each cascade is built, yielded,
@@ -278,7 +271,7 @@ class StreamedWorld:
 
 
 class WorldStream:
-    """Builder: stream edge chunks into a frozen CSR world."""
+    """Builder: stream edge chunks into a CSR world."""
 
     def __init__(self, config: WorldStreamConfig | None = None):
         self.config = config or WorldStreamConfig()
@@ -308,7 +301,7 @@ class WorldStream:
         # Phase-1 chunks are internally deduped but the celebrity phase can
         # re-emit an existing pair; one global pass keeps first emissions.
         src, dst = dedupe_edges(src, dst, n)
-        network = InformationNetwork.from_edge_arrays(n, src, dst)
+        network = InformationNetwork(n, src, dst)
 
         activity = rng.lognormal(mean=0.0, sigma=1.2, size=n)
         account_age = rng.uniform(30.0, 3650.0, size=n)

@@ -26,7 +26,7 @@ from repro.data.hashtags import THEMES, hashtag_catalog
 from repro.data.news import NewsStream, generate_news_stream
 from repro.data.schema import WINDOW_HOURS, Cascade, HashtagSpec, Retweet, Tweet, User
 from repro.data.vocab import make_text
-from repro.graph.generators import community_follower_graph
+from repro.graph.generators import community_follower_edges
 from repro.graph.network import InformationNetwork
 from repro.utils.rng import ensure_rng
 
@@ -103,7 +103,7 @@ class SyntheticWorld:
         catalog = hashtag_catalog(cfg.n_hashtags)
         theme_of = {h.tag: h.theme for h in catalog}
 
-        network, communities = community_follower_graph(
+        src, dst, communities = community_follower_edges(
             cfg.n_users,
             n_communities=cfg.n_communities,
             mean_follows=cfg.mean_follows,
@@ -113,11 +113,16 @@ class SyntheticWorld:
             random_state=rng,
         )
         users = cls._make_users(cfg, catalog, communities, rng)
-        cls._densify_hate_cliques(cfg, users, network, communities, rng)
-        # Last mutation is done: compile to CSR so cascade simulation and
-        # the feature path run on the frozen fast path.  Freezing preserves
-        # per-node neighbour order, so every RNG draw below is unchanged.
-        network.freeze()
+        clique_src, clique_dst = cls._densify_hate_cliques(
+            cfg, users, set(zip(src.tolist(), dst.tolist())), communities, rng
+        )
+        # Clique edges follow the base edges, so each user's neighbour
+        # order (which the cascade RNG draws consume) is base order first.
+        network = InformationNetwork(
+            cfg.n_users,
+            np.concatenate([src, clique_src]),
+            np.concatenate([dst, clique_dst]),
+        )
         news = generate_news_stream(
             n_articles=cfg.n_news, window_hours=WINDOW_HOURS, random_state=rng
         )
@@ -194,26 +199,34 @@ class SyntheticWorld:
         return users
 
     @staticmethod
-    def _densify_hate_cliques(cfg, users, network, communities, rng) -> None:
-        """Interconnect high-hate-propensity users within each community.
+    def _densify_hate_cliques(cfg, users, base_edges, communities, rng):
+        """Follow edges interconnecting high-hate-propensity users per community.
 
         Mathew et al. (and this paper's Fig. 1 reading) observe hateful
         content circulating among a small, well-connected user set.  Mutual
         follows among the top-propensity users of a community make hateful
         cascades recirculate internally instead of exposing new audiences.
+
+        Returns ``(followees, followers)`` arrays of the edges not already
+        in ``base_edges`` (a set of ``(followee, follower)`` pairs).  Each
+        unordered pair is drawn once, so checking the base graph alone
+        never admits a duplicate.
         """
         base = np.array([users[u].base_hate_propensity for u in sorted(users)])
         cutoff = np.quantile(base, cfg.hate_clique_quantile)
         prone = np.flatnonzero(base >= cutoff)
+        followees: list[int] = []
+        followers: list[int] = []
         for comm in range(cfg.n_communities):
             group = [int(u) for u in prone if communities[u] == comm]
             for i, a in enumerate(group):
                 for b in group[i + 1 :]:
                     if rng.random() < cfg.hate_clique_density:
-                        if not network.follows(b, a):
-                            network.add_follow(a, b)
-                        if not network.follows(a, b):
-                            network.add_follow(b, a)
+                        for edge in ((a, b), (b, a)):
+                            if edge not in base_edges:
+                                followees.append(edge[0])
+                                followers.append(edge[1])
+        return np.array(followees, dtype=np.int64), np.array(followers, dtype=np.int64)
 
     # ------------------------------------------------------------- cascades
     @classmethod

@@ -58,36 +58,8 @@ _INVALIDATIONS = obs_metrics.REGISTRY.counter(
 #: (years), number of distinct recent hashtags.
 N_HISTORY_SCALARS = 6
 
-#: Byte budget for cached frozen-path BFS distance arrays (int16 per user).
+#: Byte budget for cached BFS distance arrays (int16 per user).
 _DIST_ARRAY_CACHE_BYTES = 64 << 20
-
-
-class _IdentityIndex:
-    """user id -> store row for the contiguous ``0..n-1`` id space.
-
-    World-scale stores would otherwise pay a million-entry Python dict just
-    to map ``uid`` to ``uid``.  Implements the mapping surface the store
-    uses (``[]``, ``get``, ``in``).
-    """
-
-    __slots__ = ("n",)
-
-    def __init__(self, n: int):
-        self.n = int(n)
-
-    def __getitem__(self, u: int) -> int:
-        i = int(u)
-        if 0 <= i < self.n:
-            return i
-        raise KeyError(u)
-
-    def get(self, u, default=None):
-        i = int(u)
-        return i if 0 <= i < self.n else default
-
-    def __contains__(self, u) -> bool:
-        i = int(u)
-        return 0 <= i < self.n
 
 
 class FeatureStore:
@@ -138,16 +110,8 @@ class FeatureStore:
             raise ValueError(f"unknown feature storage {storage!r}")
         self.storage = storage
 
-        user_ids = getattr(world.users, "user_ids", None)
-        if user_ids is not None:
-            self._uids = np.asarray(user_ids, dtype=np.int64)
-        else:
-            self._uids = np.array(sorted(world.users), dtype=np.int64)
-        n = len(self._uids)
-        if n and self._uids[0] == 0 and self._uids[-1] == n - 1:
-            self._index = _IdentityIndex(n)
-        else:
-            self._index = {int(u): i for i, u in enumerate(self._uids)}
+        # User ids are the rows 0..n-1, as in the world's network.
+        self._n = n = len(world.users)
         d_text = len(text_vectorizer.vocabulary_)
         self._d_hist = d_text + len(lexicon) + N_HISTORY_SCALARS
         if storage == "paged":
@@ -176,9 +140,7 @@ class FeatureStore:
         self._n_rt_hate = np.zeros(n, dtype=np.int64)
         self._n_rt_non = np.zeros(n, dtype=np.int64)
         for c in world.cascades:
-            i = self._index.get(c.root.user_id)
-            if i is None:
-                continue
+            i = c.root.user_id
             if c.root.is_hate:
                 self._rts_hate[i] += c.size
                 self._n_rt_hate[i] += 1 if c.size > 0 else 0
@@ -213,7 +175,7 @@ class FeatureStore:
     # ---------------------------------------------------------------- sizes
     @property
     def n_users(self) -> int:
-        return len(self._uids)
+        return self._n
 
     @property
     def history_dim(self) -> int:
@@ -246,14 +208,14 @@ class FeatureStore:
         rows.  It is also the degraded-read path when paged block I/O
         fails persistently: the recomputed rows equal what the file held.
         """
-        uids = self._uids[rows].tolist()
+        uids = rows.tolist()
         recents = [self._recent(uid) for uid in uids]
         joined = [" ".join(t.text for t in recent) for recent in recents]
         tfidf = self.text_vectorizer.transform(joined)
         hist = np.empty((len(uids), self._d_hist))
         docv = np.zeros((len(uids), self.doc2vec_dim))
         world = self.world
-        for k, (i, uid, recent) in enumerate(zip(rows.tolist(), uids, recents)):
+        for k, (uid, recent) in enumerate(zip(uids, recents)):
             texts = [t.text for t in recent]
             n_hate = sum(t.is_hate for t in recent)
             n_non = len(recent) - n_hate
@@ -263,7 +225,7 @@ class FeatureStore:
             scalars = np.array(
                 [
                     hate_ratio,
-                    *self._counter_scalars(i, uid),
+                    *self._counter_scalars(uid),
                     user.account_age_days / 365.0,
                     float(len({t.hashtag for t in recent})),
                 ]
@@ -276,7 +238,7 @@ class FeatureStore:
                 docv[k] = np.mean(doc_vecs, axis=0)
         return hist, docv
 
-    def _counter_scalars(self, i: int, uid: int) -> tuple[float, float, float]:
+    def _counter_scalars(self, i: int) -> tuple[float, float, float]:
         """The history scalars live ingest can move, in block order.
 
         Retweet-count ratio, retweeted-tweet ratio and follower count: the
@@ -287,19 +249,13 @@ class FeatureStore:
         return (
             int(self._rts_hate[i]) / (int(self._rts_non[i]) + 1.0),
             int(self._n_rt_hate[i]) / (int(self._n_rt_non[i]) + 1.0),
-            float(self.world.network.follower_count(uid)),
+            float(self.world.network.follower_count(i)),
         )
 
     def _rows_of(self, user_ids) -> np.ndarray:
         """(n,) store rows of a user list; -1 marks users the store lacks."""
-        if isinstance(self._index, _IdentityIndex):
-            idx = np.asarray(user_ids, dtype=np.int64)
-            return np.where((idx >= 0) & (idx < self._index.n), idx, -1)
-        return np.fromiter(
-            (self._index.get(u, -1) for u in user_ids),
-            dtype=np.int64,
-            count=len(user_ids),
-        )
+        idx = np.asarray(user_ids, dtype=np.int64)
+        return np.where((idx >= 0) & (idx < self._n), idx, -1)
 
     def ensure(self, user_ids) -> np.ndarray:
         """Build any not-yet-built rows in one batch; returns the store rows.
@@ -403,11 +359,7 @@ class FeatureStore:
         ``counts`` comes from the RETINA extractor's train split; rows are
         root users, columns candidates, both in store index space.
         """
-        triples = sorted(
-            (self._index[ru], self._index[cu], int(n))
-            for (ru, cu), n in counts.items()
-            if ru in self._index and cu in self._index
-        )
+        triples = sorted((int(ru), int(cu), int(n)) for (ru, cu), n in counts.items())
         n = self.n_users
         indptr = np.zeros(n + 1, dtype=np.int64)
         cols = np.empty(len(triples), dtype=np.int64)
@@ -425,8 +377,8 @@ class FeatureStore:
         out = np.zeros(len(user_ids))
         if self._prior_indptr is None:
             return out
-        ri = self._index.get(root_user)
-        if ri is None:
+        ri = int(self._rows_of([root_user])[0])
+        if ri < 0:
             return out
         lo, hi = self._prior_indptr[ri], self._prior_indptr[ri + 1]
         if hi == lo:
@@ -446,8 +398,7 @@ class FeatureStore:
 
         ``cutoff + 1`` marks unreached rows — value-identical to
         ``network.distances_from(source, cutoff).get(uid, cutoff + 1)`` for
-        every user, at ~2 bytes/user instead of a Python dict entry.  Every
-        world freezes its network; an unfrozen one raises ``RuntimeError``.
+        every user, at ~2 bytes/user instead of a Python dict entry.
         """
         key = (source, cutoff)
         cached = self._dist_arr_cache.get(key)
@@ -466,7 +417,7 @@ class FeatureStore:
         distance is then a row gather.
         """
         arr = self.distance_array(root_user, cutoff)
-        rows = self.world.network.row_index(user_ids)
+        rows = self._rows_of(user_ids)
         spl = np.where(rows >= 0, arr[np.maximum(rows, 0)], cutoff + 1).astype(np.float64)
         return np.stack([spl, self.prior_counts(root_user, user_ids)], axis=1)
 
@@ -480,18 +431,11 @@ class FeatureStore:
         serving — distances elsewhere cannot shrink through an edge that
         doesn't improve its own endpoint.
         """
-        if not self._dist_arr_cache:
-            return 0
-        network = self.world.network
-        erow, frow = network._row(followee), network._row(follower)
-        if erow < 0 or frow < 0:
-            stale = list(self._dist_arr_cache)
-        else:
-            stale = [
-                key
-                for key, arr in self._dist_arr_cache.items()
-                if int(arr[erow]) + 1 < int(arr[frow])
-            ]
+        stale = [
+            key
+            for key, arr in self._dist_arr_cache.items()
+            if int(arr[followee]) + 1 < int(arr[follower])
+        ]
         for key in stale:
             del self._dist_arr_cache[key]
         return len(stale)
@@ -510,7 +454,7 @@ class FeatureStore:
         if not len(idx):
             return 0
         values = np.array(
-            [self._counter_scalars(i, int(self._uids[i])) for i in idx.tolist()]
+            [self._counter_scalars(i) for i in idx.tolist()]
         )
         lo = self._d_hist - N_HISTORY_SCALARS + 1  # hate ratio comes first
         cols = slice(lo, lo + values.shape[1])
@@ -567,9 +511,7 @@ class FeatureStore:
                 seen = seen_rts.get(ev.tweet_id, 0)
                 pre_size = cascade.size - batch_rts[ev.tweet_id] + seen
                 seen_rts[ev.tweet_id] = seen + 1
-                i = self._index.get(cascade.root.user_id)
-                if i is None:
-                    continue
+                i = cascade.root.user_id
                 if cascade.root.is_hate:
                     self._rts_hate[i] += 1
                     if pre_size == 0:
@@ -582,9 +524,7 @@ class FeatureStore:
                 touched.add(int(i))
             elif ev.kind == "follow":
                 # The followee's history row embeds their follower count.
-                i = self._index.get(ev.followee)
-                if i is not None:
-                    touched.add(int(i))
+                touched.add(int(ev.followee))
                 counts["distance_cache"] += self._invalidate_distances(
                     ev.followee, ev.follower
                 )

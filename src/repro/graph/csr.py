@@ -1,16 +1,15 @@
-"""CSR adjacency kernels for the frozen information network.
+"""CSR adjacency kernels for the information network.
 
-A frozen :class:`~repro.graph.network.InformationNetwork` stores its
+:class:`~repro.graph.network.InformationNetwork` stores its
 adjacency as two compressed-sparse-row arrays — ``indptr``/``indices``
 over successors (followers: the direction information flows) and a
 transposed copy over predecessors (followees) — so neighbour lists are
 zero-copy ``int32`` slices and single-source BFS is a handful of numpy
 gathers per level instead of a Python ``deque`` walk.
 
-Everything here works in *row* space (``0..n-1``); the network owns the
-mapping between user ids and rows.  Kernels are exact: BFS hop counts
-are identical to the per-node Python BFS for every source, which is what
-the golden parity suite pins.
+Everything here works in *row* space (``0..n-1``), which is also the
+user-id space.  Kernels are exact: BFS hop counts equal a plain
+per-node BFS for every source, which the graph oracle tests pin.
 """
 
 from __future__ import annotations
@@ -25,10 +24,9 @@ def build_csr(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(indptr, indices)`` int32 CSR over ``(src -> dst)`` edge arrays.
 
-    The stable argsort keeps each row's neighbours in *emission order* —
-    for edges replayed from a construction-time adjacency this preserves
-    insertion order exactly, which downstream RNG-driven consumers
-    (cascade simulation) depend on for bit-identical worlds.
+    The stable argsort keeps each row's neighbours in *emission order*,
+    which downstream RNG-driven consumers (cascade simulation) depend on
+    for bit-identical worlds.
     """
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
@@ -94,7 +92,7 @@ def bfs_distances_overlay(
     """:func:`bfs_distances` over the CSR *plus* an adjacency overlay.
 
     ``extra`` maps row -> sequence of extra neighbour rows (edges added
-    after the freeze, e.g. live follow ingest).  Each level's gather is
+    after construction by live follow ingest).  Each level's gather is
     the base CSR gather with the frontier's overlay lists appended; BFS
     hop counts are neighbour-order independent, so the result is
     bit-identical to rebuilding the CSR with the combined edge set.

@@ -16,7 +16,7 @@ so world builders can consume ``(followee, follower)`` chunks without a
 resident adjacency:
 
 - ``mode="exact"`` replays the original per-draw loop RNG call for RNG
-  call — :func:`community_follower_graph` consumes it and produces
+  call — :func:`community_follower_edges` consumes it and produces
   bit-identical graphs to every earlier release;
 - ``mode="fast"`` is the world-scale path: chunked preferential
   attachment with per-chunk frozen weights, inverse-CDF sampling via
@@ -33,7 +33,12 @@ import numpy as np
 from repro.graph.network import InformationNetwork
 from repro.utils.rng import ensure_rng
 
-__all__ = ["FollowerEdgeStream", "community_follower_graph", "dedupe_edges"]
+__all__ = [
+    "FollowerEdgeStream",
+    "community_follower_edges",
+    "community_follower_graph",
+    "dedupe_edges",
+]
 
 
 def dedupe_edges(
@@ -246,7 +251,7 @@ class FollowerEdgeStream:
                     yield fe, picked
 
 
-def community_follower_graph(
+def community_follower_edges(
     n_users: int,
     n_communities: int = 8,
     mean_follows: int = 12,
@@ -254,8 +259,8 @@ def community_follower_graph(
     celebrity_fraction: float = 0.02,
     celebrity_follow_prob: float = 0.25,
     random_state=None,
-) -> tuple[InformationNetwork, np.ndarray]:
-    """Generate a follower network with preferential attachment + communities.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Follower edges with preferential attachment + communities.
 
     Parameters
     ----------
@@ -275,8 +280,9 @@ def community_follower_graph(
 
     Returns
     -------
-    ``(network, communities)`` where ``communities[i]`` is the community id
-    of user ``i``.
+    ``(followees, followers, communities)``: deduplicated edge arrays in
+    emission order (``followers[k]`` follows ``followees[k]``) and the
+    community id of each user.
     """
     stream = FollowerEdgeStream(
         n_users,
@@ -288,10 +294,21 @@ def community_follower_graph(
         mode="exact",
         random_state=random_state,
     )
-    net = InformationNetwork()
-    for uid in range(n_users):
-        net.add_user(uid)
-    for fe, fr in stream.chunks():
-        for followee, follower in zip(fe, fr):
-            net.add_follow(int(followee), int(follower))
-    return net, stream.communities
+    empty = np.empty(0, dtype=np.int64)
+    chunks = list(stream.chunks())
+    src = np.concatenate([empty] + [fe for fe, _ in chunks])
+    dst = np.concatenate([empty] + [fr for _, fr in chunks])
+    src, dst = dedupe_edges(src, dst, n_users)
+    return src, dst, stream.communities
+
+
+def community_follower_graph(
+    n_users: int, **kwargs
+) -> tuple[InformationNetwork, np.ndarray]:
+    """:func:`community_follower_edges` compiled into a network.
+
+    Returns ``(network, communities)`` where ``communities[i]`` is the
+    community id of user ``i``.
+    """
+    src, dst, communities = community_follower_edges(n_users, **kwargs)
+    return InformationNetwork(n_users, src, dst), communities

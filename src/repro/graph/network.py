@@ -6,27 +6,23 @@ direction information flows.  "Followers of u" are therefore successors of
 ``u``, and a user is *susceptible* to a cascade once at least one of their
 followees has participated.
 
-Two representations back the same API:
+The graph is one CSR (compressed sparse row) adjacency compiled from
+``(followee, follower)`` edge arrays by :mod:`repro.graph.csr`: int32
+successors plus a transposed copy for predecessors.  User ids are the
+rows ``0..n_users-1``.  Neighbour queries are array slices, degrees come
+straight off ``indptr``, BFS runs frontier-vectorised, and
+``followers``/``followees`` return cached tuples (cascade simulation
+calls them per retweet).
 
-- **construction** — plain insertion-ordered adjacency lists
-  (``dict[int, list[int]]``) plus an edge set for O(1) ``follows``
-  queries; mutation (``add_user``/``add_follow``) only works here;
-- **frozen** — after :meth:`freeze`, two int32 CSR arrays
-  (successors + a transposed copy for predecessors, built by
-  :mod:`repro.graph.csr`).  Neighbour queries become zero-copy array
-  slices, degrees come straight off ``indptr``, and BFS runs
-  frontier-vectorised.  Every query is value-identical to the
-  construction-time path; ``followers``/``followees`` return cached
-  tuples instead of fresh lists (the hot-path allocation cascade
-  simulation used to pay per call).
+:meth:`InformationNetwork.add_follow` is the only mutation: live ingest
+puts the edge in a small overlay that every query merges in, exactly as
+if the CSR had been rebuilt with the combined edge set.
 
-``networkx`` is no longer the substrate — :meth:`to_networkx` builds a
+``networkx`` is not the substrate — :meth:`to_networkx` builds a
 ``DiGraph`` view on demand for analysis code that wants one.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 import numpy as np
 
@@ -39,83 +35,54 @@ from repro.graph.csr import (
 
 __all__ = ["InformationNetwork"]
 
-#: Bound on the frozen-path followers/followees tuple caches: cascade
-#: simulation revisits a hot set of users, but a full sweep over a
-#: million-user graph must not pin every adjacency list as a tuple.
+#: Bound on the followers/followees tuple caches: cascade simulation
+#: revisits a hot set of users, but a full sweep over a million-user
+#: graph must not pin every adjacency list as a tuple.
 _NEIGHBOR_CACHE_CAP = 65536
 
 
 class InformationNetwork:
-    """The paper's follower graph G = {U, E} with diffusion helpers."""
+    """The paper's follower graph G = {U, E} with diffusion helpers.
 
-    def __init__(self):
-        self._nodes: dict[int, None] = {}
-        self._succ: dict[int, list[int]] = {}
-        self._pred: dict[int, list[int]] = {}
-        self._edges: set[tuple[int, int]] | None = set()
-        self._n_edges = 0
-        # Frozen (CSR) state.
-        self._frozen = False
-        self._ids: np.ndarray | None = None
-        self._rows: dict[int, int] | None = None  # None = ids are 0..n-1
-        self._indptr: np.ndarray | None = None
-        self._indices: np.ndarray | None = None
-        self._tindptr: np.ndarray | None = None
-        self._tindices: np.ndarray | None = None
+    ``src[k] -> dst[k]`` means user ``dst[k]`` follows ``src[k]``; users
+    are ``0..n_users-1``.  Edges must be deduplicated
+    (:func:`~repro.graph.generators.dedupe_edges`) and each user's
+    neighbours keep emission order, which RNG-driven consumers (cascade
+    simulation) depend on for bit-identical worlds.
+    """
+
+    def __init__(self, n_users: int, src: np.ndarray, dst: np.ndarray):
+        self._indptr, self._indices = build_csr(src, dst, n_users)
+        self._tindptr, self._tindices = build_csr(dst, src, n_users)
+        self._n_edges = len(self._indices)
         self._fol_cache: dict[int, tuple] = {}
         self._fee_cache: dict[int, tuple] = {}
-        # Frozen-path mutation overlay (row space): edges ingested after
-        # the freeze live here instead of forcing a CSR rebuild.  Every
-        # query merges base CSR + overlay; rows without overlay entries
-        # stay on the zero-copy path.
+        # Ingest overlay: edges added by add_follow live here instead of
+        # forcing a CSR rebuild.  Rows without overlay entries stay on the
+        # zero-copy path.
         self._extra_succ: dict[int, list[int]] = {}
         self._extra_pred: dict[int, list[int]] = {}
         self._extra_edges: set[tuple[int, int]] = set()
 
-    # --------------------------------------------------------- construction
-    def add_user(self, user_id: int) -> None:
-        self._check_mutable()
-        self._nodes.setdefault(int(user_id))
-
+    # ------------------------------------------------------------- mutation
     def add_follow(self, followee: int, follower: int) -> bool:
         """Record that ``follower`` follows ``followee`` (edge followee -> follower).
 
-        Returns True when a new edge was added, False for a duplicate.
-        On a *frozen* network the edge goes into the CSR overlay (both
-        users must already exist): queries and BFS merge it in, exactly
-        as if the CSR had been rebuilt with the combined edge set.
+        Both users must exist.  Returns True when a new edge was added,
+        False for a duplicate.
         """
         if followee == follower:
             raise ValueError("a user cannot follow themselves")
         followee, follower = int(followee), int(follower)
-        if self._frozen:
-            return self._add_follow_overlay(followee, follower)
-        key = (followee, follower)
-        if key in self._edges:
-            return False
-        self._nodes.setdefault(followee)
-        self._nodes.setdefault(follower)
-        self._succ.setdefault(followee, []).append(follower)
-        self._pred.setdefault(follower, []).append(followee)
-        self._edges.add(key)
-        self._n_edges += 1
-        return True
-
-    def _add_follow_overlay(self, followee: int, follower: int) -> bool:
-        erow, frow = self._row(followee), self._row(follower)
-        if erow < 0 or frow < 0:
+        if followee not in self or follower not in self:
             raise ValueError(
-                "cannot add a follow edge between unknown users on a "
-                f"frozen network ({followee} -> {follower})"
+                f"cannot add a follow edge between unknown users ({followee} -> {follower})"
             )
-        key = (erow, frow)
-        if key in self._extra_edges or bool(
-            (self._succ_slice(erow) == frow).any()
-        ):
+        if self.follows(follower, followee):
             return False
-        self._extra_succ.setdefault(erow, []).append(frow)
-        self._extra_pred.setdefault(frow, []).append(erow)
-        self._extra_edges.add(key)
+        self._extra_succ.setdefault(followee, []).append(follower)
+        self._extra_pred.setdefault(follower, []).append(followee)
+        self._extra_edges.add((followee, follower))
         self._n_edges += 1
         # The affected adjacency tuples are stale; rebuild lazily.
         self._fol_cache.pop(followee, None)
@@ -124,178 +91,58 @@ class InformationNetwork:
 
     @property
     def n_overlay_edges(self) -> int:
-        """Edges added after the freeze (0 on the construction path)."""
+        """Edges added by :meth:`add_follow` since construction."""
         return len(self._extra_edges)
-
-    def _check_mutable(self) -> None:
-        if self._frozen:
-            raise RuntimeError("network is frozen; build a new one to mutate")
-
-    # -------------------------------------------------------------- freezing
-    @property
-    def is_frozen(self) -> bool:
-        return self._frozen
-
-    def freeze(self) -> "InformationNetwork":
-        """Compile the adjacency into CSR arrays (idempotent).
-
-        Per-node neighbour order is preserved exactly, so RNG-driven
-        consumers iterate followers in the same order before and after
-        freezing — worlds generated against a frozen graph are
-        bit-identical to the construction-time path.
-        """
-        if self._frozen:
-            return self
-        n = len(self._nodes)
-        ids = np.fromiter(self._nodes.keys(), dtype=np.int64, count=n)
-        contiguous = bool(n == 0 or (ids[0] == 0 and np.array_equal(ids, np.arange(n))))
-        rows = None if contiguous else {int(u): i for i, u in enumerate(ids)}
-
-        def _compile(adj: dict[int, list[int]]) -> tuple[np.ndarray, np.ndarray]:
-            indptr = np.zeros(n + 1, dtype=np.int32)
-            for i in range(n):
-                lst = adj.get(int(ids[i]))
-                indptr[i + 1] = indptr[i] + (len(lst) if lst else 0)
-            indices = np.empty(int(indptr[-1]), dtype=np.int32)
-            for i in range(n):
-                lst = adj.get(int(ids[i]))
-                if lst:
-                    if rows is None:
-                        indices[indptr[i] : indptr[i + 1]] = lst
-                    else:
-                        indices[indptr[i] : indptr[i + 1]] = [rows[v] for v in lst]
-            return indptr, indices
-
-        self._indptr, self._indices = _compile(self._succ)
-        self._tindptr, self._tindices = _compile(self._pred)
-        self._ids = ids
-        self._rows = rows
-        self._frozen = True
-        # Release the construction-time structures — the CSR is final.
-        self._succ = self._pred = None
-        self._edges = None
-        self._nodes = {}
-        return self
-
-    @classmethod
-    def from_edge_arrays(
-        cls, n_users: int, src: np.ndarray, dst: np.ndarray
-    ) -> "InformationNetwork":
-        """A frozen network straight from ``(followee, follower)`` arrays.
-
-        This is the streaming world-generator entry point: edge chunks are
-        concatenated by the caller and compiled here without ever
-        materialising per-node Python lists.  Nodes are ``0..n_users-1``;
-        edges must be pre-deduplicated (the stream generator guarantees
-        it) and per-node order follows emission order (stable sort).
-        """
-        net = cls()
-        net._indptr, net._indices = build_csr(src, dst, n_users)
-        net._tindptr, net._tindices = build_csr(dst, src, n_users)
-        net._ids = np.arange(n_users, dtype=np.int64)
-        net._rows = None
-        net._n_edges = int(len(net._indices))
-        net._frozen = True
-        net._succ = net._pred = None
-        net._edges = None
-        return net
-
-    # ----------------------------------------------------------- row mapping
-    def _row(self, user_id) -> int:
-        """CSR row of a user id, or -1 when absent (frozen path only)."""
-        if self._rows is None:
-            i = int(user_id)
-            return i if 0 <= i < len(self._ids) else -1
-        return self._rows.get(int(user_id), -1)
-
-    def row_index(self, user_ids) -> np.ndarray:
-        """(n,) CSR rows for a user-id list; -1 marks unknown users."""
-        if not self._frozen:
-            raise RuntimeError("row_index requires a frozen network")
-        arr = np.asarray(list(user_ids) if not isinstance(user_ids, np.ndarray) else user_ids, dtype=np.int64)
-        if self._rows is None:
-            n = len(self._ids)
-            return np.where((arr >= 0) & (arr < n), arr, -1)
-        return np.fromiter(
-            (self._rows.get(int(u), -1) for u in arr), dtype=np.int64, count=len(arr)
-        )
-
-    def ids_at(self, rows: np.ndarray) -> np.ndarray:
-        """User ids of the given CSR rows (frozen path)."""
-        return self._ids[rows]
 
     # -------------------------------------------------------------- queries
     @property
     def n_users(self) -> int:
-        return len(self._ids) if self._frozen else len(self._nodes)
+        return len(self._indptr) - 1
 
     @property
     def n_follows(self) -> int:
         return self._n_edges
 
     def __contains__(self, user_id) -> bool:
-        if self._frozen:
-            return self._row(user_id) >= 0
-        return int(user_id) in self._nodes
+        return 0 <= int(user_id) < self.n_users
 
     def users(self) -> list[int]:
-        if self._frozen:
-            return [int(u) for u in self._ids]
-        return list(self._nodes)
+        return list(range(self.n_users))
 
     def _succ_slice(self, row: int) -> np.ndarray:
         return self._indices[self._indptr[row] : self._indptr[row + 1]]
 
-    def _pred_slice(self, row: int) -> np.ndarray:
-        return self._tindices[self._tindptr[row] : self._tindptr[row + 1]]
+    def followers(self, user_id: int) -> tuple:
+        """Users who follow ``user_id`` (receive their tweets), cached."""
+        cached = self._fol_cache.get(user_id)
+        if cached is not None:
+            return cached
+        if user_id not in self:
+            return ()
+        value = tuple(self.followers_rows(int(user_id)).tolist())
+        if len(self._fol_cache) >= _NEIGHBOR_CACHE_CAP:
+            self._fol_cache.pop(next(iter(self._fol_cache)))
+        self._fol_cache[user_id] = value
+        return value
 
-    def followers(self, user_id: int):
-        """Users who follow ``user_id`` (receive their tweets).
-
-        Construction path: a fresh list (mutation-safe, as before).
-        Frozen path: a cached tuple — no per-call allocation on the
-        cascade-simulation hot path.
-        """
-        if self._frozen:
-            cached = self._fol_cache.get(user_id)
-            if cached is not None:
-                return cached
-            row = self._row(user_id)
-            if row < 0:
-                return ()
-            value = tuple(int(v) for v in self._ids[self.followers_rows(row)])
-            if len(self._fol_cache) >= _NEIGHBOR_CACHE_CAP:
-                self._fol_cache.pop(next(iter(self._fol_cache)))
-            self._fol_cache[user_id] = value
-            return value
-        if int(user_id) not in self._nodes:
-            return []
-        return list(self._succ.get(int(user_id), ()))
-
-    def followees(self, user_id: int):
-        """Users whom ``user_id`` follows."""
-        if self._frozen:
-            cached = self._fee_cache.get(user_id)
-            if cached is not None:
-                return cached
-            row = self._row(user_id)
-            if row < 0:
-                return ()
-            rows = self._pred_slice(row)
-            extra = self._extra_pred.get(row)
-            if extra:
-                rows = np.concatenate([rows, np.asarray(extra, dtype=rows.dtype)])
-            value = tuple(int(v) for v in self._ids[rows])
-            if len(self._fee_cache) >= _NEIGHBOR_CACHE_CAP:
-                self._fee_cache.pop(next(iter(self._fee_cache)))
-            self._fee_cache[user_id] = value
-            return value
-        if int(user_id) not in self._nodes:
-            return []
-        return list(self._pred.get(int(user_id), ()))
+    def followees(self, user_id: int) -> tuple:
+        """Users whom ``user_id`` follows, cached."""
+        cached = self._fee_cache.get(user_id)
+        if cached is not None:
+            return cached
+        if user_id not in self:
+            return ()
+        row = int(user_id)
+        value = tuple(
+            self._tindices[self._tindptr[row] : self._tindptr[row + 1]].tolist()
+        ) + tuple(self._extra_pred.get(row, ()))
+        if len(self._fee_cache) >= _NEIGHBOR_CACHE_CAP:
+            self._fee_cache.pop(next(iter(self._fee_cache)))
+        self._fee_cache[user_id] = value
+        return value
 
     def followers_rows(self, row: int) -> np.ndarray:
-        """Follower rows of a CSR row (frozen hot path).
+        """Follower rows of a user (the cascade-sampling hot path).
 
         Zero-copy base slice when the row has no overlay edges; a fresh
         concatenation (base order, then ingest order) when it does.
@@ -307,21 +154,14 @@ class InformationNetwork:
         return np.concatenate([base, np.asarray(extra, dtype=base.dtype)])
 
     def follower_count(self, user_id: int) -> int:
-        if self._frozen:
-            row = self._row(user_id)
-            if row < 0:
-                return 0
-            count = int(self._indptr[row + 1] - self._indptr[row])
-            extra = self._extra_succ.get(row)
-            return count + (len(extra) if extra else 0)
-        if int(user_id) not in self._nodes:
+        if user_id not in self:
             return 0
-        return len(self._succ.get(int(user_id), ()))
+        row = int(user_id)
+        count = int(self._indptr[row + 1] - self._indptr[row])
+        return count + len(self._extra_succ.get(row, ()))
 
     def follower_counts(self) -> np.ndarray:
-        """Out-degree of every row, straight off ``indptr`` (frozen path)."""
-        if not self._frozen:
-            raise RuntimeError("follower_counts requires a frozen network")
+        """Follower count of every user, straight off ``indptr``."""
         counts = np.diff(self._indptr)
         if self._extra_succ:
             counts = counts.copy()
@@ -331,17 +171,12 @@ class InformationNetwork:
 
     def follows(self, follower: int, followee: int) -> bool:
         """True when ``follower`` follows ``followee``."""
-        if self._frozen:
-            row = self._row(followee)
-            if row < 0:
-                return False
-            frow = self._row(follower)
-            if frow < 0:
-                return False
-            if (row, frow) in self._extra_edges:
-                return True
-            return bool((self._succ_slice(row) == frow).any())
-        return (int(followee), int(follower)) in self._edges
+        if followee not in self or follower not in self:
+            return False
+        row, frow = int(followee), int(follower)
+        if (row, frow) in self._extra_edges:
+            return True
+        return bool((self._succ_slice(row) == frow).any())
 
     # ------------------------------------------------------------------ BFS
     def shortest_path_length(self, source: int, target: int, cutoff: int = 6) -> int:
@@ -351,36 +186,11 @@ class InformationNetwork:
         gives downstream features a finite "far away" value (the paper uses
         the shortest path from the root user as a peer-influence feature).
         """
-        if self._frozen:
-            if self._extra_succ:
-                trow = self._row(target)
-                if trow < 0:
-                    return cutoff + 1
-                return int(self.distances_array_from(source, cutoff)[trow])
-            return bfs_hops_to(
-                self._indptr,
-                self._indices,
-                self._row(source),
-                self._row(target),
-                cutoff,
-            )
-        if int(source) not in self._nodes or int(target) not in self._nodes:
-            return cutoff + 1
-        if source == target:
-            return 0
-        seen = {source}
-        queue = deque([(source, 0)])
-        while queue:
-            node, dist = queue.popleft()
-            if dist >= cutoff:
-                continue
-            for nxt in self._succ.get(int(node), ()):
-                if nxt == target:
-                    return dist + 1
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append((nxt, dist + 1))
-        return cutoff + 1
+        if self._extra_succ:
+            if target not in self:
+                return cutoff + 1
+            return int(self.distances_array_from(source, cutoff)[int(target)])
+        return bfs_hops_to(self._indptr, self._indices, int(source), int(target), cutoff)
 
     def distances_from(self, source: int, cutoff: int = 6) -> dict[int, int]:
         """Hop counts from ``source`` to every node within ``cutoff``.
@@ -392,42 +202,21 @@ class InformationNetwork:
         ``cutoff + 1``, so ``distances_from(s, c).get(t, c + 1)`` equals
         ``shortest_path_length(s, t, cutoff=c)`` for every target ``t``.
         """
-        if self._frozen:
-            arr = self.distances_array_from(source, cutoff)
-            reached = np.flatnonzero(arr <= cutoff)
-            ids = self._ids[reached]
-            return {int(u): int(arr[r]) for u, r in zip(ids, reached)}
-        if int(source) not in self._nodes:
-            return {}
-        dist = {source: 0}
-        queue = deque([source])
-        while queue:
-            node = queue.popleft()
-            d = dist[node]
-            if d >= cutoff:
-                continue
-            for nxt in self._succ.get(int(node), ()):
-                if nxt not in dist:
-                    dist[nxt] = d + 1
-                    queue.append(nxt)
-        return dist
+        arr = self.distances_array_from(source, cutoff)
+        return {int(u): int(arr[u]) for u in np.flatnonzero(arr <= cutoff)}
 
     def distances_array_from(self, source: int, cutoff: int = 6) -> np.ndarray:
-        """(n,) int16 hop counts per CSR row; ``cutoff + 1`` = unreached.
+        """(n,) int16 hop counts per user; ``cutoff + 1`` = unreached.
 
-        The frozen counterpart of :meth:`distances_from` — one
+        The array counterpart of :meth:`distances_from` — one
         frontier-vectorised BFS, no per-node dict.  An absent source
-        yields an all-far array (matching the empty dict of the
-        construction path).
+        yields an all-far array.
         """
-        if not self._frozen:
-            raise RuntimeError("distances_array_from requires a frozen network")
         if self._extra_succ:
             return bfs_distances_overlay(
-                self._indptr, self._indices, self._extra_succ,
-                self._row(source), cutoff,
+                self._indptr, self._indices, self._extra_succ, int(source), cutoff
             )
-        return bfs_distances(self._indptr, self._indices, self._row(source), cutoff)
+        return bfs_distances(self._indptr, self._indices, int(source), cutoff)
 
     # ----------------------------------------------------------- set queries
     def susceptible_set(self, participants) -> set[int]:
@@ -437,33 +226,11 @@ class InformationNetwork:
         participant, minus the participants themselves.
         """
         participants = set(participants)
-        if self._frozen:
-            rows = np.fromiter(
-                (r for r in (self._row(u) for u in participants) if r >= 0),
-                dtype=np.int64,
-            )
-            exposed: set[int] = set()
-            for row in rows:
-                exposed.update(int(v) for v in self._ids[self.followers_rows(int(row))])
-            return exposed - participants
-        exposed = set()
+        exposed: set[int] = set()
         for uid in participants:
-            exposed.update(self.followers(uid))
+            if uid in self:
+                exposed.update(self.followers_rows(int(uid)).tolist())
         return exposed - participants
-
-    def subgraph_users(self, users) -> "InformationNetwork":
-        """Induced sub-network over the given user set (always mutable)."""
-        keep = {int(u) for u in users}
-        sub = InformationNetwork()
-        for u in self.users():
-            if u in keep:
-                sub.add_user(u)
-        for u in sub.users():
-            neighbors = self.followers(u)
-            for v in neighbors:
-                if int(v) in keep:
-                    sub.add_follow(u, int(v))
-        return sub
 
     def to_networkx(self):
         """A ``networkx.DiGraph`` *view* of the adjacency (built on demand)."""
@@ -473,5 +240,5 @@ class InformationNetwork:
         g.add_nodes_from(self.users())
         for u in self.users():
             for v in self.followers(u):
-                g.add_edge(u, int(v))
+                g.add_edge(u, v)
         return g

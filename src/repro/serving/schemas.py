@@ -20,6 +20,7 @@ default audience.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Any, Callable, ClassVar
 
@@ -97,10 +98,12 @@ class FieldSpec:
 
     ``type`` is the target builtin (``int``/``float``/``str``/``bool``/
     ``list``/``dict``); numeric fields coerce ints, floats and numeric
-    strings but never booleans.  ``ge``/``lt`` bound numerics, ``item``
-    coerces list elements, ``non_empty``/``max_len`` bound containers,
-    and ``check`` is an escape hatch for shapes the spec can't express
-    (it receives the coerced value and returns the final one).
+    strings but never booleans, an ``int`` field takes only integral
+    floats, and a ``float`` field only finite values.  ``ge``/``lt``
+    bound numerics, ``item`` coerces list elements,
+    ``non_empty``/``max_len`` bound containers, and ``check`` is an
+    escape hatch for shapes the spec can't express (it receives the
+    coerced value and returns the final one).
     """
 
     name: str
@@ -117,20 +120,21 @@ class FieldSpec:
 
 def _coerce(value, target: type, field: str):
     """Coerce one scalar to ``target`` or raise a typed ServingError."""
-    if type(value) is target:
+    if type(value) is target and (target is not float or math.isfinite(value)):
         # Exact-type fast path for the hot serving path; ``type() is``
         # (not isinstance) so bool never slips through an int/float spec.
         return value
     if target in (int, float):
-        if isinstance(value, bool):
-            raise ServingError(
-                f"{field}: {value!r} is not a valid {target.__name__}",
-                code="invalid_type",
-                field=field,
-            )
         try:
-            return target(value)
-        except (TypeError, ValueError) as exc:
+            if isinstance(value, bool):
+                raise TypeError("bool is not a number")
+            if target is int and isinstance(value, float) and not value.is_integer():
+                raise ValueError("not an integral number")  # never truncate
+            out = target(value)
+            if target is float and not math.isfinite(out):
+                raise ValueError("not a finite number")
+            return out
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ServingError(
                 f"{field}: {value!r} is not a valid {target.__name__}",
                 code="invalid_type",
@@ -417,7 +421,7 @@ def validate_event_payload(item) -> dict:
             code="invalid_type",
         )
     kind = item.get("kind")
-    if kind not in EVENT_FIELDS:
+    if not isinstance(kind, str) or kind not in EVENT_FIELDS:
         raise ServingError(
             f"unknown event kind {kind!r}; expected one of {sorted(EVENT_FIELDS)}",
             code="unknown_event_kind",

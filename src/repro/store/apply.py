@@ -109,7 +109,7 @@ def _apply_one(world, event: Event) -> None:
                 Retweet(user_id=event.user_id, timestamp=float(event.timestamp))
             )
     elif kind == "follow":
-        # Frozen networks route this into the CSR overlay; an edge that
+        # The edge goes into the network's ingest overlay; an edge that
         # already exists is a no-op (add_follow returns False).
         world.network.add_follow(event.followee, event.follower)
     elif kind == "hashtag":

@@ -10,14 +10,8 @@ from repro.graph import InformationNetwork
 
 def _clique_network(n=4):
     """Fully mutually-following clique of n users plus one outsider."""
-    net = InformationNetwork()
-    for u in range(n + 1):
-        net.add_user(u)
-    for a in range(n):
-        for b in range(n):
-            if a != b:
-                net.add_follow(a, b)
-    return net
+    pairs = np.array([(a, b) for a in range(n) for b in range(n) if a != b])
+    return InformationNetwork(n + 1, pairs[:, 0], pairs[:, 1])
 
 
 def _cascade(users):
@@ -36,9 +30,7 @@ class TestCascadeEchoMetrics:
         assert m["audience_overlap"] > 0.5  # shared audience
 
     def test_disconnected_cascade_zero_density(self):
-        net = InformationNetwork()
-        for u in range(4):
-            net.add_user(u)
+        net = InformationNetwork(4, np.array([], dtype=int), np.array([], dtype=int))
         communities = np.array([0, 1, 2, 3])
         m = cascade_echo_metrics(_cascade([0, 1, 2, 3]), net, communities)
         assert m["internal_density"] == 0.0

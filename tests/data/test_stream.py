@@ -16,8 +16,7 @@ def world():
 
 
 class TestBuild:
-    def test_network_is_frozen_csr(self, world):
-        assert world.network.is_frozen
+    def test_network_covers_every_user(self, world):
         assert world.network.n_users == 3000
         assert world.network.n_follows > 3000
 

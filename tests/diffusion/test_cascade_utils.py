@@ -9,15 +9,10 @@ from repro.graph import InformationNetwork
 
 
 def _network():
-    net = InformationNetwork()
-    for u in range(10):
-        net.add_user(u)
-    # 0's followers: 1..5; 1's followers: 6, 7.
-    for f in range(1, 6):
-        net.add_follow(0, f)
-    net.add_follow(1, 6)
-    net.add_follow(1, 7)
-    return net
+    # 0's followers: 1..5; 1's followers: 6, 7; users 8, 9 isolated.
+    return InformationNetwork(
+        10, np.array([0, 0, 0, 0, 0, 1, 1]), np.array([1, 2, 3, 4, 5, 6, 7])
+    )
 
 
 def _cascade(retweeters=(1, 2), root_user=0):

@@ -114,3 +114,13 @@ class TestHateGenMatrixParity:
                 X[i], base.sample_vector(t.user_id, t.hashtag, t.timestamp)
             )
         assert y.tolist() == [int(t.is_hate) for t in tweets]
+
+    def test_sample_vector_reads_the_store_once(self, fitted_extractor, features_world):
+        """One query is one store row read: hits + misses grow by exactly 1."""
+        base = fitted_extractor.base_
+        t = features_world.world.tweets[3]
+        for _ in range(2):  # first call may build the row, second is a hit
+            before = base.store_.hits + base.store_.misses
+            vec = base.sample_vector(t.user_id, t.hashtag, t.timestamp)
+            assert base.store_.hits + base.store_.misses == before + 1
+        np.testing.assert_array_equal(vec, base.matrix([t])[0][0])
