@@ -306,15 +306,13 @@ class HateGenFeatureExtractor:
         Delegates store-level invalidation to
         :meth:`FeatureStore.apply_events`, then updates the trending
         counts and drops the endogenous-vector cache for affected days.
-        Guarded by the store's watermark (both start at the world's and
-        advance together), so overlapping batches are no-ops.
+        Applies exactly the events it is given; the owning predictor's
+        watermark makes sure each arrives once.
         """
         check_fitted(self, "text_vectorizer_")
-        applied_seq = self.store_._applied_seq
         counts = self.store_.apply_events(stored_events)
-        events = [s for s in stored_events if s.seq > applied_seq]
         dirty_days: set[int] = set()
-        for s in events:
+        for s in stored_events:
             if s.event.kind == "tweet":
                 day = int(s.event.timestamp // DAY_HOURS)
                 key = (day, s.event.hashtag)

@@ -98,10 +98,15 @@ class RetinaFeatureExtractor:
         self.tweet_vectorizer_: TfidfVectorizer | None = None
         self._news_vec_cache: np.ndarray | None = None
         self._retweeted_before: dict[tuple[int, int], int] | None = None
-        self._prior_seq = 0
 
     def fit(self, train_cascades: list[Cascade]) -> "RetinaFeatureExtractor":
-        """Fit text models on the training side of the corpus."""
+        """Fit text models on the training side of a generated world.
+
+        The prior counts are train-only: the log replay after a load adds
+        every logged retweet, so a world past seq 0 would count some twice.
+        """
+        if self.world.seq:
+            raise ValueError(f"fit needs a generated world, got seq {self.world.seq}")
         train_tweets = [c.root for c in train_cascades]
         self.base_ = HateGenFeatureExtractor(
             self.world,
@@ -130,7 +135,6 @@ class RetinaFeatureExtractor:
                 counts[key] = counts.get(key, 0) + 1
         self._retweeted_before = counts
         self.base_.store_.set_prior_retweets(counts)
-        self._prior_seq = int(getattr(self.world, "_store_watermark", 0))
         return self
 
     # -------------------------------------------------------------- pieces
@@ -317,15 +321,23 @@ class RetinaFeatureExtractor:
 
         Beyond the base extractor's store/trending invalidation, a live
         retweet increments the (root user, retweeter) prior-retweet count
-        — the peer feature the paper derives from past interactions — and
-        re-seeds the store's CSR view of it.  Watermark-guarded.
+        — the peer feature the paper derives from past interactions.
+        Applies exactly the events it is given.
         """
         check_fitted(self, "base_")
         counts = self.base_.apply_events(stored_events)
-        events = [s for s in stored_events if s.seq > self._prior_seq]
-        cascade_index = getattr(self.world, "_store_cascade_index", None) or {}
+        counts["prior_csr"] = self.add_prior_retweets(stored_events)
+        return counts
+
+    def add_prior_retweets(self, stored_events) -> int:
+        """Count the retweets among ``stored_events`` as prior retweets.
+
+        Re-seeds the store's CSR view of the counts when one changed;
+        returns how many did.
+        """
+        cascade_index = self.world.cascade_by_root
         changed = 0
-        for s in events:
+        for s in stored_events:
             if s.event.kind != "retweet":
                 continue
             cascade = cascade_index.get(s.event.tweet_id)
@@ -335,15 +347,11 @@ class RetinaFeatureExtractor:
             self._retweeted_before[key] = self._retweeted_before.get(key, 0) + 1
             changed += 1
         if changed:
-            self.base_.store_.set_prior_retweets(self._retweeted_before)
-        if events:
-            self._prior_seq = events[-1].seq
-        counts["prior_csr"] = changed
-        if changed:
             from repro.features.store import _INVALIDATIONS
 
+            self.base_.store_.set_prior_retweets(self._retweeted_before)
             _INVALIDATIONS.inc(changed, structure="prior_csr")
-        return counts
+        return changed
 
     # -------------------------------------------------------- serialization
     def to_state(self) -> dict:
@@ -371,7 +379,6 @@ class RetinaFeatureExtractor:
             "tweet_vectorizer": self.tweet_vectorizer_.to_state(),
             "news_vec_cache": self._news_vec_cache.copy(),
             "retweeted_before": retweeted,
-            "prior_seq": int(self._prior_seq),
         }
 
     @classmethod
@@ -379,6 +386,8 @@ class RetinaFeatureExtractor:
         """Rebuild a fitted extractor on ``world`` from :meth:`to_state` output."""
         if state.get("kind") != "retina_features":
             raise ValueError(f"not a retina_features state: kind={state.get('kind')!r}")
+        if state.get("prior_seq", 0):  # older bundles carry one; fit makes it 0
+            raise ValueError(f"prior counts fitted past seq 0: {state['prior_seq']}")
         extractor = cls(world, random_state=0, **state["params"])
         extractor.base_ = HateGenFeatureExtractor.from_state(world, state["base"])
         extractor.tweet_vectorizer_ = TfidfVectorizer.from_state(state["tweet_vectorizer"])
@@ -388,9 +397,4 @@ class RetinaFeatureExtractor:
             (int(ru), int(cu)): int(n) for ru, cu, n in retweeted
         }
         extractor.base_.store_.set_prior_retweets(extractor._retweeted_before)
-        # The restored counts reflect every logged retweet up to the seq
-        # recorded at fit time ("prior_seq"); replay resumes past it so a
-        # bundle fitted after ingest never double-counts.  Pre-ingest
-        # bundles lack the key and replay from the beginning.
-        extractor._prior_seq = int(state.get("prior_seq", 0))
         return extractor

@@ -93,6 +93,10 @@ class SyntheticWorld:
     history: dict[int, list[Tweet]]
     news: NewsStream
     theme_of: dict[str, str] = field(default_factory=dict)
+    #: Root tweet id -> cascade; ingest inserts each new cascade here.
+    cascade_by_root: dict[int, Cascade] = field(default_factory=dict)
+    #: Highest event-log seq applied to this world (0 = as generated).
+    seq: int = 0
 
     # ------------------------------------------------------------ generation
     @classmethod
@@ -145,6 +149,7 @@ class SyntheticWorld:
             history=history,
             news=news,
             theme_of=theme_of,
+            cascade_by_root={c.root.tweet_id: c for c in cascades},
         )
 
     # ----------------------------------------------------------------- users

@@ -167,10 +167,6 @@ class FeatureStore:
         self.misses = 0
         #: Reads served by recomputation after persistent paged I/O failure.
         self.degraded_reads = 0
-        #: Highest event-log sequence number already reflected here.  A
-        #: store built over an already-replayed world starts at that
-        #: world's watermark — its init pass saw those events' effects.
-        self._applied_seq = int(getattr(world, "_store_watermark", 0))
 
     # ---------------------------------------------------------------- sizes
     @property
@@ -473,8 +469,9 @@ class FeatureStore:
         """Fold already-world-applied events into the store, in place.
 
         Call *after* :func:`repro.store.apply_events_to_world` mutated this
-        store's world.  Guarded by a per-store watermark, so overlapping
-        batches (and stores sharing one world) are safe.
+        store's world, with exactly the events the world just applied.  The
+        store keeps no sequence number: the predictor that owns it hands
+        each event over once (see ``RetweeterPredictor.apply_events``).
 
         Ingest changes only counters: a retweet moves its root author's
         retweet-count and retweeted-tweet ratios, a follow its followee's
@@ -490,19 +487,16 @@ class FeatureStore:
         counts the built rows patched.
         """
         counts = {"history_row": 0, "retweet_counts": 0, "distance_cache": 0}
-        events = [s for s in stored_events if s.seq > self._applied_seq]
-        if not events:
-            return counts
-        cascade_index = getattr(self.world, "_store_cascade_index", None) or {}
+        cascade_index = self.world.cascade_by_root
         # Pre-scan so each retweet knows its cascade's size *before* it:
         # by the time we run, the world already holds the whole batch.
         batch_rts: dict[int, int] = {}
-        for s in events:
+        for s in stored_events:
             if s.event.kind == "retweet":
                 batch_rts[s.event.tweet_id] = batch_rts.get(s.event.tweet_id, 0) + 1
         seen_rts: dict[int, int] = {}
         touched: set[int] = set()
-        for s in events:
+        for s in stored_events:
             ev = s.event
             if ev.kind == "retweet":
                 cascade = cascade_index.get(ev.tweet_id)
@@ -532,7 +526,6 @@ class FeatureStore:
             # events none either: catalog membership is pinned at the
             # extractor layer.
         counts["history_row"] = self._patch_counters(sorted(touched))
-        self._applied_seq = events[-1].seq
         for structure, n in counts.items():
             if n:
                 _INVALIDATIONS.inc(n, structure=structure)

@@ -210,7 +210,7 @@ def _parse_body(raw: bytes, *, optional: bool = False) -> dict:
     with obs_trace.span("handler.parse", bytes=len(raw)):
         try:
             payload = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, int limit
             raise ServingError(
                 f"invalid JSON body: {exc}", code="invalid_json"
             ) from exc

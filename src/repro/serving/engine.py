@@ -147,15 +147,11 @@ class RetweeterPredictor:
         self.model = bundle.model
         self.extractor = bundle.extractor
         self.world = bundle.extractor.world
-        self._cascades = {c.root.tweet_id: c for c in self.world.cascades}
         self.context_cache = LRUCache(_CONTEXT_CACHE_SIZE)
-        #: Event-log watermark: highest store seq already folded into this
-        #: predictor.  Over an already-replayed world it starts at the
-        #: world's watermark, or lower at the bundle's ``prior_seq``, so a
-        #: replay still counts the retweets its prior counts lack.
-        self._applied_seq = min(
-            int(getattr(self.world, "_store_watermark", 0)), self.extractor._prior_seq
-        )
+        #: The one event-log watermark of this predictor and the feature
+        #: layers under it: the highest seq folded in.  The extractor was
+        #: built over the world as it stands, so it starts at ``world.seq``.
+        self.seq = self.world.seq
         #: ``{"name", "version"}`` of the registry bundle this predictor
         #: serves, set by :func:`engine_from_store` / reloads.
         self.source: dict | None = None
@@ -171,7 +167,7 @@ class RetweeterPredictor:
             "mode": self.model.mode,
             "use_exogenous": self.model.use_exogenous,
             "n_parameters": self.model.n_parameters(),
-            "n_cascades": len(self._cascades),
+            "n_cascades": len(self.world.cascade_by_root),
             "user_feature_dim": self.extractor.user_feature_dim,
         }
         if self.source is not None:
@@ -180,7 +176,7 @@ class RetweeterPredictor:
 
     # ------------------------------------------------------------ features
     def _cascade(self, cascade_id: int):
-        cascade = self._cascades.get(cascade_id)
+        cascade = self.world.cascade_by_root.get(cascade_id)
         if cascade is None:
             raise ServingError(
                 f"unknown cascade_id {cascade_id}",
@@ -223,34 +219,29 @@ class RetweeterPredictor:
 
     # ---------------------------------------------------------- live ingest
     def apply_events(self, stored_events: list[StoredEvent]) -> dict:
-        """Fold durable store events into the live serving state.
+        """Fold the durable store events past :attr:`seq` into serving state.
 
-        Applies the events to the world (watermark-guarded no-op when a
-        co-resident predictor sharing the world got there first) and the
-        extractor, and registers new cascades for lookup.  Candidate rows
-        need no eviction: the store patches the counter scalars of built
-        rows in place and drops the BFS arrays a follow stales, and every
-        read builds its rows from the store.  What is evicted is the
-        per-cascade contexts whose day's trending set a new tweet moved.
+        Applies them to the world (a no-op when a co-resident predictor
+        sharing the world got there first) and hands the same list to the
+        extractor once.  Candidate rows need no eviction: the store patches
+        the counter scalars of built rows in place and drops the BFS arrays
+        a follow stales, and every read builds its rows from the store.
+        What is evicted is the per-cascade contexts whose day's trending
+        set a new tweet moved.
         """
-        events = [s for s in stored_events if s.seq > self._applied_seq]
+        events = [s for s in stored_events if s.seq > self.seq]
         if not events:
             return {}
         apply_events_to_world(self.world, events)
         counts = self.extractor.apply_events(events)
-        index = getattr(self.world, "_store_cascade_index", None) or {}
-        dirty_days: set[int] = set()
-        for s in events:
-            ev = s.event
-            if ev.kind == "tweet":
-                cascade = index.get(ev.tweet_id)
-                if cascade is not None:
-                    self._cascades[ev.tweet_id] = cascade
-                dirty_days.add(int(ev.timestamp // DAY_HOURS))
-        self._applied_seq = events[-1].seq
+        self.seq = events[-1].seq
+        dirty_days = {
+            int(s.event.timestamp // DAY_HOURS)
+            for s in events if s.event.kind == "tweet"
+        }
         evicted = 0
         if dirty_days:
-            cascades = self._cascades
+            cascades = self.world.cascade_by_root
 
             def _stale_context(cid) -> bool:
                 c = cascades.get(cid)
@@ -390,9 +381,8 @@ class HateGenPredictor:
         self.transforms = list(bundle.transforms)
         self.extractor = bundle.extractor
         self.world = bundle.extractor.world
-        self._hashtags = {spec.tag for spec in self.world.catalog}
         #: Event-log watermark (see :class:`RetweeterPredictor`).
-        self._applied_seq = int(getattr(self.world, "_store_watermark", 0))
+        self.seq = self.world.seq
         self.source: dict | None = None
 
     @property
@@ -406,7 +396,7 @@ class HateGenPredictor:
             "model_key": self.bundle.model_key,
             "variant": self.bundle.variant,
             "n_users": len(self.world.users),
-            "n_hashtags": len(self._hashtags),
+            "n_hashtags": len(self.world.theme_of),
         }
         if self.source is not None:
             out["source"] = dict(self.source)
@@ -414,22 +404,21 @@ class HateGenPredictor:
 
     # ---------------------------------------------------------- live ingest
     def apply_events(self, stored_events: list[StoredEvent]) -> dict:
-        """Fold durable store events into the live serving state.
+        """Fold the durable store events past :attr:`seq` into serving state.
 
-        World + extractor application are watermark-guarded (shared worlds
-        apply once).  Newly registered hashtags become queryable — scored
-        with a zero endogenous slot, since the fitted dimensionality is
-        pinned to the catalog at fit time.  Nothing here is cached, so
-        nothing is evicted: the next query reads the patched store rows
-        and the extractor's updated trending sets.
+        As :meth:`RetweeterPredictor.apply_events`.  Newly registered
+        hashtags become queryable — scored with a zero endogenous slot,
+        since the fitted dimensionality is pinned to the catalog at fit
+        time.  Nothing here is cached, so nothing is evicted: the next
+        query reads the patched store rows and the extractor's updated
+        trending sets.
         """
-        events = [s for s in stored_events if s.seq > self._applied_seq]
+        events = [s for s in stored_events if s.seq > self.seq]
         if not events:
             return {}
         apply_events_to_world(self.world, events)
         counts = self.extractor.apply_events(events)
-        self._hashtags.update(s.event.tag for s in events if s.event.kind == "hashtag")
-        self._applied_seq = events[-1].seq
+        self.seq = events[-1].seq
         return counts
 
     def _validate(self, payload: dict) -> dict:
@@ -441,7 +430,7 @@ class HateGenPredictor:
                 code="not_found",
                 field="user_id",
             )
-        if req.hashtag not in self._hashtags:
+        if req.hashtag not in self.world.theme_of:
             raise ServingError(
                 f"unknown hashtag {req.hashtag!r}",
                 status=404,
@@ -635,6 +624,10 @@ class InferenceEngine:
         pays bundle I/O, not world regeneration), replaying the event log
         past the new predictor's watermark and the swap run as one batcher
         job: no ingest lands between them.  Blocks until the job has run.
+
+        Over the live world the new predictor starts at ``world.seq``, but
+        a RETINA bundle's prior-retweet counts come from training alone:
+        the job folds in the log's retweets up to ``world.seq`` first.
         """
         if not isinstance(registry, ModelRegistry):
             registry = ModelRegistry(registry)
@@ -649,7 +642,10 @@ class InferenceEngine:
             predictor = predictor_for_bundle(bundle)
             predictor.source = {"name": manifest["name"], "version": manifest["version"]}
             if self.event_log is not None:
-                predictor.apply_events(self.event_log.events(predictor._applied_seq))
+                events = self.event_log.events(0)
+                if predictor.kind == "retweeters":
+                    predictor.extractor.add_prior_retweets(events[: predictor.seq])
+                predictor.apply_events(events)
             previous = self.swap_predictor(kind, predictor)
             prev_source = getattr(previous, "source", None) or {}
             return {
@@ -667,11 +663,10 @@ class InferenceEngine:
 
         Call before :meth:`start`: the replay runs on the calling thread.
 
-        Replays the full log: each predictor resumes past its own
-        watermark (the bundle's recorded ``prior_seq`` / the shared
-        world's ``_store_watermark``), so events ingested before a restart
-        are reconstructed and events a bundle was fitted on are not
-        double-applied.  Returns the number of log events.
+        Replays the full log through each predictor, which keeps the
+        events past its own watermark, so events ingested before a restart
+        are reconstructed.  The shared world applies each event once.
+        Returns the number of log events.
         """
         self.event_log = event_log
         events = event_log.events(0)
@@ -753,8 +748,7 @@ class InferenceEngine:
             return None
         stats = self.event_log.stats()
         stats["watermarks"] = {
-            kind: int(getattr(p, "_applied_seq", 0))
-            for kind, p in self.predictors.items()
+            kind: p.seq for kind, p in self.predictors.items()
         }
         return stats
 

@@ -392,13 +392,6 @@ class ModelRegistry:
                 "world_config": dataclasses.asdict(bundle.world_config),
                 "train_config": dict(bundle.train_config),
                 "metrics": {k: float(v) for k, v in bundle.metrics.items()},
-                # Highest event-log seq already reflected in the bundle's
-                # world at fit time; replay after a restart resumes past it
-                # (the extractor state carries its own fine-grained
-                # watermark for the train-derived structures).
-                "store_watermark": int(
-                    getattr(bundle.extractor.world, "_store_watermark", 0)
-                ),
             }
             if bundle.kind == "retina":
                 manifest["model"] = bundle.model_spec()

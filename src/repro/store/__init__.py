@@ -5,8 +5,15 @@ into a live system: events observed online (tweets, retweets, follows,
 hashtag registrations) are appended to a crash-safe segment-file log
 (:class:`EventLog`), surgically applied to the in-memory world and
 feature caches (:func:`apply_events_to_world`,
-``FeatureStore.apply_events``), and replayed past the bundle watermark
-on engine restart so ingest survives crashes.
+``FeatureStore.apply_events``), and replayed on engine restart so ingest
+survives crashes.
+
+Two kinds of object hold a sequence number.  The world records the
+highest seq it has applied (``world.seq``), so a world shared by several
+predictors applies each event once.  Each serving predictor keeps one
+watermark: it hands the events past it to the world and then, once, to
+its feature extractor.  The feature layers below keep none; they apply
+exactly the events they are given.
 
 Guarantees:
 

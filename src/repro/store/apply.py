@@ -1,12 +1,13 @@
 """Applying stored events to an in-memory world, idempotently.
 
 :func:`apply_events_to_world` is the single place world state mutates
-after generation.  It is watermark-guarded: each world remembers the
-highest sequence number already applied (``world._store_watermark``), so
-predictors sharing one world object can each hand it the same event
-batch without double-applying.  Mutations are append-only and ordered by
-sequence number, which is what makes replay-from-empty reproduce the
-exact walk a cold build would have taken.
+after generation.  The world records the highest sequence number it has
+applied (``world.seq``) and skips events at or below it, so predictors
+sharing one world object can each hand it the same event batch without
+double-applying.  New cascades go into ``world.cascade_by_root`` as they
+are appended.  Mutations are append-only and ordered by sequence number,
+which is what makes replay-from-empty reproduce the exact walk a cold
+build would have taken.
 
 :func:`validate_event_for_world` is the semantic gate the ingest route
 runs per item *before* anything reaches the log — schema-valid events
@@ -22,15 +23,6 @@ from repro.data.schema import Cascade, HashtagSpec, Retweet, Tweet
 from repro.store.events import Event, StoredEvent
 
 __all__ = ["apply_events_to_world", "validate_event_for_world"]
-
-
-def _cascade_index(world) -> dict:
-    """Root tweet id -> Cascade, cached on the world and kept fresh here."""
-    index = getattr(world, "_store_cascade_index", None)
-    if index is None or len(index) != len(world.cascades):
-        index = {c.root.tweet_id: c for c in world.cascades}
-        world._store_cascade_index = index
-    return index
 
 
 def validate_event_for_world(world, event: Event) -> str | None:
@@ -51,12 +43,12 @@ def validate_event_for_world(world, event: Event) -> str | None:
             )
         if not math.isfinite(event.timestamp) or event.timestamp < 0.0:
             return "timestamp must be finite and >= 0"
-        if event.tweet_id in _cascade_index(world):
+        if event.tweet_id in world.cascade_by_root:
             return f"tweet_id {event.tweet_id} already exists"
     elif kind == "retweet":
         if event.user_id not in world.users:
             return f"unknown user_id {event.user_id}"
-        cascade = _cascade_index(world).get(event.tweet_id)
+        cascade = world.cascade_by_root.get(event.tweet_id)
         if cascade is None:
             return f"unknown cascade root tweet_id {event.tweet_id}"
         if not math.isfinite(event.timestamp) or event.timestamp < 0.0:
@@ -101,9 +93,9 @@ def _apply_one(world, event: Event) -> None:
         cascade = Cascade(root=tweet)
         world.tweets.append(tweet)
         world.cascades.append(cascade)
-        _cascade_index(world)[tweet.tweet_id] = cascade
+        world.cascade_by_root[tweet.tweet_id] = cascade
     elif kind == "retweet":
-        cascade = _cascade_index(world).get(event.tweet_id)
+        cascade = world.cascade_by_root.get(event.tweet_id)
         if cascade is not None:
             cascade.retweets.append(
                 Retweet(user_id=event.user_id, timestamp=float(event.timestamp))
@@ -128,19 +120,17 @@ def _apply_one(world, event: Event) -> None:
 
 
 def apply_events_to_world(world, stored_events) -> list[StoredEvent]:
-    """Apply stored events past the world's watermark; returns those applied.
+    """Apply the stored events past ``world.seq``; returns those applied.
 
     Safe to call repeatedly with overlapping batches: events at or below
-    ``world._store_watermark`` are skipped, so N predictors sharing one
-    world object can each forward the same ingest batch.
+    ``world.seq`` are skipped, so N predictors sharing one world object
+    can each forward the same ingest batch.
     """
-    watermark = getattr(world, "_store_watermark", 0)
     applied: list[StoredEvent] = []
     for stored in stored_events:
-        if stored.seq <= watermark:
+        if stored.seq <= world.seq:
             continue
         _apply_one(world, stored.event)
-        watermark = stored.seq
+        world.seq = stored.seq
         applied.append(stored)
-    world._store_watermark = watermark
     return applied

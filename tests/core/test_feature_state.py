@@ -1,5 +1,7 @@
 """Round-trip tests for feature-extractor to_state/from_state."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,22 @@ class TestRetinaExtractorState:
         extractor, _, _ = retina_data
         clone = RetinaFeatureExtractor.from_state(core_world.world, extractor.to_state())
         assert clone._retweeted_before == extractor._retweeted_before
+
+    def test_prior_seq_zero_loads_and_nonzero_is_rejected(self, core_world, retina_data):
+        extractor, _, _ = retina_data
+        state = extractor.to_state()
+        assert "prior_seq" not in state
+        state["prior_seq"] = 0  # what bundles saved by older versions carry
+        clone = RetinaFeatureExtractor.from_state(core_world.world, state)
+        assert clone._retweeted_before == extractor._retweeted_before
+        state["prior_seq"] = 3
+        with pytest.raises(ValueError, match="past seq 0"):
+            RetinaFeatureExtractor.from_state(core_world.world, state)
+
+    def test_fit_rejects_a_world_past_seq_0(self, core_world):
+        applied = dataclasses.replace(core_world.world, seq=1)
+        with pytest.raises(ValueError, match="generated world"):
+            RetinaFeatureExtractor(applied).fit(applied.cascades)
 
     def test_kind_mismatch_rejected(self, core_world):
         with pytest.raises(ValueError, match="retina_features"):

@@ -404,6 +404,29 @@ class TestFraming:
             head += f"Content-Length: {len(chunked)}\r\n"
         self._assert_501(*_raw_exchange(aio_server, (head + "\r\n").encode() + chunked))
 
+    def test_chunked_post_always_gets_its_501(self, aio_server, trained_hategen):
+        """http.client sends an iterable body chunked, a write at a time.
+
+        The server answers and closes before the last chunk arrives, so
+        that write may fail; the typed 501 must still be readable, every
+        time.
+        """
+        body = self._hategen_body(trained_hategen)
+        host, port = aio_server.address
+        for _ in range(50):
+            conn = http.client.HTTPConnection(host, port, timeout=10)
+            try:
+                try:
+                    conn.request("POST", "/v1/predict/hategen", iter([body] * 8),
+                                 {"Content-Type": "application/json"})
+                except (BrokenPipeError, ConnectionResetError):
+                    pass
+                resp = conn.getresponse()
+                self._assert_501(resp.status, dict(resp.getheaders()),
+                                 json.loads(resp.read()))
+            finally:
+                conn.close()
+
     def test_chunked_reload_is_501_and_reloads_nothing(self, tmp_path, loaded_bundles):
         registry = ModelRegistry(tmp_path / "registry")
         registry.save_bundle("hategen", loaded_bundles["hategen"])
@@ -807,6 +830,19 @@ class TestErrorHandling:
         code, body = self._error(urllib.request.Request(
             bundle_server.url + "/v1/predict/retweeters",
             data=b"not json{",
+            headers={"Content-Type": "application/json"},
+        ))
+        assert code == 400
+        assert body["error"]["code"] == "invalid_json"
+
+    @pytest.mark.parametrize("data", [
+        b"\xff\xfe{",                          # not UTF-8 (UnicodeDecodeError)
+        b'{"cascade_id": ' + b"9" * 5000 + b"}",  # past the int-digit limit
+    ], ids=["undecodable", "huge_int"])
+    def test_undecodable_json_400(self, bundle_server, data):
+        code, body = self._error(urllib.request.Request(
+            bundle_server.url + "/v1/predict/retweeters",
+            data=data,
             headers={"Content-Type": "application/json"},
         ))
         assert code == 400

@@ -349,6 +349,107 @@ class TestReloadBesideIngest:
             restarted.stop()
             restarted.event_log.close()
 
+    def test_hategen_reload_equals_restart_after_trending_moves(
+        self, registry, tmp_path_factory
+    ):
+        """A hashtag event, tweets that move a day's trending set and a
+        retweet of a hateful one, then a hategen reload over the live
+        world: its scores equal a restart's."""
+        store = _copy_store(registry, tmp_path_factory, "reload-hategen-store")
+        engine = engine_from_store(store).start()
+        _, fresh, tag = _world_material(engine)
+        queries = [
+            {"user_id": u, "hashtag": h, "timestamp": FAR_TS + 2.0}
+            for u in fresh[:3] for h in (tag, "#reload-trend")
+        ]
+        before = engine.predict("hategen", queries[0])
+        reply = engine.submit_ingest(
+            [{"kind": "hashtag", "tag": "#reload-trend", "theme": "politics"}]
+            + [{"kind": "tweet", "tweet_id": 980000 + i, "user_id": fresh[i],
+                "hashtag": tag if i % 2 else "#reload-trend",
+                "text": "trending now", "timestamp": FAR_TS + i,
+                "is_hate": i == 0}
+               for i in range(6)]
+            + [{"kind": "retweet", "tweet_id": 980000, "user_id": fresh[7],
+                "timestamp": FAR_TS + 7}]
+        ).result(timeout=60)
+        assert reply["accepted"] == 8
+        # The day had no tweets before: its trending set now holds ``tag``.
+        assert engine.predict("hategen", queries[0])["score"] != before["score"]
+        engine.reload_model(store, "hategen")
+        reloaded = [engine.predict("hategen", q) for q in queries]
+        engine.stop()
+        engine.event_log.close()
+
+        restarted = engine_from_store(store).start()
+        try:
+            assert reloaded == [restarted.predict("hategen", q) for q in queries]
+        finally:
+            restarted.stop()
+            restarted.event_log.close()
+
+
+def _store_surfaces(engine, users, roots) -> dict:
+    """Every feature-store surface the predictors read, copied."""
+    out = {}
+    for kind, predictor in engine.predictors.items():
+        store = predictor.feature_store
+        out[kind, "history"] = store.history_rows(users).copy()
+        for name in ("_rts_hate", "_rts_non", "_n_rt_hate", "_n_rt_non"):
+            out[kind, name] = getattr(store, name).copy()
+        if kind == "retweeters":
+            for root in roots:
+                out[kind, "peer", root] = store.peer_block(root, users).copy()
+    return out
+
+
+class TestPredictorWatermark:
+    def test_same_batch_twice_is_a_noop_for_both_kinds(
+        self, registry, tmp_path_factory
+    ):
+        """The predictor's watermark is the only guard: a batch handed to it
+        again returns empty counts and leaves every store surface and score
+        bit-identical."""
+        store = _copy_store(registry, tmp_path_factory, "watermark-store")
+        engine = engine_from_store(store)  # not started: ingest runs here
+        cascade, fresh, tag = _world_material(engine)
+        base = engine.event_log.last_seq
+        reply = engine.ingest([
+            {"kind": "hashtag", "tag": "#watermark", "theme": "politics"},
+            {"kind": "tweet", "tweet_id": 970001, "user_id": fresh[0],
+             "hashtag": "#watermark", "text": "live", "timestamp": FAR_TS},
+            {"kind": "retweet", "tweet_id": cascade.root.tweet_id,
+             "user_id": fresh[1], "timestamp": FAR_TS},
+            {"kind": "retweet", "tweet_id": 970001, "user_id": fresh[2],
+             "timestamp": FAR_TS + 1},
+            _fresh_follow(engine),
+        ])
+        assert reply["accepted"] == 5
+        batch = engine.event_log.events(base)
+        users = sorted(engine.predictors["retweeters"].world.users)
+        roots = [cascade.root.user_id, fresh[0]]
+        queries = {
+            "retweeters": [{"cascade_id": c, "user_ids": fresh[3:8]}
+                           for c in (cascade.root.tweet_id, 970001)],
+            "hategen": [{"user_id": u, "hashtag": h, "timestamp": FAR_TS}
+                        for u in fresh[:2] for h in (tag, "#watermark")],
+        }
+
+        def scores():
+            return {kind: engine.predictors[kind].predict_batch(qs)
+                    for kind, qs in queries.items()}
+
+        surfaces, first = _store_surfaces(engine, users, roots), scores()
+        for kind, predictor in engine.predictors.items():
+            assert predictor.seq == engine.event_log.last_seq
+            assert predictor.apply_events(batch) == {}, kind
+        again = _store_surfaces(engine, users, roots)
+        assert surfaces.keys() == again.keys()
+        for key, value in surfaces.items():
+            assert np.array_equal(value, again[key]), key
+        assert scores() == first
+        engine.event_log.close()
+
 
 class TestIngestWaitBound:
     def test_timeout_is_503_and_a_job_cancelled_before_it_starts_appends_nothing(

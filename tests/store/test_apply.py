@@ -1,4 +1,4 @@
-"""Semantic event validation + watermark-guarded world application."""
+"""Semantic event validation + seq-guarded world application."""
 
 import pytest
 
@@ -107,7 +107,7 @@ def test_apply_mutates_world_structures(world):
     assert cascade.size == size_before + 1
     assert world.network.follows(follower, newbie)
     assert world.network.follower_count(newbie) == followers_before + 1
-    assert world._store_watermark == 4
+    assert world.seq == 4
 
 
 def test_apply_is_watermark_idempotent(world):
@@ -128,6 +128,29 @@ def test_apply_is_watermark_idempotent(world):
     )
     applied = apply_events_to_world(world, more)
     assert [s.seq for s in applied] == [2]
+
+
+def test_tweet_ingest_grows_the_cascade_index_in_place(world):
+    """Each ingested tweet is one insert into ``world.cascade_by_root``.
+
+    The index is the same dict object throughout and grows by exactly one
+    entry per tweet: no ingest rebuilds it from ``world.cascades``.
+    """
+    index = world.cascade_by_root
+    n_before = len(index)
+    assert n_before == len(world.cascades)
+    author = sorted(world.users)[0]
+    tag = world.catalog[0].tag
+    n = 50
+    for i in range(n):
+        event = TweetEvent(tweet_id=950000 + i, user_id=author, hashtag=tag,
+                           text="t", timestamp=10.0 + i)
+        assert validate_event_for_world(world, event) is None
+        assert len(apply_events_to_world(world, _stored([event], start_seq=i + 1))) == 1
+        assert world.cascade_by_root is index
+        assert len(index) == n_before + i + 1
+        assert index[950000 + i] is world.cascades[-1]
+    assert world.seq == n
 
 
 def test_in_batch_visibility(world):

@@ -105,7 +105,7 @@ class TestSaveServePredictRoundTrip:
 
         engine = engine_from_store(saved_bundle, ["retina-cli"])
         predictor = engine.predictors["retweeters"]
-        cascade_id = next(iter(predictor._cascades))
+        cascade_id = next(iter(predictor.world.cascade_by_root))
         with AsyncPredictionServer(engine, port=0) as server:
             body = json.dumps({"cascade_id": cascade_id, "top_k": 3}).encode()
             req = urllib.request.Request(
@@ -122,7 +122,7 @@ class TestSaveServePredictRoundTrip:
         from repro.serving import AsyncPredictionServer, engine_from_store
 
         engine = engine_from_store(saved_bundle, ["retina-cli"])
-        cascade_id = next(iter(engine.predictors["retweeters"]._cascades))
+        cascade_id = next(iter(engine.predictors["retweeters"].world.cascade_by_root))
         with AsyncPredictionServer(engine, port=0, registry=saved_bundle) as server:
             code = main(
                 ["predict", "--url", server.url, "--name", "retina-cli",
