@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.data.schema import Tweet
+from repro.data.schema import DAY_HOURS, Tweet
 from repro.data.synthetic import SyntheticWorld
 from repro.features import FeatureStore
 from repro.text.doc2vec import Doc2Vec
@@ -36,8 +36,6 @@ from repro.utils.validation import check_fitted
 __all__ = ["FeatureGroups", "HateGenFeatureExtractor"]
 
 FeatureGroups = ("history", "topic", "endogen", "exogen")
-
-DAY_HOURS = 24.0
 
 
 class HateGenFeatureExtractor:

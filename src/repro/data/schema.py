@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 
 __all__ = ["User", "Tweet", "Retweet", "Cascade", "NewsArticle", "HashtagSpec"]
 
-WINDOW_HOURS = 72 * 24.0  # the paper's 72-day crawl window
+DAY_HOURS = 24.0
+WINDOW_HOURS = 72 * DAY_HOURS  # the paper's 72-day crawl window
 
 
 @dataclass

@@ -13,18 +13,32 @@ the paper's models consume:
 - pre-window activity history per user (the paper's H_{i,t}),
 - a timestamped news stream (exogenous signal S_ex).
 
-All randomness flows from a single seed.
+All randomness flows from a single seed.  :meth:`SyntheticWorld.to_state`
+and :meth:`SyntheticWorld.from_state` turn a generated world into a
+nested dict of JSON values and ndarrays and back, object for object, so
+a saved model can be served over the world it was trained on without
+generating it again.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.data.hashtags import THEMES, hashtag_catalog
-from repro.data.news import NewsStream, generate_news_stream
-from repro.data.schema import WINDOW_HOURS, Cascade, HashtagSpec, Retweet, Tweet, User
+from repro.data.news import EventBurst, NewsStream, generate_news_stream
+from repro.data.schema import (
+    WINDOW_HOURS,
+    Cascade,
+    HashtagSpec,
+    NewsArticle,
+    Retweet,
+    Tweet,
+    User,
+)
 from repro.data.vocab import make_text
 from repro.graph.generators import community_follower_edges
 from repro.graph.network import InformationNetwork
@@ -149,6 +163,99 @@ class SyntheticWorld:
             history=history,
             news=news,
             theme_of=theme_of,
+            cascade_by_root={c.root.tweet_id: c for c in cascades},
+        )
+
+    # ----------------------------------------------------------------- state
+    def to_state(self) -> dict:
+        """The world as a nested dict of JSON values and ndarray leaves.
+
+        Records become one column per field: numbers in arrays (every
+        float bit kept), strings as codes into their distinct values.
+        Only a generated world can be saved: once events are applied
+        (``seq > 0``, or follows in the graph's overlay) it is no longer
+        the world that the models were fitted on.
+        """
+        if self.seq or self.network.n_overlay_edges:
+            raise ValueError(
+                f"only a generated world can be saved, got seq {self.seq} "
+                f"with {self.network.n_overlay_edges} overlay follow edges"
+            )
+        # Every generated user has the same affinity and preference keys,
+        # in catalog and theme order, so one key list per matrix suffices.
+        users = list(self.users.values())
+        index = {id(t): i for i, t in enumerate(self.tweets)}
+        src, dst = self.network.edges()
+        return {
+            "config": dataclasses.asdict(self.config),
+            "catalog": [dataclasses.asdict(spec) for spec in self.catalog],
+            "users": {
+                "fields": _columns(users, User),
+                "tags": list(users[0].hate_affinity),
+                "hate_affinity": np.array([list(u.hate_affinity.values()) for u in users]),
+                "themes": list(users[0].theme_preference),  # type: ignore[attr-defined]
+                "theme_preference": np.array(
+                    [list(u.theme_preference.values()) for u in users]  # type: ignore[attr-defined]
+                ),
+            },
+            "network": {"n_users": self.network.n_users, "src": src, "dst": dst},
+            "communities": self.communities,
+            "tweets": _columns(self.tweets, Tweet),
+            "cascades": {
+                "root": np.array([index[id(c.root)] for c in self.cascades], dtype=np.int64),
+                "ends": np.cumsum([c.size for c in self.cascades], dtype=np.int64),
+                "retweets": _columns([r for c in self.cascades for r in c.retweets], Retweet),
+            },
+            "history": {
+                "user_id": np.array(list(self.history), dtype=np.int64),
+                "ends": np.cumsum([len(v) for v in self.history.values()], dtype=np.int64),
+                "tweets": _columns([t for v in self.history.values() for t in v], Tweet),
+            },
+            "news": {
+                "articles": _columns(self.news.articles, NewsArticle),
+                "bursts": [dataclasses.asdict(b) for b in self.news.bursts],
+            },
+            "theme_of": dict(self.theme_of),
+        }
+
+    @classmethod
+    def from_state(cls, state: dict) -> "SyntheticWorld":
+        """Inverse of :meth:`to_state`: every object through its constructor."""
+        u = state["users"]
+        users = _records(
+            User,
+            u["fields"],
+            hate_affinity=[dict(zip(u["tags"], row)) for row in u["hate_affinity"].tolist()],
+        )
+        for user, row in zip(users, u["theme_preference"].tolist()):
+            user.theme_preference = dict(zip(u["themes"], row))  # type: ignore[attr-defined]
+        tweets = _records(Tweet, state["tweets"])
+        c = state["cascades"]
+        retweets = _records(Retweet, c["retweets"])
+        cascades = [
+            Cascade(root=tweets[root], retweets=retweets[lo:hi])
+            for root, lo, hi in zip(c["root"].tolist(), *_bounds(c["ends"]))
+        ]
+        h = state["history"]
+        history = _records(Tweet, h["tweets"])
+        n = state["network"]
+        return cls(
+            config=SyntheticWorldConfig(**state["config"]),
+            catalog=[HashtagSpec(**spec) for spec in state["catalog"]],
+            users={user.user_id: user for user in users},
+            network=InformationNetwork(n["n_users"], n["src"], n["dst"]),
+            communities=state["communities"],
+            tweets=tweets,
+            cascades=cascades,
+            history={
+                uid: history[lo:hi]
+                for uid, lo, hi in zip(h["user_id"].tolist(), *_bounds(h["ends"]))
+            },
+            news=NewsStream(
+                _records(NewsArticle, state["news"]["articles"]),
+                [EventBurst(**b) for b in state["news"]["bursts"]],
+            ),
+            theme_of=dict(state["theme_of"]),
             cascade_by_root={c.root.tweet_id: c for c in cascades},
         )
 
@@ -487,3 +594,55 @@ class SyntheticWorld:
         pool = [tw for tw in pool if tw.timestamp < t]
         pool.sort(key=lambda tw: tw.timestamp)
         return pool[-k:]
+
+
+# ----------------------------------------------------------- state columns
+_DTYPES = {int: np.int64, float: np.float64, bool: np.bool_}
+
+
+def _columns(records: list, cls) -> dict:
+    """The int, float, bool and str fields of dataclass records, one column
+    each: numbers in an array, strings through :func:`_encode`."""
+    hints = typing.get_type_hints(cls)
+    columns = {}
+    for f in dataclasses.fields(cls):
+        values = [getattr(r, f.name) for r in records]
+        if hints[f.name] is str:
+            columns[f.name] = _encode(values)
+        elif hints[f.name] in _DTYPES:
+            columns[f.name] = np.array(values, dtype=_DTYPES[hints[f.name]])
+    return columns
+
+
+def _records(cls, columns: dict, **other) -> list:
+    """Inverse of :func:`_columns`; ``other`` gives the remaining fields' values."""
+    values = {
+        name: _decode(col) if isinstance(col, dict) else col.tolist()
+        for name, col in columns.items()
+    }
+    values.update(other)
+    return [cls(*row) for row in zip(*(values[f.name] for f in dataclasses.fields(cls)))]
+
+
+def _encode(strings: list[str]) -> dict:
+    """Strings as codes into their distinct values, first seen first; the
+    values are stored as one joined string plus end offsets."""
+    names = list(dict.fromkeys(strings))
+    index = {name: i for i, name in enumerate(names)}
+    return {
+        "joined": "".join(names),
+        "ends": np.cumsum([len(name) for name in names], dtype=np.int64),
+        "codes": np.array([index[s] for s in strings], dtype=np.int64),
+    }
+
+
+def _decode(encoded: dict) -> list[str]:
+    joined = encoded["joined"]
+    names = [joined[lo:hi] for lo, hi in zip(*_bounds(encoded["ends"]))]
+    return [names[i] for i in encoded["codes"].tolist()]
+
+
+def _bounds(ends: np.ndarray) -> tuple[list[int], list[int]]:
+    """``(starts, ends)`` of consecutive slices from their end offsets."""
+    ends = ends.tolist()
+    return [0] + ends[:-1], ends

@@ -15,14 +15,32 @@ Implements every external baseline of the paper's Table VI:
 
 The neural baselines are faithful-in-spirit reimplementations on
 :mod:`repro.nn`; each keeps its defining inductive bias.
+
+The baselines are imported on first access: serving and RETINA need only
+:mod:`repro.diffusion.cascade`, and should not pay for five models they
+never run.
 """
 
+import importlib
+
 from repro.diffusion.cascade import CandidateSet, build_candidate_set, next_user_samples
-from repro.diffusion.sir import SIRModel
-from repro.diffusion.threshold import GeneralThresholdModel
-from repro.diffusion.topolstm import TopoLSTM
-from repro.diffusion.forest import FOREST
-from repro.diffusion.hidan import HIDAN
+
+#: Baseline class -> the submodule that defines it.
+_BASELINES = {
+    "SIRModel": "sir",
+    "GeneralThresholdModel": "threshold",
+    "TopoLSTM": "topolstm",
+    "FOREST": "forest",
+    "HIDAN": "hidan",
+}
+
+
+def __getattr__(name):
+    module = _BASELINES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
 
 __all__ = [
     "CandidateSet",

@@ -355,18 +355,14 @@ class FeatureStore:
         ``counts`` comes from the RETINA extractor's train split; rows are
         root users, columns candidates, both in store index space.
         """
-        triples = sorted((int(ru), int(cu), int(n)) for (ru, cu), n in counts.items())
-        n = self.n_users
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        cols = np.empty(len(triples), dtype=np.int64)
-        data = np.empty(len(triples), dtype=np.int64)
-        for k, (ri, ci, cnt) in enumerate(triples):
-            indptr[ri + 1] += 1
-            cols[k] = ci
-            data[k] = cnt
-        self._prior_indptr = np.cumsum(indptr)
-        self._prior_cols = cols
-        self._prior_data = data
+        pairs = np.array(list(counts), dtype=np.int64).reshape(-1, 2)
+        data = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
+        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+        indptr = np.zeros(self.n_users + 1, dtype=np.int64)
+        np.cumsum(np.bincount(pairs[:, 0], minlength=self.n_users), out=indptr[1:])
+        self._prior_indptr = indptr
+        self._prior_cols = pairs[order, 1]
+        self._prior_data = data[order]
 
     def prior_counts(self, root_user: int, user_ids) -> np.ndarray:
         """(n,) prior-retweet counts of each candidate toward ``root_user``."""

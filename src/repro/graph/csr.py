@@ -16,7 +16,13 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["build_csr", "bfs_distances", "bfs_distances_overlay", "bfs_hops_to"]
+__all__ = [
+    "build_csr",
+    "csr_edges",
+    "bfs_distances",
+    "bfs_distances_overlay",
+    "bfs_hops_to",
+]
 
 
 def build_csr(
@@ -36,6 +42,57 @@ def build_csr(
     order = np.argsort(src, kind="stable")
     indices = dst[order].astype(np.int32)
     return indptr, indices
+
+
+def csr_edges(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    tindptr: np.ndarray,
+    tindices: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(src, dst)`` edge arrays from which :func:`build_csr` rebuilds both
+    the CSR and its transpose exactly, neighbour order included.
+
+    Row order alone is not enough: it fixes each row's successors but
+    sorts each row's predecessors by source.  So the edges are emitted
+    in an order that keeps both: an edge goes out once it is next in its
+    source row *and* next in its target's transposed row.  The original
+    emission order is one such order, so one always exists for a graph
+    that ``build_csr`` made; each edge is examined a constant number of
+    times.
+    """
+    n = len(indptr) - 1
+    ptr, end = indptr[:-1].tolist(), indptr[1:].tolist()
+    tptr, tend = tindptr[:-1].tolist(), tindptr[1:].tolist()
+    succ, pred = indices.tolist(), tindices.tolist()
+
+    def ready(row: int) -> bool:
+        # Row's next edge (row -> d) is also next among d's predecessors.
+        if ptr[row] == end[row]:
+            return False
+        d = succ[ptr[row]]
+        return tptr[d] < tend[d] and pred[tptr[d]] == row
+
+    src: list[int] = []
+    dst: list[int] = []
+    stack = [row for row in range(n) if ready(row)]
+    while stack:
+        row = stack.pop()
+        d = succ[ptr[row]]
+        src.append(row)
+        dst.append(d)
+        ptr[row] += 1
+        tptr[d] += 1
+        if ready(row):
+            stack.append(row)
+        if tptr[d] < tend[d]:
+            # d's next predecessor is ready if its own next edge is to d.
+            other = pred[tptr[d]]
+            if ptr[other] < end[other] and succ[ptr[other]] == d:
+                stack.append(other)
+    if len(src) != len(succ):
+        raise ValueError("the CSR and its transpose admit no common edge order")
+    return np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
 
 
 def _gather_neighbors(

@@ -31,6 +31,7 @@ from repro.graph.csr import (
     bfs_distances_overlay,
     bfs_hops_to,
     build_csr,
+    csr_edges,
 )
 
 __all__ = ["InformationNetwork"]
@@ -93,6 +94,20 @@ class InformationNetwork:
     def n_overlay_edges(self) -> int:
         """Edges added by :meth:`add_follow` since construction."""
         return len(self._extra_edges)
+
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(src, dst)`` arrays that rebuild this graph exactly.
+
+        ``InformationNetwork(n_users, *net.edges())`` has the same
+        followers *and* followees in the same order.  Overlay edges are
+        not part of the CSR, so a graph that has them is refused.
+        """
+        if self._extra_edges:
+            raise ValueError(
+                f"graph has {len(self._extra_edges)} overlay edges; "
+                "edges() covers the constructed graph only"
+            )
+        return csr_edges(self._indptr, self._indices, self._tindptr, self._tindices)
 
     # -------------------------------------------------------------- queries
     @property

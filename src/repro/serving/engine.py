@@ -41,11 +41,11 @@ from typing import Callable
 
 import numpy as np
 
+from repro.data.schema import DAY_HOURS
 from repro.diffusion.cascade import build_candidate_set
 from repro.obs import log as obs_log
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.core.hategen.features import DAY_HOURS
 from repro.serving.cache import LRUCache
 from repro.serving.registry import HateGenBundle, ModelRegistry, RetinaBundle
 from repro.serving.schemas import (
@@ -620,8 +620,8 @@ class InferenceEngine:
 
         ``name`` may be a model name or an alias.  Only the manifest read
         runs on the calling thread.  Loading the bundle (over the live
-        world when the manifest records the same world config, so a reload
-        pays bundle I/O, not world regeneration), replaying the event log
+        world when the manifest records the same world config, otherwise
+        over the bundle's saved world), replaying the event log
         past the new predictor's watermark and the swap run as one batcher
         job: no ingest lands between them.  Blocks until the job has run.
 
@@ -704,10 +704,11 @@ class InferenceEngine:
             for item in items:
                 try:
                     event = event_from_wire(validate_event_payload(item))
+                    h = event_hash(event)
                     # Duplicates skip semantic validation: the original is
                     # already applied, so re-validating would reject it
                     # ("already retweeted") instead of acking its seq.
-                    if self.event_log.seq_for_hash(event_hash(event)) is None:
+                    if self.event_log.seq_for_hash(h) is None:
                         for world in worlds:
                             msg = validate_event_for_world(world, event)
                             if msg is not None:
@@ -718,7 +719,7 @@ class InferenceEngine:
                 except ValueError as exc:
                     results.append(ServingError(str(exc), code="invalid_event").as_result())
                     continue
-                seq, h, was_dup = self.event_log.append(event)
+                seq, h, was_dup = self.event_log.append(event, h)
                 if not was_dup:
                     stored = StoredEvent(seq=seq, hash=h, event=event)
                     # Apply to the world(s) now so later items in this
@@ -1016,15 +1017,17 @@ def engine_from_store(
     caller, and ignored: the engine always serves in-process.
 
     Loads the latest version of each named model (default: every model in
-    the store); bundles recorded against the same world config share one
-    regenerated world so startup pays world generation once.  Each
-    predictor remembers its registry source, so ``/v1/models/{name}/reload``
-    can swap it later.
+    the store); bundles recorded against the same world config share the
+    first one's world, so startup reads (or, for a bundle saved without
+    its world, generates) it once.  Each predictor remembers its registry
+    source, so ``/v1/models/{name}/reload`` can swap it later.
 
     With ``with_events`` (the default) the durable event log living at
     ``<store>/events`` is opened and replayed through every predictor, so
     events ingested before a restart are already serving when this
-    returns.
+    returns.  One ``engine.ready`` log line then says where startup went:
+    seconds spent on the world(s) and where each came from, on the rest of
+    the bundle loads, and on the replay.
     """
     registry = store if isinstance(store, ModelRegistry) else ModelRegistry(store)
     names = list(names) if names else registry.list_models()
@@ -1036,16 +1039,18 @@ def engine_from_store(
         )
     predictors: dict[str, object] = {}
     world = None
+    world_from: list[str] = []
+    world_s = bundle_s = 0.0
     for name in names:
         manifest = registry.manifest(name)
-        shared = (
-            world
-            if world is not None
-            and dataclasses.asdict(world.config) == manifest["world_config"]
-            else None
-        )
-        bundle = registry.load_bundle(name, world=shared)
-        world = bundle.extractor.world
+        if world is None or dataclasses.asdict(world.config) != manifest["world_config"]:
+            t0 = time.perf_counter()
+            world, source = registry.load_world(manifest)
+            world_s += time.perf_counter() - t0
+            world_from.append(source)
+        t0 = time.perf_counter()
+        bundle = registry.load_bundle(name, manifest["version"], world=world)
+        bundle_s += time.perf_counter() - t0
         predictor = predictor_for_bundle(bundle)
         predictor.source = {"name": manifest["name"], "version": manifest["version"]}
         if predictor.kind in predictors:
@@ -1055,6 +1060,15 @@ def engine_from_store(
             )
         predictors[predictor.kind] = predictor
     engine = InferenceEngine(predictors, max_batch_size=max_batch_size)
+    t0 = time.perf_counter()
     if with_events:
         engine.attach_store(EventLog(os.path.join(registry.root, "events")))
+    _log.info(
+        "engine.ready",
+        models=names,
+        world_s=round(world_s, 4),
+        world_from=world_from,
+        load_bundle_s=round(bundle_s, 4),
+        replay_s=round(time.perf_counter() - t0, 4),
+    )
     return engine

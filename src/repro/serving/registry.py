@@ -1,10 +1,10 @@
 """Versioned on-disk model registry for trained predictor bundles.
 
 A *bundle* is everything needed to answer prediction queries without
-re-training: model weights, the fitted feature-extractor state, the world
-configuration (so the deterministic synthetic world can be regenerated at
-load time), and manifest metadata (kind, mode, feature dims, train config,
-metrics).
+re-training: model weights, the fitted feature-extractor state, the
+synthetic world the model was trained on (so loading reads it instead of
+generating it again), and manifest metadata (kind, mode, feature dims,
+world and train config, metrics).
 
 Store layout::
 
@@ -16,12 +16,16 @@ Store layout::
           model.pkl          # fitted classifier chain  (kind == "hategen")
           extractor.json     # feature-extractor state, JSON part
           extractor.npz      # feature-extractor state, ndarray part
+          world.json         # the training world (seq 0), JSON part
+          world.npz          # the training world, ndarray part
 
 Versions are immutable and monotonically increasing; ``save_bundle``
 writes into a temp directory and renames it so readers never observe a
-half-written version.  Extractor state splits into JSON + ``.npz`` via a
-generic nested-dict flattener (ndarray leaves go to the npz keyed by their
-path), keeping every artifact inspectable with stdlib + numpy only.
+half-written version.  Extractor and world state split into JSON +
+``.npz`` via a generic nested-dict flattener (ndarray leaves go to the npz
+keyed by their path), keeping every artifact inspectable with stdlib +
+numpy only.  A bundle saved before worlds were stored has no ``world.*``
+files; loading it generates the world from the manifest's config.
 
 Aliases (``set_alias("prod", name, version)``) live in a root-level
 ``aliases.json`` rewritten atomically (temp file + ``os.replace``), so an
@@ -71,6 +75,19 @@ _ARRAY_KEY = "__ndarray__"
 _VERSION_RE = re.compile(r"^v(\d{4,})$")
 _NAME_RE = re.compile(r"[A-Za-z0-9._-]+")
 ALIASES_FILE = "aliases.json"
+_WORLD_FILES = ("world.json", "world.npz")
+#: What a damaged artifact that passed (or predates) its checksum raises
+#: while decoding; load turns each into a :class:`RegistryCorruptError`.
+_DECODE_ERRORS = (
+    zipfile.BadZipFile,
+    pickle.UnpicklingError,
+    json.JSONDecodeError,
+    UnicodeDecodeError,
+    EOFError,
+    KeyError,
+    ValueError,
+    OSError,
+)
 
 
 class RegistryError(FileNotFoundError):
@@ -379,6 +396,13 @@ class ModelRegistry:
             raise ValueError(f"model name {name!r} is already taken by an alias")
         if bundle.kind not in ("retina", "hategen"):
             raise ValueError(f"unknown bundle kind {bundle.kind!r}")
+        world = bundle.extractor.world
+        if world.config != bundle.world_config:
+            raise ValueError(
+                f"bundle world_config {bundle.world_config} is not the config "
+                f"of its extractor's world {world.config}"
+            )
+        world_state = world.to_state()  # refuses a world past seq 0
         model_dir = os.path.join(self.root, name)
         os.makedirs(model_dir, exist_ok=True)
         tmp_dir = os.path.join(model_dir, f".tmp-{os.getpid()}-{id(bundle):x}")
@@ -413,6 +437,7 @@ class ModelRegistry:
                         fh,
                     )
             save_state(tmp_dir, "extractor", bundle.extractor.to_state())
+            save_state(tmp_dir, "world", world_state)
             # Per-file SHA-256 over every artifact: a truncated or bit-rotted
             # file is detected at load instead of surfacing as an unpickling
             # traceback mid-reload.
@@ -472,12 +497,15 @@ class ModelRegistry:
         return manifest
 
     # ------------------------------------------------------------- loading
-    def _verify_files(self, manifest: dict, directory: str) -> None:
-        """Check recorded per-file SHA-256 digests (pre-checksum bundles skip)."""
-        files = manifest.get("files")
-        if not files:
-            return
+    def _verify_files(
+        self, manifest: dict, directory: str, names: tuple[str, ...] | None = None
+    ) -> None:
+        """Check recorded per-file SHA-256 digests, of every artifact or of
+        ``names`` only (pre-checksum bundles skip)."""
+        files = manifest.get("files") or {}
         for fname, digest in sorted(files.items()):
+            if names is not None and fname not in names:
+                continue
             path = os.path.join(directory, fname)
             try:
                 actual = _sha256(path)
@@ -505,26 +533,61 @@ class ModelRegistry:
                     version=manifest["version"],
                 )
 
+    def _decode_failed(self, manifest: dict, exc: BaseException) -> RegistryCorruptError:
+        return RegistryCorruptError(
+            f"bundle {manifest['name']!r} v{manifest['version']:04d} in "
+            f"registry {self.root!r} failed to decode: "
+            f"{type(exc).__name__}: {exc}",
+            root=self.root,
+            name=manifest["name"],
+            version=manifest["version"],
+        )
+
+    def load_world(self, manifest: dict) -> tuple[SyntheticWorld, str]:
+        """The world a bundle was trained on, and ``"snapshot"`` or
+        ``"generate"`` for where it came from.
+
+        Reads the bundle's saved world, whose config must equal the
+        manifest's.  A bundle saved without one (before worlds were
+        stored) generates it from the manifest's config.
+        """
+        if "world.json" not in (manifest.get("files") or {}):
+            config = SyntheticWorldConfig(**manifest["world_config"])
+            return SyntheticWorld.generate(config), "generate"
+        directory = self._version_dir(manifest["name"], manifest["version"])
+        self._verify_files(manifest, directory, _WORLD_FILES)
+        try:
+            state = load_state(directory, "world")
+            if state["config"] != manifest["world_config"]:
+                raise ValueError(
+                    f"saved world config {state['config']} does not match "
+                    f"the manifest's {manifest['world_config']}"
+                )
+            return SyntheticWorld.from_state(state), "snapshot"
+        except _DECODE_ERRORS as exc:
+            raise self._decode_failed(manifest, exc) from exc
+
     def load_bundle(
         self, name: str, version: int | None = None, *, world: SyntheticWorld | None = None
     ):
         """Load a bundle (latest version by default; aliases accepted).
 
-        The synthetic world is regenerated from the manifest's recorded
-        config unless an already-built ``world`` is supplied (it must come
-        from the same config for features to match training).
+        The bundle is served over its :meth:`load_world` unless an
+        already-built ``world`` is supplied (it must come from the same
+        config for features to match training).  Every artifact's checksum
+        is checked either way: a damaged bundle is refused as a whole.
         """
         manifest = self.manifest(name, version)
         directory = self._version_dir(manifest["name"], manifest["version"])
-        self._verify_files(manifest, directory)
         world_config = SyntheticWorldConfig(**manifest["world_config"])
         if world is None:
-            world = SyntheticWorld.generate(world_config)
+            world, _ = self.load_world(manifest)
         elif world.config != world_config:
             raise ValueError(
                 f"supplied world config {world.config} does not match the "
                 f"bundle's recorded config {world_config}"
             )
+        self._verify_files(manifest, directory)
         try:
             state = load_state(directory, "extractor")
             if manifest["kind"] == "retina":
@@ -544,24 +607,8 @@ class ModelRegistry:
                 payload = pickle.load(fh)
         except RegistryError:
             raise
-        except (
-            zipfile.BadZipFile,
-            pickle.UnpicklingError,
-            json.JSONDecodeError,
-            UnicodeDecodeError,
-            EOFError,
-            KeyError,
-            ValueError,
-            OSError,
-        ) as exc:
-            raise RegistryCorruptError(
-                f"bundle {manifest['name']!r} v{manifest['version']:04d} in "
-                f"registry {self.root!r} failed to decode: "
-                f"{type(exc).__name__}: {exc}",
-                root=self.root,
-                name=manifest["name"],
-                version=manifest["version"],
-            ) from exc
+        except _DECODE_ERRORS as exc:
+            raise self._decode_failed(manifest, exc) from exc
         return HateGenBundle(
             model=payload["model"],
             transforms=payload["transforms"],

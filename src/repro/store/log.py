@@ -241,14 +241,16 @@ class EventLog:
         self._segment_bytes = 0
         self._open_tail()
 
-    def append(self, event: Event) -> tuple[int, str, bool]:
+    def append(self, event: Event, h: str | None = None) -> tuple[int, str, bool]:
         """Durably append one event; returns ``(seq, hash, deduped)``.
 
         A resubmission (same content hash) is a no-op returning the
         original sequence number with ``deduped=True`` — the property
-        that makes ingest idempotent and therefore retryable.
+        that makes ingest idempotent and therefore retryable.  ``h`` is
+        the event's :func:`event_hash` when the caller already has it.
         """
-        h = event_hash(event)
+        if h is None:
+            h = event_hash(event)
         with self._lock:
             seq = self._by_hash.get(h)
             if seq is not None:

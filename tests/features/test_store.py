@@ -1,7 +1,11 @@
 """Unit tests for the columnar FeatureStore and block assembly."""
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.features import assemble_rows
 from repro.features.reference import _reference_user_block
@@ -48,6 +52,36 @@ class TestPriorRetweets:
         uids = sorted(features_world.world.users)
         quiet = next(u for u in uids if not any(ru == u for ru, _ in counts))
         assert store.prior_counts(quiet, uids[:20]).sum() == 0.0
+
+
+def _python_prior_csr(counts, n):
+    """The per-pair Python build the numpy one replaced: the oracle."""
+    triples = sorted((int(ru), int(cu), int(c)) for (ru, cu), c in counts.items())
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    cols = np.empty(len(triples), dtype=np.int64)
+    data = np.empty(len(triples), dtype=np.int64)
+    for k, (ri, ci, cnt) in enumerate(triples):
+        indptr[ri + 1] += 1
+        cols[k] = ci
+        data[k] = cnt
+    return np.cumsum(indptr), cols, data
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_prior_csr_equals_the_python_build(fitted_extractor, data):
+    store = copy.copy(fitted_extractor.store_)  # set_prior_retweets rebinds, never mutates
+    n = store.n_users
+    user = st.integers(0, n - 1)
+    counts = data.draw(st.dictionaries(st.tuples(user, user), st.integers(1, 50), max_size=80))
+    store.set_prior_retweets(counts)
+    for got, want in zip(
+        (store._prior_indptr, store._prior_cols, store._prior_data),
+        _python_prior_csr(counts, n),
+    ):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
 
 class TestPeerBlock:

@@ -93,6 +93,20 @@ def test_overlay_equals_rebuilt_network(case):
     _assert_matches(rebuilt, oracle, [])
 
 
+@given(cases())
+@settings(max_examples=150, deadline=None)
+def test_edges_rebuild_both_neighbour_orders(case):
+    # A saved world rebuilds its graph from edges(): followers and
+    # followees must both come back in emission order.
+    n, base, extra, _ = case
+    net = _network(n, base)
+    again = InformationNetwork(n, *net.edges())
+    _assert_matches(again, DictGraph(n, base), [])
+    if any(net.add_follow(a, b) for a, b in extra):
+        with pytest.raises(ValueError, match="overlay"):
+            net.edges()
+
+
 def test_add_follow_rejects_self_and_unknown_users():
     net = _network(3, [(0, 1)])
     with pytest.raises(ValueError):

@@ -4,8 +4,8 @@ above capacity must shed with 429 + ``Retry-After`` and never drop a
 request without a response.
 
 Also hosts the end-to-end acceptance path (bundles loaded from disk with
-regenerated worlds, served scores equal to in-process scores) and its
-error handling.
+the worlds saved in them, served scores equal to in-process scores) and
+its error handling.
 """
 
 import http.client
@@ -704,7 +704,7 @@ class TestOverload:
 
 # ---------------------------------------------------------------------------
 # The end-to-end serving acceptance path: train -> save bundle -> load (world
-# regenerated) -> serve -> POST -> scores identical to in-process
+# read from the bundle) -> serve -> POST -> scores identical to in-process
 # ``trainer.predict_static_scores`` — plus error handling over the same server.
 # ---------------------------------------------------------------------------
 
@@ -726,10 +726,10 @@ def _get(url: str):
 
 @pytest.fixture(scope="module")
 def bundle_server(registry):
-    """A live server over bundles loaded from disk with regenerated worlds.
+    """A live server over bundles loaded from disk with their saved worlds.
 
-    The retina bundle regenerates its world from the manifest; the hategen
-    bundle shares it — exactly what ``repro serve`` does.
+    The retina bundle reads its world from the bundle; the hategen bundle
+    shares it — exactly what ``repro serve`` does.
     """
     retina = registry.load_bundle("retina")
     hategen = registry.load_bundle("hategen", world=retina.extractor.world)

@@ -3,8 +3,8 @@ reloads beside ingest, and the ingest wait bound.
 
 Every fixture copies the session registry to a private directory before
 attaching an event log — ingested events must never leak into other
-test modules' engines via replay, and the engines here regenerate their
-own worlds so the shared ``serving_world`` is never mutated.
+test modules' engines via replay, and the engines here load their own
+worlds so the shared ``serving_world`` is never mutated.
 """
 
 import http.client
@@ -257,6 +257,39 @@ class TestRestartReplay:
             )
         engine2.stop()
         engine2.event_log.close()
+
+
+def test_each_ingested_event_is_hashed_once(registry, tmp_path_factory, monkeypatch):
+    import repro.serving.engine as engine_module
+    import repro.store.log as log_module
+    from repro.store import event_hash
+
+    store = _copy_store(registry, tmp_path_factory, "hash-once-store")
+    engine = engine_from_store(store)
+    calls = []
+
+    def counted(event):
+        calls.append(event)
+        return event_hash(event)
+
+    monkeypatch.setattr(engine_module, "event_hash", counted)
+    monkeypatch.setattr(log_module, "event_hash", counted)
+    cascade, fresh, tag = _world_material(engine)
+    batch = [
+        {"kind": "tweet", "tweet_id": 930001, "user_id": fresh[0], "hashtag": tag,
+         "text": "hashed once", "timestamp": FAR_TS},
+        {"kind": "retweet", "tweet_id": 930001, "user_id": fresh[1],
+         "timestamp": FAR_TS + 1},
+        {"kind": "retweet", "tweet_id": cascade.root.tweet_id, "user_id": fresh[2],
+         "timestamp": FAR_TS},
+        _fresh_follow(engine),
+    ]
+    assert engine.ingest(batch)["accepted"] == 4
+    assert len(calls) == 4
+    calls.clear()
+    assert engine.ingest(batch[:2])["deduped"] == 2  # duplicates too
+    assert len(calls) == 2
+    engine.event_log.close()
 
 
 def _post_ingest(srv, events) -> tuple[int, dict, dict]:

@@ -210,7 +210,7 @@ class TestBundleRoundTrip:
 
     def test_world_regenerated_when_not_supplied(self, registry, trained_retina):
         trainer, _, test_samples = trained_retina
-        bundle = registry.load_bundle("retina")  # regenerates from manifest
+        bundle = registry.load_bundle("retina")  # reads the bundle's saved world
         sample = test_samples[0]
         rebuilt = bundle.extractor.build_sample(
             sample.candidate_set.cascade, candidate_set=sample.candidate_set

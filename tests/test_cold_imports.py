@@ -1,4 +1,5 @@
-"""Serving, training and the paper pipeline start without importing scipy.
+"""Serving, training and the paper pipeline start without importing scipy,
+and serving starts without importing the Table VI diffusion baselines.
 
 scipy is needed only to fit the linear models (L-BFGS).  A fresh interpreter
 imports every entry module, computes an ROC-AUC, and must hold no ``scipy``
@@ -45,3 +46,24 @@ def test_entry_modules_do_not_import_scipy():
     assert got["before_fit"] == []
     assert got["optimize_after_fit"] is True
     assert got["pred"] == [0, 1]
+
+
+_SERVING_PROBE = """
+import json, sys
+import repro.serving, repro.serving.aio, repro.cli
+loaded = sorted(m for m in sys.modules if m.startswith("repro.diffusion"))
+from repro.diffusion import HIDAN
+print(json.dumps({"loaded": loaded, "hidan": HIDAN.__module__}))
+"""
+
+
+def test_serving_imports_no_diffusion_baseline():
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", _SERVING_PROBE], cwd=ROOT, env=env,
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    got = json.loads(out.stdout.strip().splitlines()[-1])
+    for baseline in ("sir", "threshold", "topolstm", "forest", "hidan"):
+        assert f"repro.diffusion.{baseline}" not in got["loaded"]
+    assert got["hidan"] == "repro.diffusion.hidan"  # still importable on demand
