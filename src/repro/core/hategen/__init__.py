@@ -4,19 +4,30 @@ Given a user and a hashtag, predict whether the user will post a hateful
 tweet — a binary classification over feature groups representing the
 user's activity history H, topic relatedness T, non-peer endogenous
 signals S_en (trending hashtags), and exogenous signals S_ex (news).
+
+The exports are imported on first access: serving needs the feature
+extractor, not the pipeline, the Table III models or the ablation.
 """
 
-from repro.core.hategen.features import FeatureGroups, HateGenFeatureExtractor
-from repro.core.hategen.models import TABLE3_MODELS, build_model
-from repro.core.hategen.pipeline import HateGenerationPipeline, ProcessingVariant
-from repro.core.hategen.ablation import run_feature_ablation
+import importlib
 
-__all__ = [
-    "HateGenFeatureExtractor",
-    "FeatureGroups",
-    "build_model",
-    "TABLE3_MODELS",
-    "HateGenerationPipeline",
-    "ProcessingVariant",
-    "run_feature_ablation",
-]
+#: Exported name -> the submodule that defines it.
+_EXPORTS = {
+    "HateGenFeatureExtractor": "features",
+    "FeatureGroups": "features",
+    "build_model": "models",
+    "TABLE3_MODELS": "models",
+    "HateGenerationPipeline": "pipeline",
+    "ProcessingVariant": "pipeline",
+    "run_feature_ablation": "ablation",
+}
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+__all__ = list(_EXPORTS)

@@ -21,7 +21,7 @@ from repro.core.hategen.features import HateGenFeatureExtractor
 from repro.data.schema import Cascade
 from repro.data.synthetic import SyntheticWorld
 from repro.diffusion.cascade import CandidateSet, build_candidate_set
-from repro.features import FeatureStore, assemble_rows
+from repro.features import FeatureStore
 from repro.text.tfidf import TfidfVectorizer
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_fitted
@@ -33,19 +33,26 @@ __all__ = ["RetinaSample", "RetinaFeatureExtractor"]
 class RetinaSample:
     """Everything RETINA consumes for one cascade, stored block-structured.
 
-    ``cand_features`` is (n_candidates, d_cand): the peer + history blocks
-    that actually vary per candidate.  ``shared_features`` is (d_shared,):
-    the endogenous + root-tweet blocks every candidate of the cascade
-    shares, stored once instead of tiled into each row.  Full rows are
-    assembled lazily via :meth:`rows` (or the ``user_features`` property,
-    which materialises all of them); ``tweet_vec`` is the Doc2Vec query
-    (d_tweet,); ``news_vecs`` is (k, d_news); ``news_tfidf`` is the
-    engineered exogenous alternative for non-attention baselines.
-    ``interval_labels`` is (n_candidates, n_intervals) for dynamic mode.
+    A candidate's row is ``[peer | history | shared]``.  ``peer`` is
+    (n_candidates, 2): shortest path and prior retweets toward the root
+    user.  The history block H_{j,t} depends only on the user, so the
+    samples of one :meth:`RetinaFeatureExtractor.build_samples` call share
+    one ``hist`` matrix (a row per distinct candidate, copied from the
+    store) and each sample keeps ``hist_idx`` (n_candidates,), its
+    candidates' rows in it.  ``shared_features`` is (d_shared,): the
+    endogenous + root-tweet blocks every candidate of the cascade shares.
+    Full rows are assembled on demand via :meth:`rows` (or the
+    ``user_features`` property, which materialises all of them);
+    ``tweet_vec`` is the Doc2Vec query (d_tweet,); ``news_vecs`` is
+    (k, d_news); ``news_tfidf`` is the engineered exogenous alternative for
+    non-attention baselines.  ``interval_labels`` is (n_candidates,
+    n_intervals) for dynamic mode.
     """
 
     candidate_set: CandidateSet
-    cand_features: np.ndarray
+    peer: np.ndarray
+    hist: np.ndarray
+    hist_idx: np.ndarray
     shared_features: np.ndarray
     tweet_vec: np.ndarray
     news_vecs: np.ndarray
@@ -55,7 +62,19 @@ class RetinaSample:
 
     def rows(self, idx=None) -> np.ndarray:
         """Assemble full feature rows, optionally only the selected ones."""
-        return assemble_rows(self.cand_features, self.shared_features, idx)
+        peer = self.peer if idx is None else self.peer[idx]
+        hist_idx = self.hist_idx if idx is None else self.hist_idx[idx]
+        d_hist, d_shared = self.hist.shape[1], self.shared_features.shape[0]
+        out = np.empty((len(hist_idx), 2 + d_hist + d_shared))
+        out[:, :2] = peer
+        out[:, 2 : 2 + d_hist] = self.hist[hist_idx]
+        out[:, 2 + d_hist :] = self.shared_features
+        return out
+
+    @property
+    def cand_features(self) -> np.ndarray:
+        """The (n_candidates, 2 + d_hist) per-candidate block [peer | history]."""
+        return np.concatenate([self.peer, self.hist[self.hist_idx]], axis=1)
 
     @property
     def user_features(self) -> np.ndarray:
@@ -223,15 +242,8 @@ class RetinaFeatureExtractor:
         interval_edges_hours: np.ndarray | None = None,
         candidate_set: CandidateSet | None = None,
         random_state=None,
-        _tweet_block: np.ndarray | None = None,
     ) -> RetinaSample:
-        """Assemble one cascade's features (and interval labels if edges given).
-
-        The per-candidate block comes from :meth:`candidate_block` (one BFS,
-        columnar history gather); the endogenous + tweet blocks are stored
-        once per sample, never tiled.  ``_tweet_block`` lets
-        :meth:`build_samples` pass a row of its batched tf-idf transform.
-        """
+        """Assemble one cascade's features (and interval labels if edges given)."""
         check_fitted(self, "base_")
         rng = ensure_rng(
             random_state if random_state is not None else self.random_state
@@ -239,31 +251,7 @@ class RetinaFeatureExtractor:
         cs = candidate_set or build_candidate_set(
             cascade, self.world.network, n_negatives=self.n_negatives, random_state=rng
         )
-        root = cascade.root
-        tweet_block = (
-            _tweet_block if _tweet_block is not None else self._root_tweet_block(cascade)
-        )
-        endo = self.base_._endogen_block(root.timestamp)
-        shared = np.concatenate([endo, tweet_block])
-        cand = self.candidate_block(cascade, cs.users)
-        tweet_vec = self.store_.tweet_vec(root)
-        news_vecs = self._news_vectors(root.timestamp)
-        news_tfidf = self.base_._exogen_block(root.timestamp)
-
-        interval_labels = None
-        if interval_edges_hours is not None:
-            edges = np.asarray(interval_edges_hours, dtype=np.float64)
-            interval_labels = self._interval_labels(cascade, cs.users, edges)
-        return RetinaSample(
-            candidate_set=cs,
-            cand_features=cand,
-            shared_features=shared,
-            tweet_vec=tweet_vec,
-            news_vecs=news_vecs,
-            news_tfidf=news_tfidf,
-            labels=cs.labels.astype(np.float64),
-            interval_labels=interval_labels,
-        )
+        return self._samples([cascade], [cs], interval_edges_hours)[0]
 
     def build_samples(
         self,
@@ -274,10 +262,8 @@ class RetinaFeatureExtractor:
     ) -> list[RetinaSample]:
         """Batch :meth:`build_sample` with one RNG stream.
 
-        Columnar batching across the whole cascade list: candidate sets are
-        drawn first (same RNG sequence as the seed per-cascade loop), every
-        touched user's history block is built in one store batch, and the
-        root-tweet tf-idf block is one batched transform over all roots.
+        Candidate sets are drawn first (same RNG sequence as the seed
+        per-cascade loop); then every sample is built from one store batch.
         """
         check_fitted(self, "base_")
         rng = ensure_rng(
@@ -290,18 +276,63 @@ class RetinaFeatureExtractor:
             )
             for c in cascades
         ]
-        self.store_.ensure([uid for cs in sets for uid in cs.users])
-        tweet_blocks = self._root_tweet_blocks(cascades) if cascades else []
-        return [
-            self.build_sample(
-                c,
-                interval_edges_hours=interval_edges_hours,
-                candidate_set=cs,
-                random_state=rng,
-                _tweet_block=tweet_blocks[i],
+        return self._samples(cascades, sets, interval_edges_hours)
+
+    def _samples(
+        self,
+        cascades: list[Cascade],
+        sets: list[CandidateSet],
+        interval_edges_hours: np.ndarray | None,
+    ) -> list[RetinaSample]:
+        """Samples for cascades whose candidate sets are drawn.
+
+        Every candidate's history block is built in one store batch and
+        gathered once into a ``hist`` matrix of the distinct candidates,
+        which all the samples share.  It is a copy, so a later ingest
+        cannot change a built sample.  The peer block takes one BFS per
+        root; the endogenous + root-tweet blocks (one batched tf-idf
+        transform over all roots) are stored once per sample, never tiled.
+        """
+        if not cascades:
+            return []
+        store = self.store_
+        distinct, inverse = np.unique(
+            [uid for cs in sets for uid in cs.users], return_inverse=True
+        )
+        hist = store.history_rows(distinct)
+        tweet_blocks = self._root_tweet_blocks(cascades)
+        edges = (
+            None
+            if interval_edges_hours is None
+            else np.asarray(interval_edges_hours, dtype=np.float64)
+        )
+        samples = []
+        lo = 0
+        for cascade, cs, tweet_block in zip(cascades, sets, tweet_blocks):
+            root = cascade.root
+            hi = lo + len(cs.users)
+            samples.append(
+                RetinaSample(
+                    candidate_set=cs,
+                    peer=store.peer_block(root.user_id, cs.users, cutoff=4),
+                    hist=hist,
+                    hist_idx=inverse[lo:hi],
+                    shared_features=np.concatenate(
+                        [self.base_._endogen_block(root.timestamp), tweet_block]
+                    ),
+                    tweet_vec=store.tweet_vec(root),
+                    news_vecs=self._news_vectors(root.timestamp),
+                    news_tfidf=self.base_._exogen_block(root.timestamp),
+                    labels=cs.labels.astype(np.float64),
+                    interval_labels=(
+                        None
+                        if edges is None
+                        else self._interval_labels(cascade, cs.users, edges)
+                    ),
+                )
             )
-            for i, (c, cs) in enumerate(zip(cascades, sets))
-        ]
+            lo = hi
+        return samples
 
     @property
     def user_feature_dim(self) -> int:

@@ -63,11 +63,6 @@ class RetinaTrainer:
         self.batch_size = batch_size if batch_size is not None else (32 if dynamic else 16)
         self.epochs = epochs
         self.random_state = random_state
-        #: Budget (in float64 elements, ~64 MB default) for pre-assembled
-        #: mini-batch rows pinned across epochs; beyond it samples fall
-        #: back to per-step lazy assembly.  Purely a speed/memory knob —
-        #: assembled values are identical either way.
-        self.row_cache_elems = 8_000_000
         #: When set, an atomic ``checkpoint.npz`` (weights + optimiser state
         #: + RNG state + completed epoch) is written after every epoch and
         #: auto-resumed by the next :meth:`fit` with the same configuration
@@ -168,9 +163,9 @@ class RetinaTrainer:
         """Train on a list of cascade samples.
 
         Per-sample state that the seed loop rebuilt on every epoch — the
-        index range, the positive/negative split, the tweet/news tensor
-        wraps, and (for samples that fit in one mini-batch) the assembled
-        feature rows — is hoisted out of the epoch loop.  The RNG stream is
+        index range, the positive/negative split and the tweet/news tensor
+        wraps — is hoisted out of the epoch loop; every step assembles its
+        mini-batch rows with ``sample.rows(idx)``.  The RNG stream is
         untouched: only the shuffle and the negative subsampling draw from
         it, exactly as before, so trained weights stay bit-identical to the
         seed schedule (``repro.nn.reference.fit_reference``).
@@ -189,11 +184,6 @@ class RetinaTrainer:
         batch_size = self.batch_size
         model = self.model
         # ----- hoisted per-sample state (constant across epochs) ---------
-        # Samples that fit in one mini-batch may also pre-assemble their
-        # rows, but only up to a fixed budget: pinning every tiled matrix
-        # would undo the block-structured samples' memory design on large
-        # corpora (row assembly itself is cheap; the caching is a bonus).
-        row_budget = self.row_cache_elems
         prepared = []
         for sample in samples:
             n = len(sample.labels)
@@ -201,23 +191,12 @@ class RetinaTrainer:
             news = Tensor(sample.news_vecs)
             targets_all = sample.interval_labels if dynamic else sample.labels
             if n > batch_size:
-                # Subsampled every step: keep the index split, not the rows.
+                # Subsampled every step: keep the positive/negative split.
                 pos = np.flatnonzero(sample.labels == 1)
                 neg = np.flatnonzero(sample.labels == 0)
-                prepared.append((sample, tweet, news, targets_all, pos, neg, None, None))
-                continue
-            idx = np.arange(n)
-            X = targets = None
-            rows_elems = n * (
-                sample.cand_features.shape[1] + sample.shared_features.shape[0]
-            )
-            if rows_elems <= row_budget:
-                # Whole cascade is one mini-batch: assemble rows and targets
-                # once for all epochs (bit-identical to re-assembly).
-                row_budget -= rows_elems
-                X = Tensor(sample.rows(idx))
-                targets = targets_all[idx]
-            prepared.append((sample, tweet, news, targets_all, idx, None, X, targets))
+            else:
+                pos, neg = np.arange(n), None
+            prepared.append((sample, tweet, news, targets_all, pos, neg))
         order = np.arange(len(samples))
         fingerprint = ""
         start_epoch = 0
@@ -242,22 +221,21 @@ class RetinaTrainer:
             loss_sum, steps = 0.0, 0
             rng.shuffle(order)
             for si in order:
-                sample, tweet, news, targets_all, pos, neg, X, targets = prepared[si]
-                if X is None:
-                    if neg is None:
-                        idx = pos  # precomputed arange(n): no subsampling
-                    else:
-                        # Keep all positives, subsample negatives.
-                        keep_neg = rng.choice(
-                            neg, size=max(1, batch_size - len(pos)), replace=False
-                        ) if len(neg) else np.array([], dtype=int)
-                        idx = np.concatenate([pos, keep_neg])
-                    # Lazy assembly: only the mini-batch rows materialise;
-                    # the sample never stores the tiled shared block.
-                    X = Tensor(sample.rows(idx))
-                    targets = targets_all[idx]
-                logits = model(X, tweet, news)
-                loss = weighted_bce_with_logits(logits, targets, pos_weight=w)
+                sample, tweet, news, targets_all, pos, neg = prepared[si]
+                if neg is None:
+                    idx = pos  # precomputed arange(n): no subsampling
+                else:
+                    # Keep all positives, subsample negatives.
+                    keep_neg = rng.choice(
+                        neg, size=max(1, batch_size - len(pos)), replace=False
+                    ) if len(neg) else np.array([], dtype=int)
+                    idx = np.concatenate([pos, keep_neg])
+                # Only the mini-batch rows materialise; the sample never
+                # stores the tiled history or shared blocks.
+                logits = model(Tensor(sample.rows(idx)), tweet, news)
+                loss = weighted_bce_with_logits(
+                    logits, targets_all[idx], pos_weight=w
+                )
                 opt.zero_grad()
                 loss.backward()
                 opt.step()
@@ -292,11 +270,8 @@ class RetinaTrainer:
         Static mode: (n,) P(retweet).  Dynamic mode: (n, n_intervals)
         per-interval probabilities.
         """
-        return self.model.predict_proba_blocks(
-            sample.cand_features,
-            sample.shared_features,
-            sample.tweet_vec,
-            sample.news_vecs,
+        return self.model.predict_proba(
+            sample.rows(), sample.tweet_vec, sample.news_vecs
         )
 
     def predict_static_scores(self, sample: RetinaSample) -> np.ndarray:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.schema import Tweet
-from repro.ml.metrics import krippendorff_alpha
 from repro.utils.rng import ensure_rng
 
 __all__ = ["AnnotatorPool"]
@@ -72,4 +71,6 @@ class AnnotatorPool:
     @staticmethod
     def agreement(ratings: np.ndarray) -> float:
         """Krippendorff's alpha of the rating matrix."""
+        from repro.ml.metrics import krippendorff_alpha  # keeps repro.data light
+
         return krippendorff_alpha(ratings)

@@ -1,10 +1,14 @@
-"""Block-structured row assembly for columnar samples.
+"""Block-structured row assembly for the serving forward pass.
 
 A RETINA candidate row is ``[peer | history | endogenous | tweet]`` where the
-last two blocks are identical for every candidate of a cascade.  Samples
-store the per-candidate block as an ``(n, d_cand)`` matrix and the shared
-per-cascade block once as a ``(d_shared,)`` vector; full rows exist only
-transiently, assembled here for exactly the rows a forward pass needs.
+last two blocks are identical for every candidate of a cascade.  Serving
+builds the per-candidate block ``[peer | history]`` as an ``(n, d_cand)``
+matrix per request and the shared per-cascade block once as a
+``(d_shared,)`` vector; full rows exist only transiently, assembled here
+for exactly the rows a forward pass needs.  Training samples
+(:class:`~repro.core.retina.features.RetinaSample`) go one step further:
+the history rows of all samples built together live in one shared matrix,
+and each sample assembles its rows from an index into it.
 """
 
 from __future__ import annotations

@@ -6,43 +6,44 @@ implements the required estimators, transforms, and metrics from scratch on
 numpy/scipy.  The estimator API mirrors scikit-learn conventions
 (``fit``/``predict``/``predict_proba``/``transform``) so the modelling code
 reads the same as the paper's.
+
+The estimators are imported on first access: the text models and the
+serving layer need only :mod:`repro.ml.base`.
 """
 
-from repro.ml.base import BaseEstimator, ClassifierMixin, TransformerMixin, clone
-from repro.ml.linear import LogisticRegression, LinearSVC
-from repro.ml.svm import SVC
-from repro.ml.tree import DecisionTreeClassifier
-from repro.ml.ensemble import (
-    AdaBoostClassifier,
-    GradientBoostingClassifier,
-    RandomForestClassifier,
-)
-from repro.ml.decomposition import PCA
-from repro.ml.feature_selection import SelectKBest, mutual_info_classif
-from repro.ml.preprocessing import MinMaxScaler, StandardScaler, normalize
-from repro.ml.sampling import downsample_majority, upsample_minority
-from repro.ml.model_selection import StratifiedKFold, train_test_split
+import importlib
 
-__all__ = [
-    "BaseEstimator",
-    "ClassifierMixin",
-    "TransformerMixin",
-    "clone",
-    "LogisticRegression",
-    "LinearSVC",
-    "SVC",
-    "DecisionTreeClassifier",
-    "RandomForestClassifier",
-    "AdaBoostClassifier",
-    "GradientBoostingClassifier",
-    "PCA",
-    "SelectKBest",
-    "mutual_info_classif",
-    "StandardScaler",
-    "MinMaxScaler",
-    "normalize",
-    "downsample_majority",
-    "upsample_minority",
-    "train_test_split",
-    "StratifiedKFold",
-]
+#: Exported name -> the submodule that defines it.
+_EXPORTS = {
+    "BaseEstimator": "base",
+    "ClassifierMixin": "base",
+    "TransformerMixin": "base",
+    "clone": "base",
+    "LogisticRegression": "linear",
+    "LinearSVC": "linear",
+    "SVC": "svm",
+    "DecisionTreeClassifier": "tree",
+    "RandomForestClassifier": "ensemble",
+    "AdaBoostClassifier": "ensemble",
+    "GradientBoostingClassifier": "ensemble",
+    "PCA": "decomposition",
+    "SelectKBest": "feature_selection",
+    "mutual_info_classif": "feature_selection",
+    "StandardScaler": "preprocessing",
+    "MinMaxScaler": "preprocessing",
+    "normalize": "preprocessing",
+    "downsample_majority": "sampling",
+    "upsample_minority": "sampling",
+    "train_test_split": "model_selection",
+    "StratifiedKFold": "model_selection",
+}
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+__all__ = list(_EXPORTS)

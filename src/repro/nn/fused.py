@@ -62,13 +62,12 @@ __all__ = [
 def sigmoid_data(z: np.ndarray) -> np.ndarray:
     """Numerically stable sigmoid, bitwise-identical to ``Tensor.sigmoid``.
 
-    Both branches are evaluated densely (cheaper than boolean gathers for
-    the small hot-loop arrays); per element the selected branch computes
-    the same expression as the seed's masked assignment.
+    With ``e = exp(-|z|)`` the seed's two masked branches are
+    ``1 / (1 + e)`` for ``z >= 0`` and ``e / (1 + e)`` otherwise: one
+    exp (which never overflows) and one division serve both.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        ez = np.exp(z)
-        return np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), ez / (1.0 + ez))
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def relu_data(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

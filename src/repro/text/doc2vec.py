@@ -184,27 +184,30 @@ class Doc2Vec:
         *,
         epochs: int = 25,
         random_state=None,
-        block_elems: int = 8_000_000,
+        block_elems: int = 1_000_000,
     ) -> np.ndarray:
         """Infer vectors for a batch of documents with one blocked kernel.
 
         Bit-identical to ``np.stack([self.infer_vector(d) for d in docs])``:
         every document keeps its own RNG stream (a fresh generator per
         document for seed-style ``random_state``, sequential draws in
-        document order for a shared generator), and all noise draws and
-        word-vector gathers are hoisted into ``(docs, epochs, m, k)``
-        blocks.  Documents are bucketed by their in-vocabulary length so
-        every stacked matmul slice has exactly the reference gemv's shape —
-        stacked ``np.matmul`` equals its 2-D slices bit for bit, whereas
-        zero-padding rows would shift BLAS row blocking and flip low bits.
+        document order for a shared generator), and all noise draws are
+        hoisted out of the SGD loop.  Each epoch gathers its word vectors
+        into one ``(docs, m, k)`` block.  Documents are bucketed by their
+        in-vocabulary length so every stacked matmul slice has exactly the
+        reference gemv's shape — stacked ``np.matmul`` equals its 2-D slices
+        bit for bit, whereas zero-padding rows would shift BLAS row blocking
+        and flip low bits.
 
         Parameters
         ----------
         epochs / random_state:
             As in :meth:`infer_vector`.
         block_elems:
-            Soft cap on a bucket's gathered block size (floats) — larger
-            buckets are processed in document-order chunks.
+            Soft cap on one epoch's gathered block (floats; the default is
+            8 MB) — larger buckets are processed in document-order chunks.
+            The noise ids of every document are drawn before the first
+            chunk, so they still grow with the number of documents.
         """
         check_fitted(self, "word_vectors_")
         docs = list(documents)
@@ -240,22 +243,22 @@ class Doc2Vec:
 
         # ---- bucketed, blocked SGD --------------------------------------
         # Each chunk is an independent stacked kernel over its own documents.
-        # A chunk's gathered block (up to ``block_elems`` floats) is freed
-        # when ``_sgd_chunk`` returns, before the next chunk gathers its own.
+        # Each epoch gathers its own block of up to ``block_elems`` floats;
+        # the update's ``err * W`` temporary is as large, so a chunk peaks
+        # near two blocks.
         def _sgd_chunk(n_pos: int, group: list[int]) -> None:
             m = n_pos * (1 + self.negative)
             targets = np.empty((len(group), epochs, m), dtype=np.int64)
             for row, di in enumerate(group):
                 targets[row, :, :n_pos] = ids_list[di]
                 targets[row, :, n_pos:] = negs[di]
-            W_all = self.word_vectors_[targets]  # (L, epochs, m, k)
             labels = np.concatenate(
                 [np.ones(n_pos), np.zeros(n_pos * self.negative)]
             )
             dv = out[group]
             for epoch in range(epochs):
                 lr = self.alpha * max(0.1, 1.0 - epoch / epochs)
-                W = W_all[:, epoch]
+                W = self.word_vectors_[targets[:, epoch]]  # (L, m, k)
                 scores = _sigmoid(np.matmul(W, dv[:, :, None])[:, :, 0])
                 err = scores - labels
                 dv -= lr * (err[:, :, None] * W).sum(axis=1)
@@ -263,7 +266,7 @@ class Doc2Vec:
 
         for n_pos, members in by_m.items():
             m = n_pos * (1 + self.negative)
-            chunk = max(1, block_elems // max(1, epochs * m * k))
+            chunk = max(1, block_elems // max(1, m * k))
             for lo in range(0, len(members), chunk):
                 _sgd_chunk(n_pos, members[lo : lo + chunk])
         return out

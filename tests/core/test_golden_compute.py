@@ -10,6 +10,8 @@ recurrent cell.  ``Doc2Vec.transform`` must likewise reproduce the per-doc
 equal the tape forward.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,13 @@ class TestDoc2VecTransformGolden:
         reference = model.transform(docs, random_state=6)
         chunked = model.transform(docs, random_state=6, block_elems=4000)
         np.testing.assert_array_equal(chunked, reference)
+        # Not vacuous: some length bucket holds more documents than one
+        # 4000-float epoch block (m * k floats per document), so it splits.
+        buckets = Counter(len(model._doc_word_ids(d)) for d in docs)
+        m_k = (1 + model.negative) * model.vector_size
+        assert any(
+            n and count > 1 and count * n * m_k > 4000 for n, count in buckets.items()
+        )
 
     def test_empty_input(self, corpus_model):
         model, _ = corpus_model

@@ -10,8 +10,17 @@ bit-identical, not approximately equal.
 import numpy as np
 import pytest
 
-from repro.core.retina import RETINA, RetinaTrainer
-from repro.features import build_samples_reference
+from repro.core.retina import RETINA, RetinaFeatureExtractor, RetinaTrainer
+from repro.data import HateDiffusionDataset, SyntheticWorldConfig
+from repro.features import assemble_rows, build_samples_reference
+from repro.store import (
+    FollowEvent,
+    RetweetEvent,
+    StoredEvent,
+    apply_events_to_world,
+    event_hash,
+    validate_event_for_world,
+)
 
 FIELDS = ("user_features", "labels", "tweet_vec", "news_vecs", "news_tfidf")
 
@@ -68,6 +77,75 @@ class TestGoldenParity:
         second = fitted_extractor.build_samples(cascade_subset[:5], random_state=0)
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a.user_features, b.user_features)
+
+
+class TestSharedHistoryBlock:
+    def test_samples_of_one_call_share_one_history_matrix(
+        self, fitted_extractor, cascade_subset
+    ):
+        samples = fitted_extractor.build_samples(cascade_subset, random_state=0)
+        hist = samples[0].hist
+        assert all(s.hist is hist for s in samples)
+        distinct = {u for s in samples for u in s.candidate_set.users}
+        assert hist.shape == (len(distinct), fitted_extractor.store_.history_dim)
+        again = fitted_extractor.build_samples(cascade_subset[:2], random_state=0)
+        assert again[0].hist is not hist  # one matrix per call
+
+    def test_rows_equal_candidate_block_and_shared(
+        self, fitted_extractor, cascade_subset
+    ):
+        """rows(idx) == [candidate_block | shared], the serving layout, bit for bit."""
+        rng = np.random.default_rng(3)
+        for s in fitted_extractor.build_samples(cascade_subset[:8], random_state=0):
+            users = s.candidate_set.users
+            cand = fitted_extractor.candidate_block(s.candidate_set.cascade, users)
+            dense = assemble_rows(cand, s.shared_features)
+            idx = rng.permutation(len(users))[: len(users) // 2 + 1]
+            np.testing.assert_array_equal(s.rows(idx), dense[idx])
+            np.testing.assert_array_equal(s.rows(), dense)
+            np.testing.assert_array_equal(s.cand_features, cand)
+
+    def test_sample_keeps_its_rows_across_an_ingest(self):
+        """A built sample holds a copy: a later ingest cannot change its rows."""
+        world = HateDiffusionDataset.generate(
+            SyntheticWorldConfig(scale=0.01, n_hashtags=5, n_users=100, n_news=250, seed=9)
+        ).world
+        ext = RetinaFeatureExtractor(world, history_size=10, news_doc2vec_dim=8).fit(
+            world.cascades
+        )
+        cascade = next(c for c in world.cascades if c.retweets)
+        sample = ext.build_sample(cascade, random_state=0)
+        users = sample.candidate_set.users
+        before = sample.rows().copy()
+        # A new follower for one candidate moves its history row (follower
+        # count); a retweet moves the root user's reception counters.
+        followee = users[0]
+        follower = next(
+            u for u in sorted(world.users)
+            if u != followee and not world.network.follows(u, followee)
+        )
+        retweeter = next(
+            u for u in sorted(world.users)
+            if u not in {r.user_id for r in cascade.retweets} | {cascade.root.user_id}
+        )
+        events = [
+            FollowEvent(followee=followee, follower=follower),
+            RetweetEvent(tweet_id=cascade.root.tweet_id, user_id=retweeter,
+                         timestamp=cascade.root.timestamp + 1.0),
+        ]
+        for ev in events:
+            assert validate_event_for_world(world, ev) is None
+        stored = [StoredEvent(i + 1, event_hash(ev), ev) for i, ev in enumerate(events)]
+        assert len(apply_events_to_world(world, stored)) == len(stored)
+        ext.apply_events(stored)
+
+        np.testing.assert_array_equal(sample.rows(), before)
+        live = assemble_rows(ext.candidate_block(cascade, users), sample.shared_features)
+        hist_cols = slice(2, 2 + sample.hist.shape[1])
+        assert not np.array_equal(live[:, hist_cols], before[:, hist_cols]), (
+            "the ingest changed no history row"
+        )
+        ext.store_.close()
 
 
 class TestServedScoreParity:

@@ -8,6 +8,9 @@ gradient — and must independently pass central-difference gradient checks.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.nn import (
     Dense,
@@ -19,7 +22,7 @@ from repro.nn import (
     Tensor,
 )
 from repro.nn import reference as ref
-from repro.nn.fused import gru_unroll
+from repro.nn.fused import gru_unroll, sigmoid_data
 from repro.nn.gradcheck import check_gradient, check_parameter_gradients
 from repro.nn.losses import bce_with_logits, weighted_bce_with_logits
 
@@ -325,3 +328,47 @@ class TestFusedGradcheck:
         x = Tensor(rng.normal(size=(5, 4)))
         check_parameter_gradients(cell, lambda: run(x))
         check_parameter_gradients(head, lambda: run(x))
+
+
+# ----------------------------------------------------------------- sigmoid
+def _two_branch_sigmoid(z):
+    """The dense two-branch form ``sigmoid_data`` had before one exp."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ez = np.exp(z)
+        return np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), ez / (1.0 + ez))
+
+
+def _assert_same_bits(got, want):
+    """Bitwise equality of float64 arrays; any NaN matches any NaN."""
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(got.view(np.int64)[~nan], want.view(np.int64)[~nan])
+
+
+_EDGES = np.array(
+    [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+     709.0, -709.0, 709.8, -709.8, 745.2, -745.2, 800.0, -800.0, 1e308, -1e308]
+)
+
+
+class TestSigmoidData:
+    def test_edge_values_match_two_branch_form(self):
+        _assert_same_bits(sigmoid_data(_EDGES), _two_branch_sigmoid(_EDGES))
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0, 800.0])
+    def test_random_scales_match_two_branch_form(self, scale):
+        z = np.random.default_rng(int(scale * 1000)).normal(size=(46, 64)) * scale
+        _assert_same_bits(sigmoid_data(z), _two_branch_sigmoid(z))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=1, max_dims=2, max_side=16),
+            elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+        )
+    )
+    def test_matches_two_branch_form_and_tensor_sigmoid(self, z):
+        got = sigmoid_data(z)
+        _assert_same_bits(got, _two_branch_sigmoid(z))
+        _assert_same_bits(got, Tensor(z).sigmoid().data)

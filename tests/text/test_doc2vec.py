@@ -93,3 +93,32 @@ class TestDoc2Vec:
         m1 = Doc2Vec(vector_size=8, epochs=5, min_count=1, random_state=3).fit(SPORTS)
         m2 = Doc2Vec(vector_size=8, epochs=5, min_count=1, random_state=3).fit(SPORTS)
         assert np.allclose(m1.doc_vectors_, m2.doc_vectors_)
+
+
+def test_transform_peak_memory_is_one_epoch_block():
+    """transform's peak is set by ``block_elems``, not by the document count.
+
+    Each epoch gathers at most ``block_elems`` floats (8 MB by default), so
+    ten times the documents stay within 2x of the peak; only the output and
+    the per-document noise ids grow.  A gather of all 25 epochs at once
+    peaks near 64 MB here.
+    """
+    import tracemalloc
+
+    rng = np.random.default_rng(0)
+    words = [f"w{i}" for i in range(40)]
+    corpus = [" ".join(rng.choice(words, 6)) for _ in range(30)]
+    model = Doc2Vec(vector_size=500, epochs=1, min_count=1, random_state=0).fit(corpus)
+    docs = [" ".join(rng.choice(words, 4, replace=False)) for _ in range(1000)]
+
+    def peak(batch):
+        tracemalloc.start()
+        try:
+            model.transform(batch, random_state=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(docs[:100]), peak(docs)
+    assert large < 2 * small
+    assert large < 4 * 8 * 1_000_000
