@@ -14,7 +14,10 @@ The deterministic routes are then byte-compared across two fresh server + engine
 instances — responses must not depend on server lifecycle or engine
 state.  A final pass pins the admission-control contract: a request
 shed by quota returns 429 with ``Retry-After`` and
-``Connection: close``.
+``Connection: close``; and the slow-head contract: a request head that
+trickles in one complete header line at a time gets a typed 400 and
+``Connection: close`` once ``header_timeout`` has passed, however
+prompt each line is.
 
 The observability pass pins the telemetry surface: the Prometheus
 exposition must parse line-by-line, inbound ``X-Trace-Id``
@@ -33,8 +36,10 @@ import argparse
 import http.client
 import json
 import re
+import socket
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +141,43 @@ def raw_text(server, path):
         return resp.status, dict(resp.headers), resp.read().decode("utf-8")
     finally:
         conn.close()
+
+
+def slow_head(server, interval: float, limit: float):
+    """Send one complete header line every ``interval`` seconds until the
+    server answers or closes (at most ``limit`` seconds).
+
+    Returns ``(status, headers, body, seconds to the answer)``; status 0
+    when nothing came back.
+    """
+    with socket.create_connection(server.address, timeout=10) as sock:
+        start = time.monotonic()
+        sock.sendall(b"GET /v1/healthz HTTP/1.1\r\nHost: contract\r\n")
+        sock.settimeout(interval)
+        buf, n = b"", 0
+        try:
+            while not buf and time.monotonic() - start < limit:
+                sock.sendall(f"X-Slow-{n}: v\r\n".encode())
+                n += 1
+                try:
+                    buf = sock.recv(65536)
+                except socket.timeout:
+                    pass
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # closed; what it answered first is still readable
+        elapsed = time.monotonic() - start
+        sock.settimeout(10)
+        try:
+            while chunk := sock.recv(65536):
+                buf += chunk
+        except ConnectionResetError:
+            pass
+    if not buf:
+        return 0, {}, {}, elapsed
+    head, _, body = buf.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in lines[1:])
+    return int(lines[0].split()[1]), headers, json.loads(body), elapsed
 
 
 def drive_contract(server, label, registry, trainer, te, h_test,
@@ -452,6 +494,25 @@ def main(argv=None) -> int:
               and hdrs.get("Connection") == "close"
               and body["error"]["code"] == "shed_route_quota",
               f"got {s2} {dict(hdrs)} {body}")
+
+        # ---- slow-head contract -------------------------------------------
+        # The whole head shares one header_timeout budget: complete header
+        # lines every 50 ms must get a typed 400 + Connection: close once
+        # the 0.5 s budget is spent (plus a margin to answer), not ride a
+        # fresh per-line budget until the header-count bound.
+        header_timeout, margin = 0.5, 1.5
+        engine = engine_from_store(registry)
+        with AsyncPredictionServer(engine, port=0, registry=registry,
+                                   header_timeout=header_timeout) as server:
+            status, hdrs, body, elapsed = slow_head(
+                server, interval=0.05, limit=header_timeout + 2 * margin
+            )
+        check("slow head -> 400 + close within header_timeout",
+              status == 400
+              and body["error"]["code"] == "bad_request"
+              and hdrs.get("Connection") == "close"
+              and elapsed < header_timeout + margin,
+              f"got {status} {hdrs} {body} after {elapsed:.2f}s")
 
     print(f"\napi-contract: all {len(CHECKS)} checks passed")
     return 0

@@ -8,6 +8,12 @@ route.  A single event loop on :func:`asyncio.start_server` runs:
   in order straight out of the reader buffer; bodies are framed by a
   digits-only ``Content-Length`` (a ``Transfer-Encoding`` request gets
   501), and a malformed header line gets 400 and a close;
+- one read deadline per request stage, each a single loop timer (no
+  Task per read): the request line within ``keepalive_timeout`` (a
+  quiet close), the whole rest of the head within ``header_timeout``
+  (400 ``header read timed out`` and a close, however many lines came),
+  the body within ``request_timeout`` (an abort); stalled heads and
+  bodies are counted in ``repro_aio_aborted_requests_total{stage}``;
 - one route table: a request's ``(method, path)`` is resolved once,
   before the body is read, into its metric label, whether it is a
   data-plane route (sheddable and traced), and its handler — so an
@@ -18,8 +24,9 @@ route.  A single event loop on :func:`asyncio.start_server` runs:
   read) or :meth:`InferenceEngine.submit_ingest` (an ingest batch)
   returns — the event loop *awaits* the batcher without parking a thread
   per in-flight request, so thousands of concurrent requests cost
-  coroutines, not stacks; both wait at most ``request_timeout``, then
-  answer 503 with ``Retry-After``;
+  coroutines, not stacks; both wait at most ``request_timeout``
+  (``asyncio.wait_for`` on the future itself, which starts no Task),
+  then answer 503 with ``Retry-After``;
 - admission control (:mod:`repro.serving.admission`) runs after route
   resolution but before the body is read, so a shed request costs one
   decision and one small write;
@@ -209,7 +216,10 @@ def _parse_body(raw: bytes, *, optional: bool = False) -> dict:
         raise ServingError("request body required", code="missing_body")
     with obs_trace.span("handler.parse", bytes=len(raw)):
         try:
-            payload = json.loads(raw)
+            # Strict UTF-8 (RFC 8259 8.1): ``json.loads`` on bytes would
+            # also take UTF-16/32 and, through "surrogatepass", encoded
+            # lone surrogates.
+            payload = json.loads(raw.decode("utf-8"))
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, int limit
             raise ServingError(
                 f"invalid JSON body: {exc}", code="invalid_json"
@@ -257,7 +267,44 @@ def _aliases(registry: ModelRegistry, name: str) -> dict:
     }
 
 
-async def _readline(reader: asyncio.StreamReader, timeout: float, what: str) -> bytes:
+class _Deadline:
+    """The read deadline of one connection's current request stage.
+
+    ``with deadline.stage(seconds):`` arms one ``loop.call_later`` timer
+    and cancels it when the stage's reads are done, so a read of bytes
+    already buffered costs no Task and no extra loop iteration, unlike
+    ``asyncio.wait_for``.  When the timer fires it ends the stalled read
+    with ``reader.feed_eof()``, after it stops reading on the transport:
+    ``StreamReader.feed_data`` asserts that nothing arrives after EOF.
+    ``expired`` then tells the deadline apart from a peer that hung up,
+    and the connection can only close.
+    """
+
+    __slots__ = ("_reader", "_transport", "_handle", "expired")
+
+    def __init__(self, reader: asyncio.StreamReader, transport: asyncio.Transport):
+        self._reader = reader
+        self._transport = transport
+        self._handle: asyncio.TimerHandle | None = None
+        self.expired = False
+
+    def stage(self, timeout: float) -> "_Deadline":
+        self._handle = asyncio.get_running_loop().call_later(timeout, self._expire)
+        return self
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, *exc) -> None:
+        self._handle.cancel()
+
+    def _expire(self) -> None:
+        self.expired = True
+        self._transport.pause_reading()
+        self._reader.feed_eof()
+
+
+async def _readline(reader: asyncio.StreamReader, what: str) -> bytes:
     """One head line; a 431 :class:`_BadRequest` when it is over a bound.
 
     ``StreamReader.readline`` raises ``ValueError`` for a line past the
@@ -265,7 +312,7 @@ async def _readline(reader: asyncio.StreamReader, timeout: float, what: str) -> 
     are refused the same way.
     """
     try:
-        line = await asyncio.wait_for(reader.readline(), timeout=timeout)
+        line = await reader.readline()
     except ValueError:
         line = None
     if line is None or len(line) > _MAX_LINE:
@@ -301,13 +348,12 @@ class AsyncPredictionServer:
         if admission is not None and admission._depth_fn is None:
             admission.bind_engine(engine)
         self.admission = admission
-        self.request_timeout = request_timeout
+        #: Read deadlines, one per request stage: the request line (idle
+        #: keep-alive wait), the rest of the head, and the body.  The body's
+        #: also bounds the wait for the engine's answer.
         self.keepalive_timeout = keepalive_timeout
-        #: Budget for each *subsequent* line of a request head.  A slow-loris
-        #: peer that trickles one header byte at a time can hold the first
-        #: line open for the keep-alive window, but after that every line
-        #: must arrive within this budget or the connection is dropped.
         self.header_timeout = header_timeout
+        self.request_timeout = request_timeout
         self._host = host
         self._port = port
         self._bound: tuple[str, int] | None = None
@@ -394,13 +440,14 @@ class AsyncPredictionServer:
             # follow a tiny 100-ms-earlier write on keep-alive connections;
             # never let Nagle + delayed ACK stall them.
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        deadline = _Deadline(reader, writer.transport)
         try:
             while True:
-                keep_alive = await self._serve_one(reader, writer)
+                keep_alive = await self._serve_one(reader, writer, deadline)
                 if not keep_alive:
                     break
         except (asyncio.CancelledError, ConnectionError,
-                asyncio.IncompleteReadError, asyncio.TimeoutError):
+                asyncio.IncompleteReadError):
             pass
         except _BadRequest as exc:
             try:
@@ -423,61 +470,62 @@ class AsyncPredictionServer:
                 pass
 
     async def _read_request_head(
-        self, reader: asyncio.StreamReader
+        self, reader: asyncio.StreamReader, deadline: _Deadline
     ) -> tuple[str, str, str, dict] | None:
         """Parse ``(method, target, version, headers)``; None on clean EOF.
 
-        The keep-alive idle timeout applies only to the *first* line of a
-        request — mid-request stalls fall under the body-read timeout.
+        The request line must arrive within ``keepalive_timeout`` (the
+        idle wait; a quiet close), and then every header line within one
+        ``header_timeout`` budget for the whole head.
         """
-        try:
-            line = await _readline(reader, self.keepalive_timeout, "request line")
-        except asyncio.TimeoutError:
-            return None
-        if not line:
+        with deadline.stage(self.keepalive_timeout):
+            line = await _readline(reader, "request line")
+        if not line or deadline.expired:
             return None
         parts = line.decode("latin-1").strip().split()
         if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
             raise _BadRequest(f"malformed request line {line!r:.80}")
         method, target, version = parts
         headers: dict[str, str] = {}
-        for _ in range(_MAX_HEADERS):
-            try:
-                line = await _readline(reader, self.header_timeout, "header line")
-            except asyncio.TimeoutError:
-                # Slow-loris: the head started but a header line stalled.
-                _ABORTED.inc(stage="head")
-                raise _BadRequest("header read timed out") from None
-            if line == b"":
-                # Peer vanished mid-head: abort quietly, nothing to answer.
-                _ABORTED.inc(stage="head")
-                return None
-            if line in (b"\r\n", b"\n"):
-                break
-            text = line.decode("latin-1").removesuffix("\n").removesuffix("\r")
-            name, sep, value = text.partition(":")
-            value = value.strip(" \t")
-            if not sep or not _FIELD_NAME_RE.fullmatch(name) or _FIELD_CTL_RE.search(value):
-                raise _BadRequest(f"malformed header line {line!r:.80}")
-            name = name.lower()
-            if name == "content-length":
-                # 1*DIGIT, or the body's framing is unknown (RFC 9112 6.3):
-                # int() would also take "-1", "+0" and "1_0".
-                if not (value.isascii() and value.isdigit()):
-                    raise _BadRequest(f"bad Content-Length {value!r:.40}")
-                if headers.get(name, value) != value:
-                    # Which length frames the body is ambiguous.
-                    raise _BadRequest("conflicting Content-Length headers")
-            headers[name] = value
-        else:
-            raise _BadRequest("too many headers")
+        with deadline.stage(self.header_timeout):
+            for _ in range(_MAX_HEADERS):
+                line = await _readline(reader, "header line")
+                if deadline.expired:
+                    # Slow-loris: the head did not finish within its budget.
+                    _ABORTED.inc(stage="head")
+                    raise _BadRequest("header read timed out")
+                if line == b"":
+                    # Peer vanished mid-head: abort quietly, nothing to answer.
+                    _ABORTED.inc(stage="head")
+                    return None
+                if line in (b"\r\n", b"\n"):
+                    break
+                text = line.decode("latin-1").removesuffix("\n").removesuffix("\r")
+                name, sep, value = text.partition(":")
+                value = value.strip(" \t")
+                if (not sep or not _FIELD_NAME_RE.fullmatch(name)
+                        or _FIELD_CTL_RE.search(value)):
+                    raise _BadRequest(f"malformed header line {line!r:.80}")
+                name = name.lower()
+                if name == "content-length":
+                    # 1*DIGIT, or the body's framing is unknown (RFC 9112
+                    # 6.3): int() would also take "-1", "+0" and "1_0".
+                    if not (value.isascii() and value.isdigit()):
+                        raise _BadRequest(f"bad Content-Length {value!r:.40}")
+                    if headers.get(name, value) != value:
+                        # Which length frames the body is ambiguous.
+                        raise _BadRequest("conflicting Content-Length headers")
+                headers[name] = value
+            else:
+                raise _BadRequest("too many headers")
         return method, target, version, headers
 
     async def _serve_one(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter,
+        deadline: _Deadline,
     ) -> bool:
         """Serve one request; return False when the connection must close."""
-        head = await self._read_request_head(reader)
+        head = await self._read_request_head(reader, deadline)
         if head is None:
             return False
         method, target, version, headers = head
@@ -531,7 +579,7 @@ class AsyncPredictionServer:
                 )
             with root:
                 reply = await self._dispatch(route, label, method, arg, query,
-                                             headers, reader)
+                                             headers, reader, deadline)
                 self._write_reply(writer, label, method, root.trace_id, reply)
             await writer.drain()
             return keep_alive and not reply.close
@@ -541,7 +589,7 @@ class AsyncPredictionServer:
 
     async def _dispatch(self, route: _Route, label: str, method: str,
                         arg: str | None, query: dict, headers: dict,
-                        reader: asyncio.StreamReader) -> Reply:
+                        reader: asyncio.StreamReader, deadline: _Deadline) -> Reply:
         """Read the body, then run the route's handler."""
         # Body size policing before the read: answer 413 off the headers
         # alone so an oversized body is never buffered.  The length is
@@ -556,13 +604,12 @@ class AsyncPredictionServer:
         raw = b""
         if length != "0":
             try:
-                raw = await asyncio.wait_for(
-                    reader.readexactly(int(length)), timeout=self.request_timeout
-                )
-            except (asyncio.IncompleteReadError, asyncio.TimeoutError,
-                    ConnectionError):
-                # The peer disconnected (or stalled) mid-body: nothing was
-                # dispatched, nobody to answer — count and hang up.
+                with deadline.stage(self.request_timeout):
+                    raw = await reader.readexactly(int(length))
+            except (asyncio.IncompleteReadError, ConnectionError):
+                # The peer disconnected (or stalled past the deadline)
+                # mid-body: nothing was dispatched, nobody to answer —
+                # count and hang up.
                 _ABORTED.inc(stage="body")
                 raise
         try:

@@ -192,8 +192,10 @@ class Doc2Vec:
         every document keeps its own RNG stream (a fresh generator per
         document for seed-style ``random_state``, sequential draws in
         document order for a shared generator), and all noise draws are
-        hoisted out of the SGD loop.  Each epoch gathers its word vectors
-        into one ``(docs, m, k)`` block.  Documents are bucketed by their
+        hoisted out of the SGD loop.  A fresh generator from one int seed
+        gives every document of one in-vocabulary length the same initial
+        vector and noise ids, so those are drawn once per length.  Each
+        epoch gathers its word vectors into one ``(docs, m, k)`` block.  Documents are bucketed by their
         in-vocabulary length so every stacked matmul slice has exactly the
         reference gemv's shape — stacked ``np.matmul`` equals its 2-D slices
         bit for bit, whereas zero-padding rows would shift BLAS row blocking
@@ -206,8 +208,9 @@ class Doc2Vec:
         block_elems:
             Soft cap on one epoch's gathered block (floats; the default is
             8 MB) — larger buckets are processed in document-order chunks.
-            The noise ids of every document are drawn before the first
-            chunk, so they still grow with the number of documents.
+            The noise ids are drawn before the first chunk; under an int
+            ``random_state`` they grow with the number of distinct
+            lengths, otherwise with the number of documents.
         """
         check_fitted(self, "word_vectors_")
         docs = list(documents)
@@ -218,28 +221,37 @@ class Doc2Vec:
             return out
         seed = random_state if random_state is not None else self.random_state
         shared = isinstance(seed, np.random.Generator)
+        # An int seed restarts the same stream for every document.
+        fixed = seed is not None and not shared
 
         # ---- per-document draws, in document order ----------------------
         # (Draw order is what preserves a shared generator's stream.)
         by_m: dict[int, list[int]] = {}
         negs: list[np.ndarray | None] = []
         ids_list: list[np.ndarray] = []
+        draws: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
         for di, doc in enumerate(docs):
-            rng = seed if shared else ensure_rng(seed)
             ids = self._doc_word_ids(doc)
             ids_list.append(ids)
-            out[di] = (rng.random(k) - 0.5) / k
-            if len(ids):
-                n_neg = len(ids) * self.negative
-                negs.append(
-                    np.searchsorted(
+            n_pos = len(ids)
+            if n_pos in draws:
+                init, neg = draws[n_pos]
+            else:
+                rng = seed if shared else ensure_rng(seed)
+                init = (rng.random(k) - 0.5) / k
+                neg = None  # empty/OOV doc: keep the init vector
+                if n_pos:
+                    n_neg = n_pos * self.negative
+                    neg = np.searchsorted(
                         self._noise_cdf,
                         rng.random(epochs * n_neg).reshape(epochs, n_neg),
                     )
-                )
-                by_m.setdefault(len(ids), []).append(di)
-            else:
-                negs.append(None)  # empty/OOV doc: keep the init vector
+                if fixed:
+                    draws[n_pos] = init, neg
+            out[di] = init
+            negs.append(neg)
+            if n_pos:
+                by_m.setdefault(n_pos, []).append(di)
 
         # ---- bucketed, blocked SGD --------------------------------------
         # Each chunk is an independent stacked kernel over its own documents.

@@ -43,6 +43,20 @@ def aio_server(registry):
         yield srv
 
 
+#: The short-budget server's ``header_timeout``, and a pause well past it.
+SHORT_HEADER_TIMEOUT = 0.2
+LONG_PAUSE = 0.5
+
+
+@pytest.fixture(scope="module")
+def short_head_server(registry):
+    """A live server whose request heads must finish within 0.2 s."""
+    engine = engine_from_store(registry, max_batch_size=32)
+    with AsyncPredictionServer(engine, port=0, registry=registry,
+                               header_timeout=SHORT_HEADER_TIMEOUT) as srv:
+        yield srv
+
+
 @pytest.fixture(scope="module")
 def aio_client(aio_server):
     host, port = aio_server.address
@@ -275,8 +289,9 @@ def _raw_exchange(server, data: bytes) -> tuple[int, dict, dict]:
     return _parse_response(_raw_bytes(server, data))
 
 
-def _split_responses(buf: bytes) -> list[tuple[int, dict]]:
-    """Every complete ``(status, JSON body)`` response in ``buf``, in order."""
+def _split_responses(buf: bytes) -> list[tuple[int, dict, dict]]:
+    """Every complete ``(status, headers, JSON body)`` response in ``buf``,
+    in order; header names are lower-cased."""
     out = []
     while b"\r\n\r\n" in buf:
         head, _, rest = buf.partition(b"\r\n\r\n")
@@ -285,7 +300,7 @@ def _split_responses(buf: bytes) -> list[tuple[int, dict]]:
         length = int(headers["content-length"])
         if len(rest) < length:
             break
-        out.append((int(lines[0].split()[1]), json.loads(rest[:length])))
+        out.append((int(lines[0].split()[1]), headers, json.loads(rest[:length])))
         buf = rest[length:]
     return out
 
@@ -449,8 +464,8 @@ class TestFraming:
         raw = _raw_bytes(aio_server, get + b"Content-Length: 5\r\n\r\nhello"
                          + get + b"Connection: close\r\n\r\n")
         replies = _split_responses(raw)
-        assert [status for status, _ in replies] == [200, 200]
-        assert all(reply["status"] == "ok" for _, reply in replies)
+        assert [status for status, _, _ in replies] == [200, 200]
+        assert all(reply["status"] == "ok" for _, _, reply in replies)
 
     # int() takes all of these; Content-Length is 1*DIGIT (RFC 9112 8.6).
     @pytest.mark.parametrize("value", ["-1", "+0", "0_0", "1_0", ""],
@@ -538,7 +553,7 @@ class TestFraming:
 
     @staticmethod
     def _assert_answers(requests: list[bytes], replies: list) -> None:
-        for request, (status, reply) in zip(requests, replies):
+        for request, (status, _, reply) in zip(requests, replies):
             assert status == 200
             if request.startswith(b"GET"):
                 assert reply["status"] == "ok"
@@ -546,22 +561,101 @@ class TestFraming:
                 assert reply["label"] in (0, 1)
 
     @pytest.mark.parametrize("seed", FUZZ_SEEDS)
-    def test_random_splits_answered_in_order(self, aio_server, trained_hategen, seed):
+    def test_random_splits_answered_in_order(self, short_head_server,
+                                             trained_hategen, seed):
+        """Seeded cuts and pauses against a 0.2 s head budget.  A pause
+        past the budget inside a request's head (after its request line,
+        before the blank line) gets that request a typed 400 and a close;
+        every request before it is answered in order, and with no such
+        pause every request is."""
         rng = random.Random(seed)
         requests = self._pipeline(rng, trained_hategen)
         data = b"".join(requests)
         cuts = sorted(rng.sample(range(1, len(data)), rng.randint(1, 12)))
-        with socket.create_connection(aio_server.address, timeout=10) as sock:
-            for a, b in zip([0] + cuts, cuts + [len(data)]):
-                sock.sendall(data[a:b])
-                time.sleep(rng.uniform(0.0, 0.005))
+        pauses = [LONG_PAUSE if rng.random() < 0.25 else rng.uniform(0.0, 0.005)
+                  for _ in cuts]
+        heads, start = [], 0
+        for request in requests:
+            heads.append((start + request.index(b"\n") + 1,
+                          start + request.index(b"\r\n\r\n") + 4))
+            start += len(request)
+        stalled = next((i for i, (lo, hi) in enumerate(heads)
+                        if any(lo <= cut < hi and pause == LONG_PAUSE
+                               for cut, pause in zip(cuts, pauses))),
+                       len(requests))
+        with socket.create_connection(short_head_server.address, timeout=10) as sock:
+            try:
+                for a, b, pause in zip([0] + cuts, cuts + [len(data)], pauses + [0]):
+                    sock.sendall(data[a:b])
+                    time.sleep(pause)
+            except (BrokenPipeError, ConnectionResetError):
+                pass  # the server has answered a stalled head and closed
             buf = b""
-            while len(replies := _split_responses(buf)) < len(requests):
-                chunk = sock.recv(65536)
-                assert chunk, f"closed after {len(replies)}/{len(requests)} replies"
-                buf += chunk
-        assert len(replies) == len(requests)
-        self._assert_answers(requests, replies)
+            try:
+                while len(replies := _split_responses(buf)) < len(requests):
+                    chunk = sock.recv(65536)
+                    if not chunk:
+                        break
+                    buf += chunk
+            except ConnectionResetError:
+                replies = _split_responses(buf)
+        self._assert_answers(requests, replies[:stalled])
+        if stalled == len(requests):
+            assert len(replies) == len(requests)
+        else:
+            assert len(replies) == stalled + 1, f"{len(replies)} replies"
+            status, headers, reply = replies[stalled]
+            assert status == 400 and headers.get("connection") == "close"
+            assert reply["error"] == {"code": "bad_request", "field": None,
+                                      "message": "header read timed out"}
+
+    # Seeded body fuzz: bytes that are not strict UTF-8 and integer literals
+    # past the 4300-digit conversion limit fail with a ValueError that is
+    # not a JSONDecodeError; they always get 400 ``invalid_json``, and the
+    # body was read, so the connection stays open.
+    _BAD_UTF8 = (b"\x80", b"\xbf", b"\xc0\xaf", b"\xc1\x81", b"\xe0\x80\x80",
+                 b"\xed\xa0\x80", b"\xf5\x80\x80\x80", b"\xfe", b"\xff",
+                 b"\xc3", b"\xe2\x82", b"\xf0\x9f\x98")
+    _BODY_ROUTES = ("/v1/predict/hategen", "/v1/predict/retweeters",
+                    "/v1/batch/hategen", "/v1/ingest")
+
+    def _bad_body(self, rng, trained_hategen) -> bytes:
+        valid = self._hategen_body(trained_hategen)
+        if rng.random() < 0.5:
+            at = rng.randrange(1, len(valid) + 1)
+            body = valid[:at] + rng.choice(self._BAD_UTF8) + valid[at:]
+            with pytest.raises(UnicodeDecodeError):
+                body.decode("utf-8")
+            return body
+        digits = str(rng.randint(1, 9)) + "".join(
+            rng.choice("0123456789") for _ in range(rng.randint(4300, 6000))
+        )
+        literal = rng.choice(("", "-")) + digits
+        name = rng.choice(("user_id", "timestamp", "extra"))
+        value = rng.choice(("{}", "[1, {}]", '{{"x": {}}}')).format(literal)
+        return valid[:-1] + f', "{name}": {value}}}'.encode()
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_generated_undecodable_bodies_are_invalid_json(
+        self, aio_server, trained_hategen, seed
+    ):
+        rng = random.Random(3000 + seed)
+        n_bad = rng.randint(1, 4)
+        data = b""
+        for _ in range(n_bad):
+            body = self._bad_body(rng, trained_hategen)
+            data += (
+                f"POST {rng.choice(self._BODY_ROUTES)} HTTP/1.1\r\nHost: x\r\n"
+                f"Content-Type: application/json\r\n"
+                f"Content-Length: {len(body)}\r\n\r\n"
+            ).encode() + body
+        data += b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+        replies = _split_responses(_raw_bytes(aio_server, data))
+        assert len(replies) == n_bad + 1
+        for status, headers, reply in replies[:n_bad]:
+            assert status == 400 and reply["error"]["code"] == "invalid_json"
+            assert "connection" not in headers
+        assert replies[-1][0] == 200
 
     @pytest.mark.parametrize("seed", FUZZ_SEEDS)
     def test_truncated_pipeline_then_half_close(self, aio_server, trained_hategen, seed):
@@ -586,7 +680,7 @@ class TestFraming:
         self._assert_answers(requests, replies[:complete])
         assert len(replies) in (complete, complete + 1), f"{len(replies)} replies"
         if len(replies) > complete:
-            status, reply = replies[complete]
+            status, _, reply = replies[complete]
             assert 400 <= status < 500 and reply["error"]["code"]
 
 
@@ -838,7 +932,9 @@ class TestErrorHandling:
     @pytest.mark.parametrize("data", [
         b"\xff\xfe{",                          # not UTF-8 (UnicodeDecodeError)
         b'{"cascade_id": ' + b"9" * 5000 + b"}",  # past the int-digit limit
-    ], ids=["undecodable", "huge_int"])
+        b'{"cascade_id": 0, "\xed\xa0\x80": 1}',  # an encoded lone surrogate
+        '{"cascade_id": 0}'.encode("utf-16"),     # JSON, but not UTF-8
+    ], ids=["undecodable", "huge_int", "surrogate", "utf16"])
     def test_undecodable_json_400(self, bundle_server, data):
         code, body = self._error(urllib.request.Request(
             bundle_server.url + "/v1/predict/retweeters",

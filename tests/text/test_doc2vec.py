@@ -122,3 +122,43 @@ def test_transform_peak_memory_is_one_epoch_block():
     small, large = peak(docs[:100]), peak(docs)
     assert large < 2 * small
     assert large < 4 * 8 * 1_000_000
+
+
+def test_transform_draws_once_per_length_under_an_int_seed():
+    """Under an int ``random_state`` every document restarts one stream,
+    so documents of one in-vocabulary length share their initial vector
+    and noise ids: ``transform`` draws them once per length.  The output
+    is still bit-identical to per-document ``infer_vector``, for a seed
+    and for a shared generator, and the noise does not grow with the
+    number of same-length documents."""
+    import tracemalloc
+
+    rng = np.random.default_rng(1)
+    words = [f"w{i}" for i in range(40)]
+    corpus = [" ".join(rng.choice(words, 8)) for _ in range(30)]
+    model = Doc2Vec(vector_size=8, epochs=1, min_count=1, random_state=0).fit(corpus)
+    docs = [" ".join(rng.choice(words, rng.integers(0, 6), replace=False))
+            for _ in range(40)] + ["oov tokens only"]
+    expected = np.stack([model.infer_vector(d, random_state=7) for d in docs])
+    assert np.array_equal(model.transform(docs, random_state=7), expected)
+    # A shared generator keeps drawing in document order.
+    g1, g2 = np.random.default_rng(5), np.random.default_rng(5)
+    expected = np.stack([model.infer_vector(d, random_state=g1) for d in docs])
+    assert np.array_equal(model.transform(docs, random_state=g2), expected)
+
+    # 15 tokens, 25 epochs, 5 negatives: 15 KB of noise ids per document
+    # if each drew its own.  Small blocks keep the SGD chunks equal.
+    same_length = [" ".join(rng.choice(words, 15, replace=False))
+                   for _ in range(1000)]
+    noise_per_doc = 25 * 15 * 5 * 8
+
+    def peak(batch):
+        tracemalloc.start()
+        try:
+            model.transform(batch, random_state=0, block_elems=90 * 8 * 50)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    growth = peak(same_length) - peak(same_length[:100])
+    assert growth < 900 * noise_per_doc / 10
