@@ -6,7 +6,8 @@ projections, single-node GRU unroll, flat optimiser updates, hoisted
 per-sample state) and through the seed path frozen in
 ``repro.nn.reference.fit_reference`` (primitive op chains, per-step input
 re-projection, per-parameter optimiser loops, per-epoch index rebuilds),
-then reports steps/sec and cascades/sec for both.  A built-in parity check
+then reports steps/sec and cascades/sec for both (the median of
+``REPEATS`` interleaved pairs).  A built-in parity check
 verifies the two paths produced **bit-identical** trained weights — the
 fused path is an optimisation, never a numerical change.
 
@@ -41,6 +42,9 @@ from benchmarks.common import add_json_out, emit_report
 from repro.core.retina import RETINA, RetinaFeatureExtractor, RetinaTrainer
 from repro.data import HateDiffusionDataset, SyntheticWorldConfig
 from repro.nn.reference import fit_reference
+
+#: Interleaved fused/reference timing pairs per mode.
+REPEATS = 3
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -95,6 +99,17 @@ def _build_model(ext, mode: str, hdim: int, seed: int) -> RETINA:
     )
 
 
+def _timed_fit(path: str, extractor, mode: str, samples, args) -> tuple[float, dict]:
+    """Train a fresh model through ``path``; (seconds, trained weights)."""
+    model = _build_model(extractor, mode, args.hdim, args.seed)
+    t0 = time.perf_counter()
+    if path == "fused":
+        RetinaTrainer(model, epochs=args.epochs, random_state=0).fit(samples)
+    else:
+        fit_reference(model, samples, epochs=args.epochs, random_state=0)
+    return time.perf_counter() - t0, model.state_dict()
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     cfg = SyntheticWorldConfig(
@@ -125,20 +140,21 @@ def main(argv=None) -> int:
         warm_r = _build_model(extractor, mode, args.hdim, args.seed)
         fit_reference(warm_r, samples[:3], epochs=1, random_state=0)
 
-        fused = _build_model(extractor, mode, args.hdim, args.seed)
-        t0 = time.perf_counter()
-        RetinaTrainer(fused, epochs=args.epochs, random_state=0).fit(samples)
-        t_fused = time.perf_counter() - t0
-
-        frozen = _build_model(extractor, mode, args.hdim, args.seed)
-        t0 = time.perf_counter()
-        fit_reference(frozen, samples, epochs=args.epochs, random_state=0)
-        t_ref = time.perf_counter() - t0
-
-        sd_f, sd_r = fused.state_dict(), frozen.state_dict()
-        parity = set(sd_f) == set(sd_r) and all(
-            np.array_equal(sd_f[k], sd_r[k]) for k in sd_f
-        )
+        # Interleaved pairs, alternating which path runs first, so a host
+        # slowdown lands on both legs of a pair; the speedup is the median
+        # of the per-pair ratios.
+        fused_s, ref_s, ratios = [], [], []
+        parity = True
+        for r in range(REPEATS):
+            paths = ("fused", "reference") if r % 2 == 0 else ("reference", "fused")
+            timed = {path: _timed_fit(path, extractor, mode, samples, args) for path in paths}
+            (t_fused, sd_f), (t_ref, sd_r) = timed["fused"], timed["reference"]
+            parity = parity and set(sd_f) == set(sd_r) and all(
+                np.array_equal(sd_f[k], sd_r[k]) for k in sd_f
+            )
+            fused_s.append(t_fused)
+            ref_s.append(t_ref)
+            ratios.append(t_ref / t_fused)
         all_parity = all_parity and parity
 
         def leg(seconds):
@@ -149,9 +165,10 @@ def main(argv=None) -> int:
             }
 
         modes[mode] = {
-            "fused": leg(t_fused),
-            "reference": leg(t_ref),
-            "speedup": round(t_ref / t_fused, 2),
+            "fused": leg(float(np.median(fused_s))),
+            "reference": leg(float(np.median(ref_s))),
+            "speedup": round(float(np.median(ratios)), 2),
+            "pair_speedups": [round(x, 2) for x in ratios],
             "weight_parity": parity,
         }
 

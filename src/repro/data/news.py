@@ -37,7 +37,13 @@ class EventBurst:
 
 
 class NewsStream:
-    """A time-sorted collection of articles with window queries."""
+    """A time-sorted collection of articles with window queries.
+
+    ``articles`` are sorted by timestamp on construction; ``bursts`` keep
+    their generation order, theme by theme, and :meth:`theme_rates` sums
+    them in that order, so every rate is the same float as the scalar sum
+    of :meth:`EventBurst.rate_at` over the theme's bursts.
+    """
 
     def __init__(self, articles: list[NewsArticle], bursts: list[EventBurst]):
         self.articles = sorted(articles, key=lambda a: a.timestamp)
@@ -58,9 +64,19 @@ class NewsStream:
         idx = int(np.searchsorted(self._times, t, side="left"))
         return self.articles[max(0, idx - k) : idx]
 
-    def theme_rate_at(self, theme: str, t: float) -> float:
-        """Aggregate burst intensity for a theme at time ``t``."""
-        return sum(b.rate_at(t) for b in self.bursts if b.theme == theme)
+    def theme_rates(self, theme: str, ts: np.ndarray) -> np.ndarray:
+        """Aggregate burst intensity for a theme at each time in ``ts``.
+
+        One array pass per burst, from zero, in stored order; ``exp`` runs
+        only where ``t >= t0``, as :meth:`EventBurst.rate_at` does.
+        """
+        ts = np.asarray(ts, dtype=np.float64)
+        rates = np.zeros(ts.shape)
+        for b in self.bursts:
+            if b.theme == theme:
+                on = ts >= b.t0
+                rates[on] += b.intensity * np.exp(-(ts[on] - b.t0) / b.decay_hours)
+        return rates
 
 
 def generate_news_stream(
@@ -93,6 +109,7 @@ def generate_news_stream(
                 )
             )
 
+    burst_rates = NewsStream([], bursts)
     grid = np.linspace(0, window_hours, 2048)
     articles: list[NewsArticle] = []
     per_theme = np.maximum(
@@ -100,9 +117,7 @@ def generate_news_stream(
     )
     aid = 0
     for theme, count in zip(themes, per_theme):
-        rate = base_rate + np.array(
-            [sum(b.rate_at(t) for b in bursts if b.theme == theme) for t in grid]
-        )
+        rate = base_rate + burst_rates.theme_rates(theme, grid)
         cdf = np.cumsum(rate)
         cdf /= cdf[-1]
         times = np.interp(rng.random(count), cdf, grid)

@@ -347,6 +347,11 @@ class SyntheticWorld:
         cascades: list[Cascade] = []
         n = cfg.n_users
         activity = np.array([users[u].activity_rate for u in range(n)])
+        deg = network.follower_counts()
+        # The hub weight of organic spread, by Python's float pow: numpy's
+        # array power can differ from it in the last bit, and the cascade
+        # draws see these bits.
+        hub = np.array([(1.0 + c) ** 1.5 for c in deg.tolist()])
         tweet_id = 0
         grid = np.linspace(0, WINDOW_HOURS, 1024)
         for spec in catalog:
@@ -357,9 +362,18 @@ class SyntheticWorld:
             )
             weights = activity * pref
             weights /= weights.sum()
+            # Retweet propensity from user traits (see _simulate_cascade):
+            # activity x topic preference x dyadic habit toward the root.
+            # Hate participation is driven by hate affinity instead; the
+            # noisy dyadic habit is dropped so the echo-chamber structure
+            # (novelty penalty) dominates selection.
+            topical = activity * (0.3 + pref)
+            hateful = topical * (
+                0.2 + 5.0 * np.array([users[u].hate_probability(spec.tag) for u in range(n)])
+            )
             # Tweet times follow the theme's news-burst profile (exogenous
             # influence: off-platform events trigger on-platform volume).
-            rate = 0.15 + np.array([news.theme_rate_at(spec.theme, t) for t in grid])
+            rate = 0.15 + news.theme_rates(spec.theme, grid)
             cdf = np.cumsum(rate)
             cdf /= cdf[-1]
             times = np.sort(np.interp(rng.random(n_tweets), cdf, grid))
@@ -371,9 +385,7 @@ class SyntheticWorld:
             # turn hateful more often (events fuel both volume and vitriol) —
             # this is the signal the paper's exogenous features/attention
             # read.  Normalised to mean 1 so Table II calibration holds.
-            tweet_rates = 0.15 + np.array(
-                [news.theme_rate_at(spec.theme, t) for t in times]
-            )
+            tweet_rates = 0.15 + news.theme_rates(spec.theme, times)
             rel = tweet_rates / tweet_rates.mean()
             size_boost = 0.1 + 0.9 * rel**1.5
             size_boost /= size_boost.mean()
@@ -402,18 +414,18 @@ class SyntheticWorld:
                     base_size * size_boost[ti],
                     network,
                     communities,
-                    users,
-                    dyad,
-                    spec,
+                    deg,
+                    hub,
+                    hateful if is_hate else topical * dyad[author],
                     rng,
                 )
                 tweets.append(tweet)
                 cascades.append(cascade)
         return tweets, cascades
 
-    @classmethod
+    @staticmethod
     def _simulate_cascade(
-        cls, cfg, tweet, base_size, network, communities, users, dyad, spec, rng
+        cfg, tweet, base_size, network, communities, deg, hub, trait, rng
     ) -> Cascade:
         """Grow one retweet cascade over the follower graph.
 
@@ -424,8 +436,22 @@ class SyntheticWorld:
         (promoted/searched content, Sec. III "beyond organic diffusion").
         Who retweets is driven by stable user traits — activity, topic
         preference, dyadic habit toward the root, and (for hateful roots)
-        hate affinity — so the paper's features carry real signal.
+        hate affinity — given per user by ``trait`` — so the paper's
+        features carry real signal.
         Timing: exponential delays, much shorter for hate (Fig. 1).
+
+        ``deg`` and ``hub`` are each user's follower count and its hub
+        weight ``(1.0 + deg) ** 1.5``.  The frontier is three ``n_users``
+        arrays: a weight, a presence mask and the admission order.  When a
+        user joins, their followers who are not in the cascade are
+        admitted: in a hateful cascade each keeps the larger of its old and
+        new weight, and those not yet present are appended in follower
+        order.  Candidates are the present users in admission order.  A
+        user leaves the frontier only by joining the cascade and is never
+        admitted again, so each keeps the place of their first admission.
+        That order, the weights' bits and the RNG calls made with them
+        define the world a seed gives (``tests/data/test_world_parity.py``
+        pins all three).
         """
         mean_size = base_size * (cfg.hate_rt_boost if tweet.is_hate else 1.0)
         # Lognormal sizes give the heavy tail of real cascades.  Hateful
@@ -440,69 +466,61 @@ class SyntheticWorld:
                 rng.lognormal(np.log(max(mean_size, 0.3)), 0.7),
             )
         )
+        n = cfg.n_users
         root = tweet.user_id
         root_comm = communities[root]
-        participants = {root}
-        frontier: dict[int, float] = {}
+        participant = np.zeros(n, dtype=bool)
+        # inside[f]: how many of f's followers are in the cascade (hateful
+        # roots only; f's novelty is deg[f] - inside[f]).
+        inside = np.zeros(n, dtype=np.int64)
+        # Organic spread rides hub users across communities, constantly
+        # exposing fresh audiences: a non-hate weight is fixed per cascade.
+        weight = np.zeros(n) if tweet.is_hate else hub * trait
+        present = np.zeros(n, dtype=bool)
+        order = np.empty(n, dtype=np.int64)
+        n_order = n_present = 0
 
-        def trait_weight(f: int) -> float:
-            """User-trait retweet propensity (observable through features)."""
-            user = users[f]
-            q = user.activity_rate
-            q *= 0.3 + user.theme_preference[spec.theme]  # type: ignore[attr-defined]
+        def join(uid: int) -> None:
+            nonlocal n_order, n_present
+            participant[uid] = True
+            fol = network.followers_rows(uid)
+            new = fol[~participant[fol]]
             if tweet.is_hate:
-                # Hate participation is driven by hate affinity; the noisy
-                # dyadic habit is dropped so the echo-chamber structure
-                # (novelty penalty below) dominates selection.
-                q *= 0.2 + 5.0 * user.hate_probability(tweet.hashtag)
-            else:
-                q *= dyad[root, f]
-            return q
+                inside[network.followees_rows(uid)] += 1
+                # Echo chamber: prefer same-community users whose audience
+                # is already inside the cascade — more retweets, few *new*
+                # exposures.  The squared novelty penalty keeps celebrities
+                # and other high-fanout users out of hateful cascades.
+                w = np.where(communities[new] == root_comm, cfg.echo_bias, 0.05)
+                w = w / (1.0 + (deg[new] - inside[new])) ** 2
+                weight[new] = np.maximum(weight[new], w * trait[new])
+            fresh = new[~present[new]]
+            present[fresh] = True
+            order[n_order : n_order + len(fresh)] = fresh
+            n_order += len(fresh)
+            n_present += len(fresh)
 
-        def admit_followers(uid: int) -> None:
-            for f in network.followers(uid):
-                if f not in participants:
-                    if tweet.is_hate:
-                        # Echo chamber: prefer same-community users whose
-                        # audience is already inside the cascade — more
-                        # retweets, few *new* exposures.  The squared
-                        # novelty penalty keeps celebrities and other
-                        # high-fanout users out of hateful cascades.
-                        w = cfg.echo_bias if communities[f] == root_comm else 0.05
-                        novel = sum(
-                            1 for g in network.followers(f) if g not in participants
-                        )
-                        w /= (1.0 + novel) ** 2
-                    else:
-                        # Organic spread rides hub users across communities,
-                        # constantly exposing fresh audiences.
-                        w = (1.0 + network.follower_count(f)) ** 1.5
-                    frontier[f] = max(frontier.get(f, 0.0), w * trait_weight(f))
-
-        admit_followers(root)
+        join(root)
         chosen: list[int] = []
         for _ in range(size):
-            take_organic = frontier and rng.random() < cfg.organic_prob
-            if take_organic:
-                cand = list(frontier)
+            if n_present and rng.random() < cfg.organic_prob:
+                cand = order[:n_order]
+                cand = cand[present[cand]]
                 # Squared weights sharpen selection toward high-propensity
                 # users, making participation consistent across cascades
                 # (the predictability the paper's models exploit).
-                w = np.array([frontier[c] for c in cand]) ** 2
-                pick = int(rng.choice(len(cand), p=w / w.sum()))
-                uid = cand[pick]
-                del frontier[uid]
+                w = weight[cand] ** 2
+                uid = int(cand[rng.choice(len(cand), p=w / w.sum())])
             else:
-                outside = [
-                    u for u in range(cfg.n_users) if u not in participants
-                ]
-                if not outside:
+                outside = np.flatnonzero(~participant)
+                if not len(outside):
                     break
                 uid = int(outside[rng.integers(0, len(outside))])
-                frontier.pop(uid, None)
-            participants.add(uid)
+            if present[uid]:
+                present[uid] = False
+                n_present -= 1
             chosen.append(uid)
-            admit_followers(uid)
+            join(uid)
 
         scale = cfg.hate_delay_hours if tweet.is_hate else cfg.nonhate_delay_hours
         delays = rng.exponential(scale, size=len(chosen))

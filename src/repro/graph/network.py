@@ -10,9 +10,10 @@ The graph is one CSR (compressed sparse row) adjacency compiled from
 ``(followee, follower)`` edge arrays by :mod:`repro.graph.csr`: int32
 successors plus a transposed copy for predecessors.  User ids are the
 rows ``0..n_users-1``.  Neighbour queries are array slices, degrees come
-straight off ``indptr``, BFS runs frontier-vectorised, and
-``followers``/``followees`` return cached tuples (cascade simulation
-calls them per retweet).
+straight off ``indptr``, BFS runs frontier-vectorised,
+``followers_rows``/``followees_rows`` are zero-copy slices (cascade
+simulation reads them per retweet), and ``followers``/``followees``
+return cached tuples for the per-user diffusion baselines.
 
 :meth:`InformationNetwork.add_follow` is the only mutation: live ingest
 puts the edge in a small overlay that every query merges in, exactly as
@@ -36,9 +37,9 @@ from repro.graph.csr import (
 
 __all__ = ["InformationNetwork"]
 
-#: Bound on the followers/followees tuple caches: cascade simulation
-#: revisits a hot set of users, but a full sweep over a million-user
-#: graph must not pin every adjacency list as a tuple.
+#: Bound on the followers/followees tuple caches: the diffusion
+#: baselines revisit a hot set of users, but a full sweep over a
+#: million-user graph must not pin every adjacency list as a tuple.
 _NEIGHBOR_CACHE_CAP = 65536
 
 
@@ -147,10 +148,7 @@ class InformationNetwork:
             return cached
         if user_id not in self:
             return ()
-        row = int(user_id)
-        value = tuple(
-            self._tindices[self._tindptr[row] : self._tindptr[row + 1]].tolist()
-        ) + tuple(self._extra_pred.get(row, ()))
+        value = tuple(self.followees_rows(int(user_id)).tolist())
         if len(self._fee_cache) >= _NEIGHBOR_CACHE_CAP:
             self._fee_cache.pop(next(iter(self._fee_cache)))
         self._fee_cache[user_id] = value
@@ -164,6 +162,18 @@ class InformationNetwork:
         """
         base = self._succ_slice(row)
         extra = self._extra_succ.get(int(row))
+        if not extra:
+            return base
+        return np.concatenate([base, np.asarray(extra, dtype=base.dtype)])
+
+    def followees_rows(self, row: int) -> np.ndarray:
+        """Followee rows of a user, the transpose of :meth:`followers_rows`.
+
+        Zero-copy base slice when the row has no overlay edges; a fresh
+        concatenation (base order, then ingest order) when it does.
+        """
+        base = self._tindices[self._tindptr[row] : self._tindptr[row + 1]]
+        extra = self._extra_pred.get(int(row))
         if not extra:
             return base
         return np.concatenate([base, np.asarray(extra, dtype=base.dtype)])

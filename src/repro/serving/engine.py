@@ -573,7 +573,8 @@ class InferenceEngine:
         return self
 
     def stop(self) -> None:
-        """Stop the gather thread and fail whatever is still queued.
+        """Stop the gather thread, fail whatever is still queued and close
+        the attached event log.
 
         Safe to call repeatedly (and from ``__exit__`` after a crash): every
         step is guarded, so a second call is a no-op.
@@ -594,6 +595,8 @@ class InferenceEngine:
         # start() — would leave its waiter to hit the generic timeout.
         # Fail it with a typed shutdown error instead.
         self._fail_queued()
+        if self.event_log is not None:
+            self.event_log.close()
 
     def __enter__(self) -> "InferenceEngine":
         return self.start()
@@ -662,6 +665,7 @@ class InferenceEngine:
         """Attach the durable event log and replay it into every predictor.
 
         Call before :meth:`start`: the replay runs on the calling thread.
+        The engine owns the log from here on: :meth:`stop` closes it.
 
         Replays the full log through each predictor, which keeps the
         events past its own watermark, so events ingested before a restart

@@ -7,11 +7,13 @@ test modules' engines via replay, and the engines here load their own
 worlds so the shared ``serving_world`` is never mutated.
 """
 
+import gc
 import http.client
 import io
 import json
 import shutil
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -257,6 +259,21 @@ class TestRestartReplay:
             )
         engine2.stop()
         engine2.event_log.close()
+
+
+def test_stop_closes_the_event_log(registry, tmp_path_factory):
+    """The log that engine_from_store opens is closed by the engine's stop;
+    a second stop does nothing.  Nothing is left for the collector to
+    find open."""
+    store = _copy_store(registry, tmp_path_factory, "close-store")
+    engine = engine_from_store(store).start()
+    engine.stop()
+    engine.stop()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        del engine
+        gc.collect()
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_each_ingested_event_is_hashed_once(registry, tmp_path_factory, monkeypatch):

@@ -122,3 +122,4 @@ def test_unknown_trace_404(registry):
         with pytest.raises(urllib.error.HTTPError) as err:
             _get(srv.url + "/v1/traces/deadbeef")
         assert err.value.code == 404
+        err.value.close()  # the error holds the response and its socket

@@ -177,9 +177,10 @@ def test_engine_ready_says_where_startup_went(store, legacy):
     stream = io.StringIO()
     obs_log.set_stream(stream)
     try:
-        engine_from_store(store)
+        engine = engine_from_store(store)
     finally:
         obs_log.set_stream(None)
+    engine.stop()
     lines = [json.loads(line) for line in stream.getvalue().splitlines()]
     ready = [line for line in lines if line["event"] == "engine.ready"]
     assert len(ready) == 1
