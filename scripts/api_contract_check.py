@@ -12,12 +12,12 @@ body is refused with 501.
 The full endpoint pass runs against :class:`AsyncPredictionServer`.
 The deterministic routes are then byte-compared across two fresh server + engine
 instances — responses must not depend on server lifecycle or engine
-state.  A final pass pins the admission-control contract: a request
-shed by quota returns 429 with ``Retry-After`` and
-``Connection: close``; and the slow-head contract: a request head that
-trickles in one complete header line at a time gets a typed 400 and
-``Connection: close`` once ``header_timeout`` has passed, however
-prompt each line is.
+state.  A final pass pins the admission-control contract: with one
+request in flight allowed and held (its body not yet sent), the next
+is shed with 429, ``Retry-After`` and ``Connection: close``; and the
+slow-head contract: a request head that trickles in one complete
+header line at a time gets a typed 400 and ``Connection: close`` once
+``header_timeout`` has passed, however prompt each line is.
 
 The observability pass pins the telemetry surface: the Prometheus
 exposition must parse line-by-line, inbound ``X-Trace-Id``
@@ -414,7 +414,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     from repro.serving import (
-        AdmissionConfig,
         AdmissionController,
         AsyncPredictionServer,
         engine_from_store,
@@ -475,25 +474,35 @@ def main(argv=None) -> int:
               f"diverging routes: {mismatch[:2]}")
 
         # ---- admission contract -------------------------------------------
-        # A quota of ~one request: the second POST must shed with 429,
-        # Retry-After, and Connection: close.
+        # One request in flight at a time.  A POST whose body is held back
+        # is admitted (admission runs before the body is read) and holds
+        # the slot, so the next POST must shed with 429, Retry-After and
+        # Connection: close; the held one is answered once its body lands.
         engine = engine_from_store(registry)
-        admission = AdmissionController(
-            AdmissionConfig(route_rps=0.001, route_burst=1.0)
-        )
+        admission = AdmissionController(max_pending=1)
         with AsyncPredictionServer(engine, port=0, registry=registry,
                                    admission=admission) as server:
             payload = {"cascade_id": cid, "user_ids": users}
-            s1, _, _ = raw(server, "POST", "/v1/predict/retweeters", payload)
-            s2, hdrs, body = raw(
-                server, "POST", "/v1/predict/retweeters", payload
-            )
+            held_body = json.dumps(payload).encode()
+            with socket.create_connection(server.address, timeout=30) as held:
+                held.sendall((
+                    "POST /v1/predict/retweeters HTTP/1.1\r\nHost: x\r\n"
+                    f"Content-Length: {len(held_body)}\r\nConnection: close\r\n\r\n"
+                ).encode())
+                deadline = time.monotonic() + 10
+                while admission.pending < 1 and time.monotonic() < deadline:
+                    time.sleep(0.005)
+                s2, hdrs, body = raw(server, "POST", "/v1/predict/retweeters", payload)
+                held.sendall(held_body)
+                reply = b""
+                while chunk := held.recv(65536):
+                    reply += chunk
         check("429 shed contract",
-              s1 == 200 and s2 == 429
+              reply.startswith(b"HTTP/1.1 200") and s2 == 429
               and int(hdrs.get("Retry-After", 0)) >= 1
               and hdrs.get("Connection") == "close"
-              and body["error"]["code"] == "shed_route_quota",
-              f"got {s2} {dict(hdrs)} {body}")
+              and body["error"]["code"] == "shed_queue_full",
+              f"got {s2} {dict(hdrs)} {body}; held reply {reply[:40]!r}")
 
         # ---- slow-head contract -------------------------------------------
         # The whole head shares one header_timeout budget: complete header

@@ -85,8 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--batch-size", type=int, default=64,
                    help="micro-batch cap of the inference engine")
     s.add_argument("--no-admission", action="store_true",
-                   help="disable admission control (quotas + load shedding; "
-                        "tunable via REPRO_ADMIT_* env vars)")
+                   help="disable admission control (429 + Retry-After once "
+                        "the engine queue's oldest request has waited "
+                        "0.1 s, or 512 requests are in flight)")
     s.add_argument("--quiet", action="store_true",
                    help="accepted and ignored: the server writes no request logs")
 
@@ -260,7 +261,6 @@ def _cmd_train_hategen(args) -> int:
 
 def _cmd_serve(args) -> int:
     from repro.serving import (
-        AdmissionConfig,
         AdmissionController,
         ModelRegistry,
         engine_from_store,
@@ -273,9 +273,7 @@ def _cmd_serve(args) -> int:
     except FileNotFoundError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    admission = None if args.no_admission else AdmissionController(
-        AdmissionConfig.from_env()
-    )
+    admission = None if args.no_admission else AdmissionController()
     serve_forever_async(engine, args.host, args.port, registry=registry,
                         admission=admission)
     return 0

@@ -15,18 +15,14 @@ Turns trained pipelines into persistent, low-latency prediction services:
   request before its body is read, answering ``/v1/predict/{kind}``,
   ``/v1/batch/{kind}``, ``/v1/models*``, ``/v1/ingest``, ``/v1/traces*``,
   ``/v1/healthz`` and ``/v1/metrics``, and the structured-error shape;
-- :mod:`repro.serving.admission` — bounded accept queue, per-route and
-  per-tenant token buckets, and watermark-hysteresis load shedding
-  (429 + ``Retry-After``) driven by the engine's live queue signals.
+- :mod:`repro.serving.admission` — load shedding (429 +
+  ``Retry-After``) on the engine's queue age, and a bound on requests
+  in flight.
 
 The matching Python client lives in :mod:`repro.client`.
 """
 
-from repro.serving.admission import (
-    AdmissionConfig,
-    AdmissionController,
-    TokenBucket,
-)
+from repro.serving.admission import AdmissionController
 from repro.serving.aio import AsyncPredictionServer, serve_forever_async
 from repro.serving.cache import LRUCache
 from repro.serving.engine import (
@@ -47,10 +43,8 @@ from repro.serving.registry import (
 from repro.serving import schemas
 
 __all__ = [
-    "AdmissionConfig",
     "AdmissionController",
     "AsyncPredictionServer",
-    "TokenBucket",
     "serve_forever_async",
     "LRUCache",
     "ModelRegistry",

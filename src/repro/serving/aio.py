@@ -7,7 +7,8 @@ route.  A single event loop on :func:`asyncio.start_server` runs:
   ``readline``), keep-alive by default, and pipelined requests served
   in order straight out of the reader buffer; bodies are framed by a
   digits-only ``Content-Length`` (a ``Transfer-Encoding`` request gets
-  501), and a malformed header line gets 400 and a close;
+  501), and a malformed header line or a repeated ``Host`` gets 400 and
+  a close; ``Connection`` is read as a token list over all its lines;
 - one read deadline per request stage, each a single loop timer (no
   Task per read): the request line within ``keepalive_timeout`` (a
   quiet close), the whole rest of the head within ``header_timeout``
@@ -27,7 +28,8 @@ route.  A single event loop on :func:`asyncio.start_server` runs:
   coroutines, not stacks; both wait at most ``request_timeout``
   (``asyncio.wait_for`` on the future itself, which starts no Task),
   then answer 503 with ``Retry-After``;
-- admission control (:mod:`repro.serving.admission`) runs after route
+- admission control (:mod:`repro.serving.admission`: an in-flight
+  bound and a shed on the engine's queue age) runs after route
   resolution but before the body is read, so a shed request costs one
   decision and one small write;
 - the only executor hop is ``asyncio.to_thread`` around model reloads,
@@ -324,9 +326,8 @@ class AsyncPredictionServer:
     """Owns the asyncio HTTP server, the ``/v1`` routes and the engine
     lifecycle.
 
-    ``admission`` gates the data-plane routes and surfaces its counters
-    in the ``/v1/metrics`` body; a controller with no saturation signals
-    of its own is bound to ``engine``'s queue.
+    ``admission`` gates the data-plane routes on ``engine``'s queue age
+    and surfaces its counters in the ``/v1/metrics`` body.
     """
 
     def __init__(
@@ -345,8 +346,6 @@ class AsyncPredictionServer:
         if registry is not None and not isinstance(registry, ModelRegistry):
             registry = ModelRegistry(registry)
         self.registry = registry
-        if admission is not None and admission._depth_fn is None:
-            admission.bind_engine(engine)
         self.admission = admission
         #: Read deadlines, one per request stage: the request line (idle
         #: keep-alive wait), the rest of the head, and the body.  The body's
@@ -515,6 +514,12 @@ class AsyncPredictionServer:
                     if headers.get(name, value) != value:
                         # Which length frames the body is ambiguous.
                         raise _BadRequest("conflicting Content-Length headers")
+                elif name == "host" and name in headers:
+                    # Which authority is meant is ambiguous (RFC 9112 3.2).
+                    raise _BadRequest("repeated Host header")
+                elif name == "connection" and name in headers:
+                    # A list field: its lines combine (RFC 9110 5.3).
+                    value = f"{headers[name]}, {value}"
                 headers[name] = value
             else:
                 raise _BadRequest("too many headers")
@@ -529,9 +534,13 @@ class AsyncPredictionServer:
         if head is None:
             return False
         method, target, version, headers = head
-        connection = headers.get("connection", "").lower()
-        keep_alive = connection != "close" and (
-            version != "HTTP/1.0" or connection == "keep-alive"
+        # Connection is a case-insensitive token list (RFC 9110 7.6.1):
+        # ``close`` anywhere in it closes.
+        connection = {
+            token.strip().lower() for token in headers.get("connection", "").split(",")
+        }
+        keep_alive = "close" not in connection and (
+            version != "HTTP/1.0" or "keep-alive" in connection
         )
         path, query = _split_target(target)
         label, arg = _template(path)
@@ -548,7 +557,7 @@ class AsyncPredictionServer:
 
         admitted = None
         if route.data_plane and self.admission is not None:
-            admitted = self.admission.admit(label, headers.get("x-api-key"))
+            admitted = self.admission.admit(label, self.engine.queue_age_s())
             if not admitted.admitted:
                 # 429 + Retry-After; always closes (the body was never read).
                 exc = ServingError(

@@ -531,9 +531,8 @@ class InferenceEngine:
         self._queue: queue.SimpleQueue = queue.SimpleQueue()
         self._worker: threading.Thread | None = None
         #: Arrival stamps of queued-but-ungathered requests (deque ops are
-        #: atomic), backing the queue depth/age saturation gauges.
+        #: atomic), backing :meth:`queue_age_s` and the queue gauges.
         self._queued_arrivals: collections.deque[float] = collections.deque()
-        self._depth_fn = None
         #: Set at the top of :meth:`stop`: new submissions are refused with
         #: a typed 503 and the gather loop fails whatever is still queued.
         self._stopping = threading.Event()
@@ -541,7 +540,9 @@ class InferenceEngine:
         #: attached by :meth:`attach_store`, ``None`` = ingest disabled.
         self.event_log: EventLog | None = None
 
-    def _queue_age_s(self) -> float:
+    def queue_age_s(self) -> float:
+        """Seconds the oldest queued, not yet batched request has waited
+        (0 for an empty queue): the admission controller's shed signal."""
         try:
             return time.perf_counter() - self._queued_arrivals[0]
         except IndexError:
@@ -559,12 +560,11 @@ class InferenceEngine:
         if self._worker is not None and self._worker.is_alive():
             return self
         self._stopping.clear()
-        # Saturation signals for admission control: how deep the request
-        # queue is and how long its head has been waiting.  The last
-        # started engine owns the gauges (one engine per serving process).
-        self._depth_fn = lambda: len(self._queued_arrivals)
-        _QUEUE_DEPTH.set_fn(self._depth_fn)
-        _QUEUE_AGE.set_fn(self._queue_age_s)
+        # How deep the request queue is and how long its head has been
+        # waiting.  The last started engine owns the gauges (one engine
+        # per serving process).
+        _QUEUE_DEPTH.set_fn(self._queued_arrivals.__len__)
+        _QUEUE_AGE.set_fn(self.queue_age_s)
         _CACHE_HIT_RATIO.set_fn(self._cache_hit_ratios)
         self._worker = threading.Thread(
             target=self._run, name="repro-inference-engine", daemon=True
@@ -584,7 +584,7 @@ class InferenceEngine:
             self._queue.put(_SHUTDOWN)
             self._worker.join(timeout=10.0)
             self._worker = None
-            if _QUEUE_DEPTH._fn is getattr(self, "_depth_fn", None):
+            if _QUEUE_AGE._fn == self.queue_age_s:
                 # Unwire only our own callbacks: a newer engine may have
                 # claimed the gauges since this one started.
                 _QUEUE_DEPTH.set_fn(None)

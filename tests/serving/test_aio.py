@@ -24,7 +24,6 @@ import pytest
 from repro.client import ServingClient
 from repro.obs import metrics as obs_metrics
 from repro.serving import (
-    AdmissionConfig,
     AdmissionController,
     AsyncPredictionServer,
     HateGenPredictor,
@@ -251,6 +250,28 @@ class TestConnectionHygiene:
         finally:
             conn.close()
 
+    def test_repeated_host_is_400(self, aio_server):
+        status, headers, reply = _raw_exchange(
+            aio_server, b"GET /v1/healthz HTTP/1.1\r\nHost: a\r\nHost: b\r\n\r\n"
+        )
+        assert status == 400 and reply["error"]["code"] == "bad_request"
+        assert "Host" in reply["error"]["message"]
+        assert headers.get("Connection") == "close"
+
+    # ``close`` anywhere in the Connection token list, in any case and
+    # on any of its lines, closes after the reply: the pipelined second
+    # request is never answered.
+    @pytest.mark.parametrize("connection", [
+        "Connection: keep-alive, close",
+        "Connection: Keep-Alive,CLOSE",
+        "Connection: close\r\nConnection: keep-alive",
+    ], ids=["list", "case", "two_lines"])
+    def test_connection_close_token_closes(self, aio_server, connection):
+        get = b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\n"
+        raw = _raw_bytes(aio_server, get + connection.encode() + b"\r\n\r\n"
+                         + get + b"Connection: close\r\n\r\n")
+        assert raw.count(b"HTTP/1.1 200") == 1, raw[:300]
+
     def test_pipelined_requests_answered_in_order(self, aio_server):
         host, port = aio_server.address
         with socket.create_connection((host, port), timeout=30) as sock:
@@ -326,8 +347,11 @@ def _mutate_ows(rng, lines):
 
 
 def _mutate_duplicate(rng, lines):
-    lines.insert(rng.randrange(len(lines) + 1), rng.choice(lines))
-    return True
+    line = rng.choice(lines)
+    lines.insert(rng.randrange(len(lines) + 1), line)
+    # A second Host is a 400 (RFC 9112 3.2); any other repeat keeps the
+    # meaning.
+    return line.partition(":")[0].strip().lower() != "host"
 
 
 def _mutate_no_colon(rng, lines):
@@ -684,39 +708,65 @@ class TestFraming:
             assert 400 <= status < 500 and reply["error"]["code"]
 
 
+def _hold_slot(server, body: bytes) -> socket.socket:
+    """A POST whose head is sent but whose body is held back: admitted,
+    it keeps one ``max_pending`` slot until :func:`_finish_held` sends the
+    body (admission runs before the body is read)."""
+    host, port = server.address
+    sock = socket.create_connection((host, port), timeout=30)
+    sock.sendall((
+        "POST /v1/predict/hategen HTTP/1.1\r\nHost: x\r\n"
+        f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n"
+        "Connection: close\r\n\r\n"
+    ).encode())
+    deadline = time.monotonic() + 10
+    while server.admission.pending < 1:
+        assert time.monotonic() < deadline, "held request never admitted"
+        time.sleep(0.005)
+    return sock
+
+
+def _finish_held(sock: socket.socket, body: bytes) -> int:
+    """Send the held body; the status of the reply."""
+    with sock:
+        sock.sendall(body)
+        buf = b""
+        while chunk := sock.recv(65536):
+            buf += chunk
+    return _parse_response(buf)[0]
+
+
 class TestOverload:
     """Offered load > capacity: shed loudly, answer everything."""
 
     @pytest.fixture()
-    def throttled_server(self, registry):
-        # Tiny quota so overload is deterministic regardless of host speed:
-        # burst of 4, refilling 2/s, against a burst of 40 requests.
+    def payload(self, trained_hategen):
+        t = trained_hategen[1][0]
+        return {"user_id": t.user_id, "hashtag": t.hashtag, "timestamp": t.timestamp}
+
+    @pytest.fixture()
+    def one_slot_server(self, registry):
+        # One request in flight at a time, so overload is deterministic
+        # regardless of host speed: a held request fills the server.
         engine = engine_from_store(registry, max_batch_size=32)
-        admission = AdmissionController(
-            AdmissionConfig(route_rps=2.0, route_burst=4.0)
-        )
         with AsyncPredictionServer(
-            engine, port=0, registry=registry, admission=admission
+            engine, port=0, registry=registry,
+            admission=AdmissionController(max_pending=1),
         ) as srv:
             yield srv
 
-    def test_shed_with_retry_after_and_no_silent_drops(
-        self, throttled_server, trained_hategen
-    ):
-        _, test_tweets = trained_hategen
-        t = test_tweets[0]
-        payload = {"user_id": t.user_id, "hashtag": t.hashtag,
-                   "timestamp": t.timestamp}
+    def test_shed_with_retry_after_and_no_silent_drops(self, one_slot_server, payload):
+        body = json.dumps(payload).encode()
+        held = _hold_slot(one_slot_server, body)
         n_requests, n_threads = 40, 8
         results, lock = [], threading.Lock()
 
         def fire(n):
             got = []
             for _ in range(n):
-                status, headers, body = raw_request(
-                    throttled_server, "POST", "/v1/predict/hategen", payload
-                )
-                got.append((status, headers, body))
+                got.append(raw_request(
+                    one_slot_server, "POST", "/v1/predict/hategen", payload
+                ))
             with lock:
                 results.extend(got)
 
@@ -728,72 +778,86 @@ class TestOverload:
             th.start()
         for th in threads:
             th.join(timeout=60)
+        assert _finish_held(held, body) == 200
+        # The slot is free again once the held request is answered.
+        after = raw_request(one_slot_server, "POST", "/v1/predict/hategen", payload)
 
         # Zero silent drops: every request got an HTTP response.
         assert len(results) == n_requests
-        statuses = [status for status, _, _ in results]
-        assert set(statuses) <= {200, 429}
-        assert statuses.count(200) >= 1  # the burst was admitted
-        shed = [(h, b) for s, h, b in results if s == 429]
-        assert shed, "offered load 10x over quota must shed"
-        for headers, body in shed:
+        assert [status for status, _, _ in results] == [429] * n_requests
+        for _, headers, body_ in results:
             assert int(headers["Retry-After"]) >= 1
             assert headers.get("Connection") == "close"
-            assert body["error"]["code"].startswith("shed_")
+            assert body_["error"]["code"] == "shed_queue_full"
+        assert after[0] == 200
 
-        snap = throttled_server.admission.snapshot()
-        assert snap["admitted"] == statuses.count(200)
-        assert snap["shed"] == len(shed)
+        # The server releases a slot just after its reply is written.
+        deadline = time.monotonic() + 10
+        while one_slot_server.admission.pending and time.monotonic() < deadline:
+            time.sleep(0.005)
+        snap = one_slot_server.admission.snapshot()
+        assert snap["admitted"] == 2
+        assert snap["shed"] == n_requests
         assert snap["pending"] == 0  # every admitted request was released
 
-    def test_client_retries_on_429_honouring_retry_after(
-        self, registry, trained_hategen
-    ):
-        _, test_tweets = trained_hategen
-        t = test_tweets[0]
-        engine = engine_from_store(registry, max_batch_size=8)
-        admission = AdmissionController(
-            # burst=1, 10 tokens/s: the first predict drains the bucket;
-            # the second sheds with Retry-After: 1 and the client's retry
-            # lands after the refill.
-            AdmissionConfig(route_rps=10.0, route_burst=1.0)
-        )
-        with AsyncPredictionServer(
-            engine, port=0, registry=registry, admission=admission
-        ) as srv:
-            host, port = srv.address
-            with ServingClient(host=host, port=port, retries=2,
-                               backoff=0.01) as client:
-                r1 = client.predict_hategen(t.user_id, t.hashtag, t.timestamp)
-                assert r1.label in (0, 1)
-                start = time.monotonic()
-                r2 = client.predict_hategen(t.user_id, t.hashtag, t.timestamp)
-                elapsed = time.monotonic() - start
-                assert r2.label in (0, 1)  # retried through the 429
-                # The wait came from the server's Retry-After hint (1 s),
-                # not the 10 ms client backoff.
-                assert elapsed >= 0.5
+    def test_client_retries_on_429_honouring_retry_after(self, one_slot_server, payload):
+        body = json.dumps(payload).encode()
+        held = _hold_slot(one_slot_server, body)
+        # The held request finishes 0.2 s in, well before the client's
+        # retry, which waits for the 429's Retry-After: 1.
+        finisher = threading.Timer(0.2, _finish_held, args=(held, body))
+        host, port = one_slot_server.address
+        with ServingClient(host=host, port=port, retries=2, backoff=0.01) as client:
+            start = time.monotonic()
+            finisher.start()
+            r = client.predict_hategen(
+                payload["user_id"], payload["hashtag"], payload["timestamp"]
+            )
+            elapsed = time.monotonic() - start
+        finisher.join()
+        assert r.label in (0, 1)  # retried through the 429
+        # The wait came from the server's Retry-After hint (1 s), not the
+        # 10 ms client backoff.
+        assert elapsed >= 0.5
+        assert one_slot_server.admission.snapshot()["shed"] == 1
 
-    def test_exhausted_route_quota_sheds_typed_429(self, registry, trained_hategen):
-        _, test_tweets = trained_hategen
-        t = test_tweets[0]
-        engine = engine_from_store(registry, max_batch_size=8)
-        admission = AdmissionController(
-            AdmissionConfig(route_rps=0.001, route_burst=1.0)
+    def test_full_pending_sheds_typed_429(self, one_slot_server, payload):
+        body = json.dumps(payload).encode()
+        held = _hold_slot(one_slot_server, body)
+        status, headers, reply = raw_request(
+            one_slot_server, "POST", "/v1/predict/hategen", payload
         )
-        with AsyncPredictionServer(
-            engine, port=0, registry=registry, admission=admission
-        ) as srv:
-            payload = {"user_id": t.user_id, "hashtag": t.hashtag,
-                       "timestamp": t.timestamp}
-            first = raw_request(srv, "POST", "/v1/predict/hategen", payload)
-            second = raw_request(srv, "POST", "/v1/predict/hategen", payload)
-        assert first[0] == 200
-        status, headers, body = second
+        assert _finish_held(held, body) == 200
         assert status == 429
         assert int(headers["Retry-After"]) >= 1
         assert headers.get("Connection") == "close"
-        assert body["error"]["code"] == "shed_route_quota"
+        assert reply["error"]["code"] == "shed_queue_full"
+
+    def test_queue_age_sheds_typed_429(self, registry, payload):
+        engine = engine_from_store(registry, max_batch_size=8)
+        admission = AdmissionController(max_queue_age_s=0.05)
+        with AsyncPredictionServer(
+            engine, port=0, registry=registry, admission=admission
+        ) as srv:
+            gate = threading.Event()
+            blocker = engine._submit_job(lambda: gate.wait(30))
+            queued = engine.submit("hategen", payload)  # waits behind the job
+            try:
+                while engine.queue_age_s() < 0.1:
+                    time.sleep(0.01)
+                status, headers, reply = raw_request(
+                    srv, "POST", "/v1/predict/hategen", payload
+                )
+            finally:
+                gate.set()
+            blocker.result(timeout=30)
+            assert "label" in queued.result(timeout=30)
+            after = raw_request(srv, "POST", "/v1/predict/hategen", payload)
+        assert status == 429
+        assert int(headers["Retry-After"]) >= 1
+        assert headers.get("Connection") == "close"
+        assert reply["error"]["code"] == "shed_engine_saturated"
+        assert after[0] == 200  # the queue drained, so admission resumes
 
 
 # ---------------------------------------------------------------------------
