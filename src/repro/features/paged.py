@@ -160,8 +160,9 @@ class PagedMatrix:
         }
         self._closed = False
         # Not thread-safe: the block LRU is compound state.  Its only
-        # caller, FeatureStore, runs on one thread — the training loop, or
-        # the serving engine's batcher, which also applies ingest.
+        # caller, FeatureStore, runs on one thread at a time — the training
+        # loop, or the serving engine under its lock, which also applies
+        # ingest.
 
     # ------------------------------------------------------------ block I/O
     def _block_rows(self, bid: int) -> tuple[int, int]:
@@ -343,7 +344,7 @@ class PagedMatrix:
         except OSError:
             pass
 
-    def __del__(self):  # pragma: no cover - best-effort cleanup
+    def __del__(self):  # pragma: no cover - for stores no engine owns
         try:
             self.close()
         except Exception:

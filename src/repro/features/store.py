@@ -284,8 +284,9 @@ class FeatureStore:
 
         ``size`` is the number of built rows and ``maxsize`` the number of
         users; ``hit_rate`` is computed from the ``hits``/``misses`` reported.
-        No lock: a serving store has one writer (the engine's batcher
-        thread), so a snapshot taken beside it may trail by one ``ensure``.
+        No lock: a serving store has one writer at a time (under the
+        engine's lock), so a snapshot taken beside it may trail by one
+        ``ensure``.
         """
         hits, misses = self.hits, self.misses
         total = hits + misses

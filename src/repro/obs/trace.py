@@ -25,6 +25,7 @@ sampled: the fast path is one attribute read plus one context-var read.
 from __future__ import annotations
 
 import os
+import random
 import threading
 import time
 from contextvars import ContextVar
@@ -50,12 +51,19 @@ _TRACE_ID_BYTES = 8
 _SPAN_ID_BYTES = 4
 
 
+#: Ids need to be unique, not secret: a generator seeded once (and again in
+#: a forked child, lest it repeat its parent's ids), not a syscall per span.
+_ids = random.Random(os.urandom(16))
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=lambda: _ids.seed(os.urandom(16)))
+
+
 def new_trace_id() -> str:
-    return os.urandom(_TRACE_ID_BYTES).hex()
+    return _ids.randbytes(_TRACE_ID_BYTES).hex()
 
 
 def _new_span_id() -> str:
-    return os.urandom(_SPAN_ID_BYTES).hex()
+    return _ids.randbytes(_SPAN_ID_BYTES).hex()
 
 
 # ------------------------------------------------------------------ spans

@@ -20,20 +20,18 @@ route.  A single event loop on :func:`asyncio.start_server` runs:
   data-plane route (sheddable and traced), and its handler — so an
   unknown route or predictor kind is answered 404 without reading the
   payload;
-- engine hand-off via :func:`asyncio.wrap_future` around the
-  ``concurrent.futures.Future`` that :meth:`InferenceEngine.submit` (a
-  read) or :meth:`InferenceEngine.submit_ingest` (an ingest batch)
-  returns — the event loop *awaits* the batcher without parking a thread
-  per in-flight request, so thousands of concurrent requests cost
-  coroutines, not stacks; both wait at most ``request_timeout``
-  (``asyncio.wait_for`` on the future itself, which starts no Task),
-  then answer 503 with ``Retry-After``;
+- the engine's batcher as one task on the same loop
+  (:meth:`InferenceEngine.batching`): :meth:`InferenceEngine.submit` (a
+  read) and :meth:`InferenceEngine.submit_ingest` queue an asyncio
+  future for it, so no request crosses a thread.  Reads run on the loop;
+  ingest batches and model reloads, which block on the disk, run in the
+  batcher's one-worker executor while the loop accepts and parses.  A
+  handler waits at most ``request_timeout`` (``asyncio.wait_for`` on the
+  future, which starts no Task), then answers 503 with ``Retry-After``;
 - admission control (:mod:`repro.serving.admission`: an in-flight
   bound and a shed on the engine's queue age) runs after route
   resolution but before the body is read, so a shed request costs one
-  decision and one small write;
-- the only executor hop is ``asyncio.to_thread`` around model reloads,
-  which read the registry and then wait for the batcher to swap.
+  decision and one small write.
 
 The event loop runs in a daemon thread so synchronous callers (tests,
 the benchmark, the CLI) use this class like any blocking server:
@@ -377,7 +375,7 @@ class AsyncPredictionServer:
         return f"http://{host}:{port}"
 
     def start(self) -> "AsyncPredictionServer":
-        """Start the engine worker and the event loop (daemon thread)."""
+        """Start the engine and the event loop (daemon thread)."""
         self.engine.start()
         if self._thread is None or not self._thread.is_alive():
             self._started.clear()
@@ -419,9 +417,10 @@ class AsyncPredictionServer:
             self._started.set()
             return
         self._bound = server.sockets[0].getsockname()[:2]
-        self._started.set()
-        async with server:
-            await self._stop_event.wait()
+        async with self.engine.batching():
+            self._started.set()
+            async with server:
+                await self._stop_event.wait()
         for task in list(self._conn_tasks):
             task.cancel()
         if self._conn_tasks:
@@ -441,7 +440,10 @@ class AsyncPredictionServer:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         deadline = _Deadline(reader, writer.transport)
         try:
-            while True:
+            # Stopping closes a kept-alive connection after its reply: a read
+            # the engine failed at shutdown is still answered (a done future
+            # beats the cancel in ``wait_for``), and its handler comes back.
+            while not self._stop_event.is_set():
                 keep_alive = await self._serve_one(reader, writer, deadline)
                 if not keep_alive:
                     break
@@ -705,8 +707,11 @@ class AsyncPredictionServer:
 
     async def _reload(self, name, query, raw) -> Reply:
         payload = _parse_body(raw, optional=True)
-        # Alias reads and bundle deserialisation block: run them off the loop.
-        return Reply(200, await asyncio.to_thread(self._reload_model, name, payload))
+        # Alias reads and bundle deserialisation block: a batcher job runs
+        # them off the loop, after the reads queued before it.
+        return Reply(200, await self.engine.submit_job(
+            lambda: self._reload_model(name, payload)
+        ))
 
     def _reload_model(self, name: str, payload: dict) -> dict:
         registry = self._registry()
@@ -728,15 +733,13 @@ class AsyncPredictionServer:
     async def _engine_reply(self, kind: str, future) -> Reply:
         """Await an engine future for at most ``request_timeout``."""
         try:
-            result = await asyncio.wait_for(
-                asyncio.wrap_future(future), timeout=self.request_timeout
-            )
+            result = await asyncio.wait_for(future, timeout=self.request_timeout)
         except asyncio.TimeoutError:
-            # Accepted but never answered: 503 + Retry-After.  Cancelling
-            # stops a job that has not started; a started ingest completes,
-            # and its retry is acked by dedup.
+            # Accepted but never answered: 503 + Retry-After.  ``wait_for``
+            # cancelled the future, so a job that has not started never
+            # runs; a started ingest completes, and its retry is acked by
+            # dedup.
             self.engine.record_timeout(kind)
-            future.cancel()
             return _error_reply(_overloaded(), headers={"Retry-After": "1"})
         if "error" in result:
             return Reply(int(result.get("status", 400)), {"error": result["error"]})
@@ -751,13 +754,10 @@ class AsyncPredictionServer:
 
     async def _batch(self, kind, query, raw) -> Reply:
         batch = BatchRequest.validate(_parse_body(raw))
-        wrapped = [
-            asyncio.wrap_future(self.engine.submit(kind, item))
-            for item in batch.requests
-        ]
-        await asyncio.wait(wrapped, timeout=self.request_timeout)
+        futures = [self.engine.submit(kind, item) for item in batch.requests]
+        await asyncio.wait(futures, timeout=self.request_timeout)
         results = []
-        for aw in wrapped:
+        for aw in futures:
             if not aw.done():
                 self.engine.record_timeout(kind)
                 aw.cancel()

@@ -14,28 +14,27 @@ feature blocks are read straight from the extractor's
 :class:`~repro.features.store.FeatureStore` (the one cache of built user
 rows, patched in place by ingest), full rows are assembled once per
 micro-batch, and a single model forward covers every request that shares
-a context.  :class:`InferenceEngine` wraps the
-predictors with a queue + batcher thread that coalesces concurrent
-requests into micro-batches, which is what the HTTP layer submits to.
-
-Once the engine has started, the batcher thread is the only thread that
-touches the live world, the feature stores and the context cache:
-ingest batches and model swaps are jobs on the same queue as the reads,
-run in arrival order.  A read queued after an ingest ack sees that ack's
-events, and a reload cannot miss an event acked while it loads.
+a context.  :class:`InferenceEngine` runs the predictors inline on the
+caller's thread, or, in ``repro serve``, as one batcher task on the
+server's event loop that coalesces concurrent requests into
+micro-batches.  Ingest batches and model swaps are jobs on the same
+queue as the reads, run in arrival order: a read queued after an ingest
+ack sees that ack's events, and a reload cannot miss an event acked
+while it loads.
 """
 
 from __future__ import annotations
 
+import asyncio
 import collections
+import contextlib
 import contextvars
 import dataclasses
+import functools
 import os
-import queue
 import threading
 import time
-from concurrent.futures import Future
-from concurrent.futures import TimeoutError as FutureTimeout
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -485,35 +484,29 @@ class HateGenPredictor:
 class _Request:
     kind: str
     payload: dict
-    future: Future
-    submitted_at: float = field(default_factory=time.perf_counter)
     #: ``(trace_id, parent_span_id)`` of the sampled trace this request
     #: belongs to (None when untraced), so batch spans land in its trace.
     trace: tuple[str, str] | None = None
-    dequeued_at: float = 0.0
-    #: A job (ingest, model swap) instead of a read: the batcher calls it
-    #: alone, after the reads gathered before it.
+    #: A job (ingest, model swap) instead of a read.
     job: Callable[[], object] | None = None
-
-
-_SHUTDOWN = object()
+    submitted_at: float = field(default_factory=time.perf_counter)
+    future: object = None  # asyncio's when queued, else concurrent.futures'
 
 
 class InferenceEngine:
-    """Coalesces concurrent requests into vectorised micro-batches.
+    """Runs reads as vectorised micro-batches, never beside a write.
 
-    A batch is whatever is queued when the engine is free: the batcher
-    thread blocks for one request, takes up to ``max_batch_size - 1``
-    more that are already waiting (never waiting for new ones), groups
-    them by predictor kind, and executes each group via
-    ``predict_batch``.  Under load the queue refills while a batch runs,
-    so batches grow; an idle stream is served one request at a time with
-    no added latency.
-
-    The batcher is the single writer of serving state: ingest
-    (:meth:`submit_ingest`) and model swaps (:meth:`reload_model`) are
-    jobs on the same FIFO queue.  A batch ends at a job; its reads run
-    first, then the job runs alone, so no read overlaps a write.
+    One engine lock is held around every read batch, ingest and model
+    swap.  Off a server's loop, reads and writes run inline on the
+    caller's thread (a read is a batch of one).  A server runs inside
+    :meth:`batching`: requests submitted on its loop queue for one
+    batcher task there.  A batch is whatever is queued when the batcher
+    is free, up to ``max_batch_size``; a job (ingest, model swap) ends
+    it.  The reads run on the loop, one ``predict_batch`` per kind; the
+    job then runs in a one-worker executor while the loop goes on
+    accepting and parsing (Flash's AMPED split: the loop computes, a
+    helper thread blocks on the disk).  Reads queued behind a job wait
+    for it, so a read queued after an ingest ack sees its events.
     """
 
     def __init__(
@@ -528,14 +521,15 @@ class InferenceEngine:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
         self.predictors = dict(predictors)
         self.max_batch_size = max_batch_size
-        self._queue: queue.SimpleQueue = queue.SimpleQueue()
-        self._worker: threading.Thread | None = None
-        #: Arrival stamps of queued-but-ungathered requests (deque ops are
-        #: atomic), backing :meth:`queue_age_s` and the queue gauges.
-        self._queued_arrivals: collections.deque[float] = collections.deque()
-        #: Set at the top of :meth:`stop`: new submissions are refused with
-        #: a typed 503 and the gather loop fails whatever is still queued.
-        self._stopping = threading.Event()
+        self._lock = threading.Lock()
+        #: Requests queued for the batcher, oldest first.
+        self._pending: collections.deque[_Request] = collections.deque()
+        self._wakeup: asyncio.Event | None = None
+        #: Thread of the loop inside :meth:`batching`; None when none is.
+        self._loop_thread: int | None = None
+        #: New submissions are refused with a typed 503 once set.
+        self._stopping = False
+        self._closed = False
         #: Durable event log (see :mod:`repro.store`) backing live ingest;
         #: attached by :meth:`attach_store`, ``None`` = ingest disabled.
         self.event_log: EventLog | None = None
@@ -544,7 +538,7 @@ class InferenceEngine:
         """Seconds the oldest queued, not yet batched request has waited
         (0 for an empty queue): the admission controller's shed signal."""
         try:
-            return time.perf_counter() - self._queued_arrivals[0]
+            return time.perf_counter() - self._pending[0].submitted_at
         except IndexError:
             return 0.0
 
@@ -557,46 +551,38 @@ class InferenceEngine:
 
     # ----------------------------------------------------------- lifecycle
     def start(self) -> "InferenceEngine":
-        if self._worker is not None and self._worker.is_alive():
-            return self
-        self._stopping.clear()
+        """Accept requests and claim the queue gauges; starts no thread."""
+        self._stopping = False
         # How deep the request queue is and how long its head has been
         # waiting.  The last started engine owns the gauges (one engine
         # per serving process).
-        _QUEUE_DEPTH.set_fn(self._queued_arrivals.__len__)
+        _QUEUE_DEPTH.set_fn(self._pending.__len__)
         _QUEUE_AGE.set_fn(self.queue_age_s)
         _CACHE_HIT_RATIO.set_fn(self._cache_hit_ratios)
-        self._worker = threading.Thread(
-            target=self._run, name="repro-inference-engine", daemon=True
-        )
-        self._worker.start()
         return self
 
     def stop(self) -> None:
-        """Stop the gather thread, fail whatever is still queued and close
-        the attached event log.
-
-        Safe to call repeatedly (and from ``__exit__`` after a crash): every
-        step is guarded, so a second call is a no-op.
+        """Refuse new requests, let one in flight finish, then close what
+        the engine owns: the event log and each predictor's feature store.
+        A second call does nothing.
         """
-        self._stopping.set()
-        if self._worker is not None:
-            self._queue.put(_SHUTDOWN)
-            self._worker.join(timeout=10.0)
-            self._worker = None
+        self._stopping = True
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
             if _QUEUE_AGE._fn == self.queue_age_s:
                 # Unwire only our own callbacks: a newer engine may have
                 # claimed the gauges since this one started.
                 _QUEUE_DEPTH.set_fn(None)
                 _QUEUE_AGE.set_fn(None)
                 _CACHE_HIT_RATIO.set_fn(None)
-        # The gather loop is gone (or never ran): anything still queued —
-        # a submit that raced past the _stopping gate, or one made before
-        # start() — would leave its waiter to hit the generic timeout.
-        # Fail it with a typed shutdown error instead.
-        self._fail_queued()
-        if self.event_log is not None:
-            self.event_log.close()
+            if self.event_log is not None:
+                self.event_log.close()
+            for predictor in self.predictors.values():
+                store = getattr(predictor, "feature_store", None)
+                if store is not None:
+                    store.close()
 
     def __enter__(self) -> "InferenceEngine":
         return self.start()
@@ -604,13 +590,70 @@ class InferenceEngine:
     def __exit__(self, *exc) -> None:
         self.stop()
 
+    @contextlib.asynccontextmanager
+    async def batching(self):
+        """Queue requests submitted on the running loop for one batcher
+        task on it.  On exit the batch or job in progress finishes, the
+        engine refuses new requests, and those still queued fail with a
+        typed 503 ``engine_shutdown``.
+        """
+        self._wakeup = asyncio.Event()
+        self._loop_thread = threading.get_ident()
+        batcher = asyncio.create_task(self._batcher())
+        try:
+            yield
+        finally:
+            self._stopping = True
+            self._wakeup.set()
+            await batcher
+            self._loop_thread = None
+
+    async def _batcher(self) -> None:
+        pending = self._pending
+        # Its one thread starts with the first job.
+        io = ThreadPoolExecutor(1, thread_name_prefix="repro-engine-io")
+        try:
+            while not self._stopping:
+                if not pending:
+                    self._wakeup.clear()
+                    await self._wakeup.wait()
+                    continue
+                reads, job = [], None
+                while pending and len(reads) < self.max_batch_size:
+                    request = pending.popleft()
+                    if request.job is not None:
+                        job = request
+                        break
+                    if not request.future.done():  # else its waiter gave up
+                        reads.append(request)
+                if reads:
+                    self._run_reads(reads)
+                if job is not None and not job.future.done():
+                    loop = asyncio.get_running_loop()
+                    try:
+                        _settle(job.future, await loop.run_in_executor(io, job.job))
+                    except Exception as exc:
+                        _settle(job.future, exc=exc)
+                if pending:
+                    # Let the loop accept and parse before the next batch.
+                    await asyncio.sleep(0)
+        finally:
+            exc = ServingError(
+                "engine shut down before the request was served",
+                status=503,
+                code="engine_shutdown",
+            )
+            while pending:
+                _settle(pending.popleft().future, exc=exc)
+            io.shutdown(wait=False)
+
     # ------------------------------------------------------ model lifecycle
     def swap_predictor(self, kind: str, predictor):
         """Replace the predictor serving ``kind``; returns the old one.
 
-        Once the engine has started, call this only from a batcher job
-        (:meth:`reload_model` does): the batch before the job finished on
-        the old predictor, and the reads after it run on the new one.
+        Call it under the engine lock (:meth:`reload_model` does), so the
+        reads before it ran on the old predictor and the reads after it
+        run on the new one.
         """
         old = self.predictors.get(kind)
         self.predictors[kind] = predictor
@@ -621,23 +664,22 @@ class InferenceEngine:
     ) -> dict:
         """Load a registry bundle and swap it in; returns what's serving now.
 
-        ``name`` may be a model name or an alias.  Only the manifest read
-        runs on the calling thread.  Loading the bundle (over the live
-        world when the manifest records the same world config, otherwise
-        over the bundle's saved world), replaying the event log
-        past the new predictor's watermark and the swap run as one batcher
-        job: no ingest lands between them.  Blocks until the job has run.
+        ``name`` may be a model name or an alias.  Loading the bundle
+        (over the live world when the manifest records the same world
+        config, otherwise over the bundle's saved world), replaying the
+        event log past the new predictor's watermark and the swap hold
+        the engine lock: no ingest lands between them.  A server runs
+        this call as one batcher job.
 
         Over the live world the new predictor starts at ``world.seq``, but
         a RETINA bundle's prior-retweet counts come from training alone:
-        the job folds in the log's retweets up to ``world.seq`` first.
+        the log's retweets up to ``world.seq`` are folded in first.
         """
         if not isinstance(registry, ModelRegistry):
             registry = ModelRegistry(registry)
         manifest = registry.manifest(name, version)
         kind = KIND_FOR_BUNDLE[manifest["kind"]]
-
-        def swap() -> dict:
+        with self._lock:
             old = self.predictors.get(kind)
             config = dataclasses.asdict(old.world.config) if old is not None else None
             world = old.world if config == manifest["world_config"] else None
@@ -650,22 +692,20 @@ class InferenceEngine:
                     predictor.extractor.add_prior_retweets(events[: predictor.seq])
                 predictor.apply_events(events)
             previous = self.swap_predictor(kind, predictor)
-            prev_source = getattr(previous, "source", None) or {}
-            return {
-                "name": manifest["name"],
-                "version": manifest["version"],
-                "kind": kind,
-                "previous_version": prev_source.get("version"),
-            }
-
-        return self._submit_job(swap).result()
+        prev_source = getattr(previous, "source", None) or {}
+        return {
+            "name": manifest["name"],
+            "version": manifest["version"],
+            "kind": kind,
+            "previous_version": prev_source.get("version"),
+        }
 
     # ------------------------------------------------------------- ingest
     def attach_store(self, event_log: EventLog) -> int:
         """Attach the durable event log and replay it into every predictor.
 
-        Call before :meth:`start`: the replay runs on the calling thread.
-        The engine owns the log from here on: :meth:`stop` closes it.
+        Call before serving: the replay runs on the calling thread.  The
+        engine owns the log from here on: :meth:`stop` closes it.
 
         Replays the full log through each predictor, which keeps the
         events past its own watermark, so events ingested before a restart
@@ -687,7 +727,7 @@ class InferenceEngine:
     def ingest(self, items: list[dict]) -> dict:
         """Durably append a batch of events and fold them into serving state.
 
-        Once the engine has started, only the batcher may call this.
+        Holds the engine lock, so no read runs beside it.
 
         Per item: schema validation, then semantic validation against the
         serving world(s), then a crash-safe append to the event log — the
@@ -701,51 +741,52 @@ class InferenceEngine:
         Inside one batch, earlier items take effect before later ones are
         validated (a tweet can be retweeted by the next item).
         """
-        worlds = {id(p.world): p.world for p in self.predictors.values()}.values()
-        results: list[dict] = []
-        applied: list[StoredEvent] = []
-        with obs_trace.span("ingest.append", events=len(items)):
-            for item in items:
-                try:
-                    event = event_from_wire(validate_event_payload(item))
-                    h = event_hash(event)
-                    # Duplicates skip semantic validation: the original is
-                    # already applied, so re-validating would reject it
-                    # ("already retweeted") instead of acking its seq.
-                    if self.event_log.seq_for_hash(h) is None:
+        with self._lock:
+            worlds = {id(p.world): p.world for p in self.predictors.values()}.values()
+            results: list[dict] = []
+            applied: list[StoredEvent] = []
+            with obs_trace.span("ingest.append", events=len(items)):
+                for item in items:
+                    try:
+                        event = event_from_wire(validate_event_payload(item))
+                        h = event_hash(event)
+                        # Duplicates skip semantic validation: the original is
+                        # already applied, so re-validating would reject it
+                        # ("already retweeted") instead of acking its seq.
+                        if self.event_log.seq_for_hash(h) is None:
+                            for world in worlds:
+                                msg = validate_event_for_world(world, event)
+                                if msg is not None:
+                                    raise ServingError(msg, status=409,
+                                                       code="invalid_event")
+                    except (ServingError, ValueError) as exc:
+                        if not isinstance(exc, ServingError):
+                            exc = ServingError(str(exc), code="invalid_event")
+                        results.append(exc.as_result())
+                        continue
+                    seq, h, was_dup = self.event_log.append(event, h)
+                    if not was_dup:
+                        stored = StoredEvent(seq=seq, hash=h, event=event)
+                        # Apply to the world(s) now so later items in this
+                        # batch validate against the updated state.
                         for world in worlds:
-                            msg = validate_event_for_world(world, event)
-                            if msg is not None:
-                                raise ServingError(msg, status=409, code="invalid_event")
-                except ServingError as exc:
-                    results.append(exc.as_result())
-                    continue
-                except ValueError as exc:
-                    results.append(ServingError(str(exc), code="invalid_event").as_result())
-                    continue
-                seq, h, was_dup = self.event_log.append(event, h)
-                if not was_dup:
-                    stored = StoredEvent(seq=seq, hash=h, event=event)
-                    # Apply to the world(s) now so later items in this
-                    # batch validate against the updated state.
-                    for world in worlds:
-                        apply_events_to_world(world, [stored])
-                    applied.append(stored)
-                results.append(
-                    {"seq": seq, "hash": h, "deduped": was_dup, "kind": event.kind}
-                )
-        if applied:
-            with obs_trace.span("ingest.invalidate", events=len(applied)):
-                for predictor in self.predictors.values():
-                    predictor.apply_events(applied)
-        with obs_trace.span("ingest.reply"):
-            return {
-                "results": results,
-                "accepted": len(applied),
-                "deduped": sum(1 for r in results if r.get("deduped")),
-                "n_errors": sum(1 for r in results if "error" in r),
-                "last_seq": self.event_log.last_seq,
-            }
+                            apply_events_to_world(world, [stored])
+                        applied.append(stored)
+                    results.append(
+                        {"seq": seq, "hash": h, "deduped": was_dup, "kind": event.kind}
+                    )
+            if applied:
+                with obs_trace.span("ingest.invalidate", events=len(applied)):
+                    for predictor in self.predictors.values():
+                        predictor.apply_events(applied)
+            with obs_trace.span("ingest.reply"):
+                return {
+                    "results": results,
+                    "accepted": len(applied),
+                    "deduped": sum(1 for r in results if r.get("deduped")),
+                    "n_errors": sum(1 for r in results if "error" in r),
+                    "last_seq": self.event_log.last_seq,
+                }
 
     def store_stats(self) -> dict | None:
         """Event-log + watermark block for the ``/v1/metrics`` body."""
@@ -758,11 +799,10 @@ class InferenceEngine:
         return stats
 
     # ------------------------------------------------------------- submit
-    def submit(self, kind: str, payload: dict) -> Future:
-        """Enqueue one request; resolve its result via the returned future.
-
-        Requests submitted before :meth:`start` are buffered and served in
-        the first micro-batch once the worker runs.
+    def submit(self, kind: str, payload: dict):
+        """Submit one read; the returned future holds its answer or error:
+        an :class:`asyncio.Future` queued for the batcher on its loop, else
+        a :class:`concurrent.futures.Future` already settled inline.
         """
         if kind not in self.predictors:
             raise ServingError(
@@ -770,16 +810,14 @@ class InferenceEngine:
                 status=404,
                 code="unknown_predictor",
             )
-        return self._enqueue(_Request(
-            kind=kind,
-            payload=payload,
-            future=Future(),
-            trace=obs_trace.current_context(),
-        ))
+        request = _Request(kind, payload, trace=obs_trace.current_context())
+        if not self._enqueue(request):
+            self._run_reads([request])
+        return request.future
 
-    def submit_ingest(self, items: list[dict]) -> Future:
-        """Queue an ingest batch; the future holds its ack.  The batcher
-        runs :meth:`ingest` after the reads queued before it."""
+    def submit_ingest(self, items: list[dict]):
+        """Submit an ingest batch as a job (see :meth:`submit_job`); the
+        future holds its ack."""
         if self.event_log is None:
             raise ServingError(
                 "no event log attached to this engine; start the server "
@@ -787,50 +825,51 @@ class InferenceEngine:
                 status=503,
                 code="store_unavailable",
             )
-        return self._submit_job(lambda: self.ingest(items))
+        return self.submit_job(lambda: self.ingest(items))
 
-    def _submit_job(self, fn: Callable[[], object]) -> Future:
-        """Queue ``fn`` to run alone on the batcher thread, in a copy of the
-        caller's context (so the spans it opens join the caller's trace)."""
-        context = contextvars.copy_context()
-        return self._enqueue(_Request(
-            kind="job", payload={}, future=Future(), job=lambda: context.run(fn),
-        ))
+    def submit_job(self, fn: Callable[[], object]):
+        """Submit ``fn`` to run alone; the future holds its result or error.
 
-    def _enqueue(self, request: _Request) -> Future:
-        if self._stopping.is_set():
+        On the batcher's loop ``fn`` runs in its executor, after the reads
+        queued before it, in a copy of the caller's context (so its spans
+        join the caller's trace); anywhere else, inline.  ``fn`` takes the
+        engine lock itself, as :meth:`ingest` and :meth:`reload_model` do.
+        """
+        request = _Request(
+            "job", {}, job=functools.partial(contextvars.copy_context().run, fn)
+        )
+        if not self._enqueue(request):
+            try:
+                _settle(request.future, fn())
+            except Exception as exc:
+                _settle(request.future, exc=exc)
+        return request.future
+
+    def _enqueue(self, request: _Request) -> bool:
+        """Queue ``request`` for the batcher when called on its loop;
+        otherwise give it a future to settle inline and return False."""
+        if self._stopping:
             raise ServingError(
                 "engine is shutting down; request refused",
                 status=503,
                 code="engine_shutdown",
             )
-        self._queued_arrivals.append(request.submitted_at)
-        self._queue.put(request)
-        return request.future
+        if threading.get_ident() != self._loop_thread:
+            request.future = Future()
+            return False
+        request.future = asyncio.get_running_loop().create_future()
+        self._pending.append(request)
+        self._wakeup.set()
+        return True
 
-    def predict(self, kind: str, payload: dict, timeout: float | None = 30.0) -> dict:
-        """Blocking convenience wrapper around :meth:`submit`.
-
-        A timed-out wait is not silent: it emits a ``request_timeout``
-        span event and bumps ``repro_requests_timed_out_total`` before
-        cancelling the future and re-raising.
-        """
-        future = self.submit(kind, payload)
-        try:
-            return future.result(timeout=timeout)
-        except FutureTimeout:
-            self.record_timeout(kind)
-            future.cancel()
-            raise
+    def predict(self, kind: str, payload: dict) -> dict:
+        """Answer one read inline (for callers off the server's loop)."""
+        return self.submit(kind, payload).result()
 
     def record_timeout(self, kind: str) -> None:
-        """A waiter gave up on a submitted request before it was answered.
-
-        Emits a zero-duration ``request_timeout`` span event into the
-        caller's trace (when sampled) so the trace tree shows *why* the
-        request ended, and counts it in
-        ``repro_requests_timed_out_total``.
-        """
+        """A waiter gave up on a request: count it, and emit a
+        zero-duration ``request_timeout`` span into the caller's trace (when
+        sampled) so the trace tree shows *why* the request ended."""
         _TIMEOUTS.inc(kind=kind)
         ctx = obs_trace.current_context()
         if ctx is not None:
@@ -841,109 +880,42 @@ class InferenceEngine:
                 parent_id=parent_id, kind=kind,
             )
 
-    # ------------------------------------------------------------- worker
-    def _gather(self) -> list:
-        """Block for one request, then take what is already queued, up to
-        the cap; a job ends the batch."""
-        batch = [self._queue.get()]
-        while batch[-1] is not _SHUTDOWN:
-            self._dequeue(batch[-1])
-            if len(batch) == self.max_batch_size or batch[-1].job is not None:
-                break
-            try:
-                batch.append(self._queue.get_nowait())
-            except queue.Empty:
-                break
-        return batch
-
-    def _dequeue(self, request: _Request) -> None:
-        request.dequeued_at = time.perf_counter()
-        try:
-            self._queued_arrivals.popleft()
-        except IndexError:
-            pass
-
-    def _run(self) -> None:
-        while True:
-            batch = self._gather()
-            shutdown = batch[-1] is _SHUTDOWN
-            job = None if shutdown or batch[-1].job is None else batch[-1]
-            requests = batch[:-1] if shutdown or job else batch
+    # -------------------------------------------------------------- reads
+    def _run_reads(self, reads: list[_Request]) -> None:
+        """Run reads as one micro-batch per predictor kind, under the lock,
+        and settle their futures."""
+        with self._lock:
+            started = time.perf_counter()
             by_kind: dict[str, list[_Request]] = {}
-            for r in requests:
+            for r in reads:
                 by_kind.setdefault(r.kind, []).append(r)
-            assembled_at = time.perf_counter()
-            for r in requests:
+            assembled = time.perf_counter()
+            for r in reads:
                 if r.trace is None:
                     continue
                 trace_id, parent_id = r.trace
                 obs_trace.record_span(
-                    trace_id,
-                    "engine.queue_wait",
-                    r.submitted_at,
-                    r.dequeued_at,
+                    trace_id, "engine.queue_wait", r.submitted_at, started,
                     parent_id=parent_id,
                 )
                 obs_trace.record_span(
-                    trace_id,
-                    "engine.batch_assembly",
-                    r.dequeued_at,
-                    assembled_at,
-                    parent_id=parent_id,
-                    batch_size=len(by_kind[r.kind]),
+                    trace_id, "engine.batch_assembly", started, assembled,
+                    parent_id=parent_id, batch_size=len(by_kind[r.kind]),
                 )
             for kind, group in by_kind.items():
                 _BATCHES.inc(kind=kind)
                 self._execute(kind, group)
-            if job is not None:
-                self._run_job(job)
-            if shutdown:
-                self._fail_queued()
-                return
-
-    def _fail_queued(self) -> None:
-        """Fail every request still in the queue with a typed shutdown error."""
-        exc = ServingError(
-            "engine shut down before the request was served",
-            status=503,
-            code="engine_shutdown",
-        )
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                return
-            if item is _SHUTDOWN:
-                continue
-            self._dequeue(item)
-            if item.future.set_running_or_notify_cancel():
-                item.future.set_exception(exc)
-
-    def _run_job(self, request: _Request) -> None:
-        if not request.future.set_running_or_notify_cancel():
-            return  # cancelled while queued: it never runs
-        try:
-            result = request.job()
-        except BaseException as exc:  # the batcher must survive a bad job
-            request.future.set_exception(exc)
-        else:
-            request.future.set_result(result)
 
     def _execute(self, kind: str, group: list[_Request]) -> None:
         predictor = self.predictors[kind]
         try:
             with obs_trace.batch_context([r.trace for r in group]):
                 outcomes = predictor.predict_batch([r.payload for r in group])
-        except BaseException as exc:  # engine must survive bad batches
+        except Exception as exc:  # engine must survive bad batches
             _ERRORS.inc(len(group), kind=kind)
             for r in group:
-                if not r.future.set_running_or_notify_cancel():
-                    continue
-                r.future.set_exception(exc)
+                _settle(r.future, exc=exc)
             return
-        self._deliver(kind, group, outcomes)
-
-    def _deliver(self, kind: str, group: list[_Request], outcomes: list) -> None:
         now = time.perf_counter()
         for r, outcome in zip(group, outcomes):
             if isinstance(outcome, dict) and "error" in outcome:
@@ -953,8 +925,7 @@ class InferenceEngine:
             else:
                 _PREDICTIONS.inc(kind=kind)
             _LATENCY.observe(now - r.submitted_at, kind=kind)
-            if r.future.set_running_or_notify_cancel():
-                r.future.set_result(outcome)
+            _settle(r.future, outcome)
 
     # ------------------------------------------------------------- health
     def metrics(self) -> dict:
@@ -982,6 +953,16 @@ class InferenceEngine:
     def describe(self) -> dict:
         """Static model info for ``/healthz``."""
         return {kind: p.describe() for kind, p in self.predictors.items()}
+
+
+def _settle(future, result=None, *, exc: BaseException | None = None) -> None:
+    """Settle ``future`` unless its waiter has given up on it already."""
+    if future.done():
+        return
+    if exc is not None:
+        future.set_exception(exc)
+    else:
+        future.set_result(result)
 
 
 # ---------------------------------------------------------- cache plumbing

@@ -3,9 +3,12 @@
 Layout: ``<root>/segment-000001.log``, ``segment-000002.log``, ... where
 each segment is a sequence of records::
 
-    [4-byte LE length][4-byte LE CRC32 of payload][payload bytes]
+    [4-byte LE length][4-byte LE CRC32 of payload]
+    [4-byte LE CRC32 of the 8 bytes before it][payload bytes]
 
 and the payload is the canonical JSON of ``{"seq", "hash", "event"}``.
+The header's own CRC covers the length, so a damaged length is caught
+before it can frame the bytes after it as something else.
 Appends go to the last segment; a new segment starts when the current
 one exceeds ``segment_max_bytes`` (the directory is fsynced when a
 segment is created, matching the registry's fsync-before-rename
@@ -14,12 +17,12 @@ SIGKILL mid-append can only leave a torn tail, never lose an acked
 record.
 
 Reopen replays every segment to rebuild the in-memory state (dedup map,
-per-entity indexes, last sequence number).  A torn record at the very
-end of the *last* segment is the expected crash artefact and is
-truncated away; a corrupt record anywhere else — including one with
-intact records after it, which no crash of the fsync-per-append writer
-can produce — is real damage and surfaces as a typed
-:class:`StoreIOError`.
+per-entity indexes, last sequence number).  A record cut short at the
+very end of the *last* segment is the expected crash artefact (a prefix
+of the record reached the file) and is truncated away.  A damaged byte
+anywhere in a record that is all there — length, either CRC or payload —
+is real damage, as is a short record in an earlier segment, and
+surfaces as a typed :class:`StoreIOError`.
 
 Chaos points: ``store.append`` fires before any bytes are written (the
 append fails cleanly); ``store.fsync`` fires after the write, in which
@@ -41,7 +44,9 @@ from repro.store.events import Event, StoredEvent, event_from_wire, event_hash
 
 __all__ = ["EventLog", "StoreIOError"]
 
-_HEADER = struct.Struct("<II")  # (payload length, payload crc32)
+#: (payload length, payload CRC32, CRC32 of the first two fields).
+_HEADER = struct.Struct("<III")
+_FIELDS = struct.Struct("<II")
 
 #: Events accepted into the log, by kind.
 _EVENTS_TOTAL = REGISTRY.counter(
@@ -90,10 +95,10 @@ def _entity_keys(event: Event):
 class EventLog:
     """Durable append-only log with content-hash dedup and replay.
 
-    One thread writes: the serving engine appends from its batcher
-    thread, which also replays.  A lock still guards the in-memory state,
-    because ``/v1/metrics`` reads :meth:`stats` from the event-loop
-    thread while the batcher appends.
+    One writer at a time: the serving engine appends under its lock (in
+    a server, from the batcher's executor thread).  A lock still guards
+    the in-memory state, because ``/v1/metrics`` reads :meth:`stats`
+    from the event-loop thread while an ingest appends.
     """
 
     def __init__(self, root: str, *, segment_max_bytes: int = 4 << 20,
@@ -152,30 +157,24 @@ class EventLog:
         off = 0
         n = len(data)
         while off < n:
-            rest = n - off
-            # A crash can only tear the *physically final* record: every
-            # append fsyncs before acking, so nothing is ever written after
-            # an unsynced record.  An incomplete header/payload, or a CRC
-            # mismatch on the final record (partial page flush), is the
-            # crash artefact; a CRC mismatch with valid data *after* it is
-            # damage no crash could produce.
-            torn = rest < _HEADER.size
-            if not torn:
-                length, crc = _HEADER.unpack_from(data, off)
-                payload = data[off + _HEADER.size: off + _HEADER.size + length]
-                torn = len(payload) < length or (
-                    zlib.crc32(payload) != crc
-                    and off + _HEADER.size + length == n
-                )
-                if not torn and zlib.crc32(payload) != crc:
+            # A crash can only cut the *physically final* record short:
+            # every append fsyncs before acking, so nothing is ever written
+            # after an unsynced record, and what did reach the file is a
+            # prefix of the record.  Any other damage is raised.
+            short = n - off < _HEADER.size
+            if not short:
+                length, crc, header_crc = _HEADER.unpack_from(data, off)
+                if zlib.crc32(data[off: off + _FIELDS.size]) != header_crc:
                     raise StoreIOError(
-                        f"corrupt record at byte {off} of {path} with "
-                        f"intact records after it", path=path,
+                        f"corrupt record header at byte {off} of {path}",
+                        path=path,
                     )
-            if torn:
+                end = off + _HEADER.size + length
+                short = end > n
+            if short:
                 if not is_last:
                     raise StoreIOError(
-                        f"corrupt record at byte {off} of non-final "
+                        f"short record at byte {off} of non-final "
                         f"segment {path}", path=path,
                     )
                 # Crash artefact: drop the torn tail of the last segment.
@@ -185,6 +184,11 @@ class EventLog:
                     fh.flush()
                     self._fsync(fh, path)
                 return off
+            payload = data[off + _HEADER.size: end]
+            if zlib.crc32(payload) != crc:
+                raise StoreIOError(
+                    f"corrupt record at byte {off} of {path}", path=path,
+                )
             try:
                 rec = json.loads(payload)
                 event = event_from_wire(rec["event"])
@@ -200,7 +204,7 @@ class EventLog:
                     f"{len(self._records)} events", path=path,
                 )
             self._admit(stored)
-            off += _HEADER.size + length
+            off = end
         return off
 
     def _admit(self, stored: StoredEvent) -> None:
@@ -273,7 +277,8 @@ class EventLog:
             payload = json.dumps(
                 stored.to_wire(), sort_keys=True, separators=(",", ":")
             ).encode("utf-8")
-            record = _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+            fields = _FIELDS.pack(len(payload), zlib.crc32(payload))
+            record = fields + zlib.crc32(fields).to_bytes(4, "little") + payload
             path = os.path.join(self.root, _segment_name(self._segment_index))
             start = self._segment_bytes
             try:

@@ -1,5 +1,7 @@
 """Session fixtures for serving tests: one tiny world, trained bundles."""
 
+import asyncio
+
 import pytest
 
 from repro.core.hategen import HateGenFeatureExtractor, HateGenerationPipeline
@@ -86,3 +88,40 @@ def loaded_bundles(registry, serving_world):
     retina = registry.load_bundle("retina", world=serving_world.world)
     hategen = registry.load_bundle("hategen", world=serving_world.world)
     return {"retina": retina, "hategen": hategen}
+
+
+@pytest.fixture()
+def on_loop():
+    """``on_loop(srv, make)``: await ``make()`` on a running server's loop.
+
+    Calls made there reach the engine's batcher queue, as a handler's do;
+    returns a :class:`concurrent.futures.Future` of the awaited result.
+    """
+
+    def run(srv, make):
+        async def await_it():
+            return await make()
+
+        return asyncio.run_coroutine_threadsafe(await_it(), srv._loop)
+
+    return run
+
+
+@pytest.fixture()
+def batched():
+    """``batched(engine, submit)``: run ``submit()`` inside
+    ``engine.batching()`` on a fresh loop, before the batcher has run, so
+    everything it submits is queued at once; returns its futures, settled.
+    Leaving the block stops the engine: ``start()`` it to submit again.
+    """
+
+    def run(engine, submit):
+        async def main():
+            async with engine.batching():
+                futures = submit()
+                await asyncio.wait(futures)
+            return futures
+
+        return asyncio.run(main())
+
+    return run

@@ -833,15 +833,16 @@ class TestOverload:
         assert headers.get("Connection") == "close"
         assert reply["error"]["code"] == "shed_queue_full"
 
-    def test_queue_age_sheds_typed_429(self, registry, payload):
+    def test_queue_age_sheds_typed_429(self, registry, payload, on_loop):
         engine = engine_from_store(registry, max_batch_size=8)
         admission = AdmissionController(max_queue_age_s=0.05)
         with AsyncPredictionServer(
             engine, port=0, registry=registry, admission=admission
         ) as srv:
             gate = threading.Event()
-            blocker = engine._submit_job(lambda: gate.wait(30))
-            queued = engine.submit("hategen", payload)  # waits behind the job
+            blocker = on_loop(srv, lambda: engine.submit_job(lambda: gate.wait(30)))
+            # Waits behind the job.
+            queued = on_loop(srv, lambda: engine.submit("hategen", payload))
             try:
                 while engine.queue_age_s() < 0.1:
                     time.sleep(0.01)

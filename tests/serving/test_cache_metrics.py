@@ -113,23 +113,25 @@ class TestMetricsViewsAgree:
             "predictions": _series(text, "repro_predictions_total", kind=kind),
         }
 
-    def test_json_fields_match_exposition(self, loaded_bundles):
+    def test_json_fields_match_exposition(self, loaded_bundles, batched):
         store = loaded_bundles["hategen"].extractor.store_
         engine = InferenceEngine(
             {self.KIND: _Mixed(store), self.IDLE: _Mixed(store)}, max_batch_size=4
         )
         before = engine.metrics()[self.KIND]
-        # Queued before start: the first four form one batch, the two
-        # raising requests the next.
+        # Queued at once for the batcher: the first four form one batch,
+        # the two raising requests the next.
         payloads = [{"n": 1}, {"n": 2}, {"n": 3}, {"bad": True},
                     {"raise": True}, {"raise": True}]
-        futures = [engine.submit(self.KIND, p) for p in payloads]
         with engine:
+            futures = batched(
+                engine, lambda: [engine.submit(self.KIND, p) for p in payloads]
+            )
             for future in futures[:4]:
-                future.result(timeout=30.0)
+                future.result()
             for future in futures[4:]:
                 with pytest.raises(RuntimeError, match="kaboom"):
-                    future.result(timeout=30.0)
+                    future.result()
             text = REGISTRY.render()
             hit_ratio = _series(text, "repro_cache_hit_ratio",
                                 kind=self.KIND, cache="features")

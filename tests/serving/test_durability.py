@@ -9,8 +9,10 @@ shutdown fail with a typed ``engine_shutdown`` error instead of a
 generic timeout.
 """
 
+import asyncio
 import json
 import os
+import threading
 import urllib.error
 import urllib.request
 
@@ -175,17 +177,18 @@ class TestCorruptReloadOverHTTP:
             assert after["scores"] == before["scores"]
 
 
+class _Echo:
+    kind = "echo"
+
+    def predict_batch(self, payloads):
+        return [dict(p) for p in payloads]
+
+
 class TestTypedShutdown:
     def test_submit_after_stop_is_typed_503(self):
-        class Echo:
-            kind = "echo"
-
-            def predict_batch(self, payloads):
-                return [dict(p) for p in payloads]
-
-        engine = InferenceEngine({"echo": Echo()})
+        engine = InferenceEngine({"echo": _Echo()})
         engine.start()
-        assert engine.predict("echo", {"x": 1}, timeout=10.0) == {"x": 1}
+        assert engine.predict("echo", {"x": 1}) == {"x": 1}
         engine.stop()
         with pytest.raises(ServingError) as err:
             engine.submit("echo", {"x": 2})
@@ -193,43 +196,48 @@ class TestTypedShutdown:
         assert err.value.status == 503
 
     def test_requests_queued_before_stop_are_drained(self):
-        import threading
-
-        release = threading.Event()
+        """A read in flight on another thread when ``stop`` is called is
+        answered, and ``stop`` waits for it before closing anything."""
+        entered, release = threading.Event(), threading.Event()
 
         class Slow:
             kind = "slow"
 
             def predict_batch(self, payloads):
+                entered.set()
                 release.wait(timeout=10.0)
                 return [{"ok": True} for _ in payloads]
 
         engine = InferenceEngine({"slow": Slow()}, max_batch_size=1)
         engine.start()
-        first = engine.submit("slow", {})   # occupies the gather loop
-        queued = engine.submit("slow", {})  # sits in the queue
+        answers = []
+        caller = threading.Thread(
+            target=lambda: answers.append(engine.predict("slow", {}))
+        )
+        caller.start()
+        assert entered.wait(timeout=10.0)
         stopper = threading.Thread(target=engine.stop)
         stopper.start()
+        stopper.join(timeout=0.2)
+        assert stopper.is_alive()  # held off by the read in flight
         release.set()
         stopper.join(timeout=30.0)
-        assert not stopper.is_alive()
-        # Graceful drain: both requests were answered, neither hung.
-        assert first.result(timeout=10.0) == {"ok": True}
-        assert queued.result(timeout=10.0) == {"ok": True}
+        caller.join(timeout=30.0)
+        assert not stopper.is_alive() and not caller.is_alive()
+        # Graceful drain: the read was answered, not failed or hung.
+        assert answers == [{"ok": True}]
 
     def test_stop_without_worker_fails_queued_typed(self):
-        """A request queued into a never-started engine fails typed on stop."""
+        """A read queued for a batcher that never ran fails typed when the
+        batcher's block exits."""
+        engine = InferenceEngine({"echo": _Echo()})
 
-        class Echo:
-            kind = "echo"
+        async def main():
+            async with engine.batching():
+                return engine.submit("echo", {"x": 1})
 
-            def predict_batch(self, payloads):
-                return [dict(p) for p in payloads]
-
-        engine = InferenceEngine({"echo": Echo()})
-        future = engine.submit("echo", {"x": 1})
-        engine.stop()
-        with pytest.raises(ServingError) as err:
-            future.result(timeout=10.0)
-        assert err.value.code == "engine_shutdown"
-        assert err.value.status == 503
+        future = asyncio.run(main())
+        err = future.exception()
+        assert isinstance(err, ServingError)
+        assert err.code == "engine_shutdown"
+        assert err.status == 503

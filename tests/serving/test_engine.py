@@ -1,6 +1,6 @@
 """Inference-engine tests: parity, batching, store reads, error isolation."""
 
-import queue
+import asyncio
 import threading
 
 import numpy as np
@@ -37,19 +37,28 @@ class TestRetweeterPredictor:
         got = np.array([result["scores"][str(u)] for u in sample.candidate_set.users])
         np.testing.assert_allclose(got, trainer.predict_static_scores(sample), atol=1e-12)
 
-    def test_requests_sharing_a_cascade_are_coalesced(self, retweeter, trained_retina):
+    def test_requests_sharing_a_cascade_are_coalesced(
+        self, retweeter, trained_retina, batched
+    ):
+        """Three reads queued at once for the batcher are one batch, and
+        the two halves score as the whole."""
         _, _, test_samples = trained_retina
         sample = test_samples[0]
         cid = sample.candidate_set.cascade.root.tweet_id
         users = sample.candidate_set.users
         half = len(users) // 2
-        results = retweeter.predict_batch(
-            [
-                {"cascade_id": cid, "user_ids": users[:half]},
-                {"cascade_id": cid, "user_ids": users[half:]},
-                {"cascade_id": cid, "user_ids": users},
-            ]
+        payloads = [
+            {"cascade_id": cid, "user_ids": users[:half]},
+            {"cascade_id": cid, "user_ids": users[half:]},
+            {"cascade_id": cid, "user_ids": users},
+        ]
+        engine = InferenceEngine({"retweeters": retweeter})
+        n_before = engine.metrics()["retweeters"]["batches"]
+        futures = batched(
+            engine, lambda: [engine.submit("retweeters", p) for p in payloads]
         )
+        assert engine.metrics()["retweeters"]["batches"] == n_before + 1
+        results = [f.result() for f in futures]
         merged = {**results[0]["scores"], **results[1]["scores"]}
         assert merged == results[2]["scores"]
 
@@ -267,18 +276,20 @@ class TestInferenceEngine:
         with pytest.raises(ValueError, match="kind 'retweeters'"):
             engine_from_store(str(registry.root), ["retina", "retina"])
 
-    def test_prestart_submissions_form_one_batch(self, retweeter, trained_retina):
+    def test_prestart_submissions_form_one_batch(
+        self, retweeter, trained_retina, batched
+    ):
+        """Reads queued before the batcher first runs are one batch."""
         _, _, test_samples = trained_retina
         cid = test_samples[0].candidate_set.cascade.root.tweet_id
         users = test_samples[0].candidate_set.users
         engine = InferenceEngine({"retweeters": retweeter})
         n_before = engine.metrics()["retweeters"]["batches"]
-        futures = [
+        futures = batched(engine, lambda: [
             engine.submit("retweeters", {"cascade_id": cid, "user_ids": [u]})
             for u in users[:6]
-        ]
-        with engine:
-            results = [f.result(timeout=30.0) for f in futures]
+        ])
+        results = [f.result() for f in futures]
         assert all("scores" in r for r in results)
         assert engine.metrics()["retweeters"]["batches"] == n_before + 1
 
@@ -328,7 +339,7 @@ class TestInferenceEngine:
             )
         assert "scores" in good
 
-    def test_raising_batch_counts_one_error_per_request(self):
+    def test_raising_batch_counts_one_error_per_request(self, batched):
         class Exploding:
             kind = "boom"
 
@@ -338,11 +349,10 @@ class TestInferenceEngine:
         engine = InferenceEngine({"boom": Exploding()})
         errors_before = engine.metrics()["boom"]["errors"]
         batches_before = engine.metrics()["boom"]["batches"]
-        futures = [engine.submit("boom", {"i": i}) for i in range(3)]
-        with engine:
-            for future in futures:
-                with pytest.raises(RuntimeError, match="kaboom"):
-                    future.result(timeout=30.0)
+        futures = batched(engine, lambda: [engine.submit("boom", {"i": i}) for i in range(3)])
+        for future in futures:
+            with pytest.raises(RuntimeError, match="kaboom"):
+                future.result()
         assert engine.metrics()["boom"]["batches"] == batches_before + 1
         assert engine.metrics()["boom"]["errors"] == errors_before + 3
 
@@ -371,53 +381,36 @@ class _Recorder:
         return [dict(p) for p in payloads]
 
 
-class _NoTimedGet:
-    """A request queue whose timed ``get`` never returns an item.
-
-    It models the stall of ``SimpleQueue.get(timeout=...)`` that can wait
-    for the next ``put`` instead of timing out: a batcher that waits on a
-    timer for more requests hangs on it.  ``get()`` and ``get_nowait()``
-    delegate to a real queue.
-    """
-
-    def __init__(self):
-        self._queue = queue.SimpleQueue()
-        self.released = threading.Event()
-
-    def put(self, item):
-        self._queue.put(item)
-
-    def get(self, block=True, timeout=None):
-        if timeout is not None:
-            self.released.wait()
-            raise queue.Empty
-        return self._queue.get(block)
-
-    def get_nowait(self):
-        return self._queue.get_nowait()
-
-
 class TestGreedyDrain:
-    """A batch is what is already queued when the engine is free."""
+    """A batch is what is already queued when the batcher is free."""
 
     def test_batcher_never_waits_on_a_timer(self):
+        """Reads one at a time are each answered at once: the batcher
+        waits for work, never on a timer (arming one here fails)."""
         engine = InferenceEngine({"echo": _Recorder()})
-        stub = engine._queue = _NoTimedGet()
-        with engine:
-            try:
-                for i in range(5):
-                    future = engine.submit("echo", {"i": i})
-                    assert future.result(timeout=5) == {"i": i}
-            finally:
-                stub.released.set()
 
-    def test_queued_requests_drain_in_batches_of_the_cap(self):
+        async def main():
+            loop = asyncio.get_running_loop()
+
+            def no_timer(*args, **kwargs):
+                raise AssertionError("the batcher armed a timer")
+
+            loop.call_at = no_timer  # call_later arms timers through it
+            try:
+                async with engine.batching():
+                    for i in range(5):
+                        assert await engine.submit("echo", {"i": i}) == {"i": i}
+            finally:
+                del loop.call_at
+
+        asyncio.run(main())
+        assert engine.predictors["echo"].batch_sizes == [1] * 5
+
+    def test_queued_requests_drain_in_batches_of_the_cap(self, batched):
         echo = _Recorder()
         engine = InferenceEngine({"echo": echo}, max_batch_size=4)
-        futures = [engine.submit("echo", {"i": i}) for i in range(10)]
-        with engine:
-            results = [f.result(timeout=30.0) for f in futures]
-        assert results == [{"i": i} for i in range(10)]
+        futures = batched(engine, lambda: [engine.submit("echo", {"i": i}) for i in range(10)])
+        assert [f.result() for f in futures] == [{"i": i} for i in range(10)]
         assert echo.batch_sizes == [4, 4, 2]
 
 

@@ -503,7 +503,7 @@ class TestPredictorWatermark:
 
 class TestIngestWaitBound:
     def test_timeout_is_503_and_a_job_cancelled_before_it_starts_appends_nothing(
-        self, registry, tmp_path_factory
+        self, registry, tmp_path_factory, on_loop
     ):
         store = _copy_store(registry, tmp_path_factory, "ingest-timeout-store")
         engine = engine_from_store(store)
@@ -529,8 +529,10 @@ class TestIngestWaitBound:
             gate.set()
             del engine.ingest
             cascade, fresh, _ = _world_material(engine)
-            engine.predict("retweeters", {"cascade_id": cascade.root.tweet_id,
-                                          "user_ids": fresh[:1]})  # drains the queue
+            # A read queued behind the started job drains the queue.
+            on_loop(srv, lambda: engine.submit("retweeters", {
+                "cascade_id": cascade.root.tweet_id, "user_ids": fresh[:1],
+            })).result(timeout=30)
             assert engine.event_log.last_seq == base + 1  # only the started job
             # Retries: the started batch is acked by dedup, the cancelled
             # one is accepted now.

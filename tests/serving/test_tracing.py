@@ -7,6 +7,7 @@ retrievable via ``/v1/traces/{id}``.
 """
 
 import json
+import os
 import urllib.error
 import urllib.request
 
@@ -115,6 +116,29 @@ def test_untraced_request_stays_untraced(registry, trained_retina):
         assert headers["X-Trace-Id"] == "forcedone"
         status, tree = _get(srv.url + "/v1/traces/forcedone")
         assert status == 200 and tree["n_spans"] >= 5
+
+
+def test_traced_read_makes_no_urandom_call(registry, trained_retina, monkeypatch):
+    """Trace and span ids come from a generator seeded once: with
+    ``os.urandom`` failing after start-up, a traced read is still
+    answered, and its whole span tree is recorded."""
+    _, _, test_samples = trained_retina
+    cascade_id = test_samples[0].candidate_set.cascade.root.tweet_id
+
+    def urandom(n):
+        raise OSError("os.urandom called after start-up")
+
+    with _serve(registry) as srv:
+        monkeypatch.setattr(os, "urandom", urandom)
+        status, headers, _ = _post(
+            srv.url + "/v1/predict/retweeters", {"cascade_id": cascade_id}
+        )
+        assert status == 200
+        trace_id = headers["X-Trace-Id"]
+        status, tree = _get(srv.url + f"/v1/traces/{trace_id}")
+    assert status == 200
+    assert EXPECTED_SPANS <= {sp["name"] for sp in tree["spans"]}
+    _assert_connected_tree(tree, trace_id)
 
 
 def test_unknown_trace_404(registry):

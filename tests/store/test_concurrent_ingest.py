@@ -1,8 +1,8 @@
 """Reads beside a streaming ingest == a serial replay at an acked watermark.
 
 Reader threads query cascades through ``engine.submit`` while a writer
-thread streams ingest batches through ``engine.submit_ingest``.  The
-batcher runs each ingest batch alone, between read batches, so every
+thread streams ingest batches through ``engine.submit_ingest``.  Both
+run inline under the engine lock, each ingest batch alone, so every
 read must equal, bit for bit, a fresh predictor that replayed the log up
 to one batch boundary: at or after the last ack the reader saw before
 submitting, and at or before the first ack after its reply.  A read

@@ -2,6 +2,7 @@
 
 import os
 import struct
+import zlib
 
 import pytest
 
@@ -89,9 +90,10 @@ def test_torn_tail_of_last_segment_is_truncated(tmp_path):
             log.append(_rt(i))
         path = os.path.join(log.root, "segment-000001.log")
         good = log.stats()["segment_bytes"]
-    # Simulate a crash mid-append: a half-written record at the tail.
+    # Simulate a crash mid-append: the first bytes of a record at the tail.
+    fields = struct.pack("<II", 9999, 0)
     with open(path, "ab") as fh:
-        fh.write(struct.pack("<II", 9999, 0) + b"partial")
+        fh.write(fields + struct.pack("<I", zlib.crc32(fields)) + b"partial")
     with EventLog(str(tmp_path)) as log:
         assert log.last_seq == 3  # acked events all survive
         assert log.stats()["truncated_tail_bytes"] > 0
@@ -113,8 +115,9 @@ def test_corruption_mid_file_is_a_typed_error(tmp_path):
     assert err.value.code == "store_io"
 
 
-def test_crc_mismatch_on_final_record_is_a_torn_tail(tmp_path):
-    """A partial page flush of the *last* record is the crash artefact."""
+def test_crc_mismatch_on_final_record_is_a_typed_error(tmp_path):
+    """Only a record cut short is a torn tail: a final record that is all
+    there but fails its CRC is damage to an acked event."""
     with EventLog(str(tmp_path)) as log:
         for i in range(3):
             log.append(_rt(i))
@@ -123,9 +126,28 @@ def test_crc_mismatch_on_final_record_is_a_torn_tail(tmp_path):
     with open(path, "r+b") as fh:
         fh.seek(size - 2)  # inside the final record's payload
         fh.write(b"\xff")
+    with pytest.raises(StoreIOError):
+        EventLog(str(tmp_path))
+    assert os.path.getsize(path) == size  # nothing was truncated
+
+
+@pytest.mark.parametrize("at", [0, 3, 4, 8])
+def test_damaged_header_is_a_typed_error(tmp_path, at):
+    """A damaged length (or either CRC) in the first record raises; it
+    never frames the rest of the segment as one torn record."""
     with EventLog(str(tmp_path)) as log:
-        assert log.last_seq == 2  # the unacked-able final record is dropped
-        assert log.stats()["truncated_tail_bytes"] > 0
+        for i in range(4):
+            log.append(_rt(i))
+        path = os.path.join(log.root, "segment-000001.log")
+    size = os.path.getsize(path)
+    with open(path, "r+b") as fh:
+        fh.seek(at)
+        byte = fh.read(1)
+        fh.seek(at)
+        fh.write(bytes([byte[0] ^ 0x40]))
+    with pytest.raises(StoreIOError):
+        EventLog(str(tmp_path))
+    assert os.path.getsize(path) == size
 
 
 def test_corrupt_non_final_segment_is_not_truncated(tmp_path):

@@ -8,9 +8,9 @@ acks its original seq without writing.  The machine interleaves:
 - reopens, which rebuild the log from its segment files;
 - crashes, which cut k bytes off the final record and reopen — the torn
   tail is truncated away and the oracle forgets that one event;
-- corruption of a record with intact records after it (its CRC or its
-  payload), which must make reopen raise :class:`StoreIOError` (the byte
-  is then restored);
+- a flip of any byte of any whole record (its length, either CRC or its
+  payload, the final record's too), which must make reopen raise
+  :class:`StoreIOError` and truncate nothing (the byte is then restored);
 
 over logs whose ``segment_max_bytes`` is small enough that segments roll.
 """
@@ -39,7 +39,7 @@ from repro.store import (
     event_hash,
 )
 
-_HEADER = struct.Struct("<II")
+_HEADER = struct.Struct("<III")
 
 EVENTS = st.one_of(
     st.builds(RetweetEvent, tweet_id=st.integers(0, 5), user_id=st.integers(0, 3),
@@ -57,7 +57,7 @@ def _records(path: str) -> list[tuple[int, int]]:
         data = fh.read()
     out, off = [], 0
     while off + _HEADER.size <= len(data):
-        length, _ = _HEADER.unpack_from(data, off)
+        length, _, _ = _HEADER.unpack_from(data, off)
         size = _HEADER.size + length
         if off + size > len(data):
             break
@@ -124,26 +124,27 @@ class EventLogMachine(RuleBasedStateMachine):
         assert self.log.stats()["truncated_tail_bytes"] == size - k
         assert os.path.getsize(last) == off
 
-    @precondition(lambda self: len(self.oracle) >= 2)
+    @precondition(lambda self: self.oracle)
     @rule(data=st.data())
-    def corrupt_non_final_record(self, data):
+    def flip_any_byte(self, data):
         self.log.close()
         records = [
             (path, off, size)
             for path in self._segments()
             for off, size in _records(path)
-        ][:-1]
+        ]
         path, off, size = data.draw(st.sampled_from(records), label="record")
-        # Any byte of the CRC field or the payload.  (A damaged length
-        # field can frame the rest of the segment as one torn record.)
-        at = off + 4 + data.draw(st.integers(0, size - 5), label="byte")
+        at = off + data.draw(st.integers(0, size - 1), label="byte")
+        mask = data.draw(st.integers(1, 255), label="mask")
+        size_before = os.path.getsize(path)
         with open(path, "r+b") as fh:
             fh.seek(at)
             original = fh.read(1)
             fh.seek(at)
-            fh.write(bytes([original[0] ^ 0xFF]))
+            fh.write(bytes([original[0] ^ mask]))
         with pytest.raises(StoreIOError):
             EventLog(self.root, segment_max_bytes=self.segment_max_bytes, fsync=False)
+        assert os.path.getsize(path) == size_before
         with open(path, "r+b") as fh:
             fh.seek(at)
             fh.write(original)
