@@ -188,10 +188,11 @@ class RETINA(Module):
         pack is bit-identical to :meth:`predict_proba_blocks` (identical
         BLAS call shapes; the serving parity tests rely on this).  Packing
         several cascades changes the gemm row counts, whose internal
-        blocking can flip the last bit — multi-cascade packs agree with the
-        per-cascade forward to float precision (~1 ulp), the same
-        batch-composition sensitivity the tape forward itself has when a
-        request's candidate set changes.
+        blocking changes the rounding: on one OpenBLAS build, a cascade's
+        scores in a multi-cascade pack differed from the same cascade
+        alone by up to 43 ulp (static) and 64 ulp (dynamic).  The tape
+        forward has the same sensitivity within one request: a user's
+        score changes with the other candidates in the request.
         """
         if not packs:
             return []

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.text.lexicon import PAPER_EXAMPLE_TERMS, SYNTHETIC_TERMS
-from repro.utils.rng import ensure_rng
+from repro.utils.rng import ensure_rng, pool_draws
 
 __all__ = ["THEME_VOCAB", "COMMON_WORDS", "HATE_PHRASES", "make_text", "make_headline"]
 
@@ -77,11 +77,7 @@ def make_text(
     if theme not in THEME_VOCAB:
         raise ValueError(f"unknown theme {theme!r}")
     rng = ensure_rng(rng)
-    topic_words = THEME_VOCAB[theme]
-    words = []
-    for _ in range(length):
-        pool = topic_words if rng.random() < 0.6 else COMMON_WORDS
-        words.append(pool[rng.integers(0, len(pool))])
+    words = pool_draws(rng, 0.6, THEME_VOCAB[theme], COMMON_WORDS, length)
     if is_hate:
         n_slurs = int(rng.integers(1, 4))
         slur_pool = SYNTHETIC_TERMS + PAPER_EXAMPLE_TERMS
@@ -99,9 +95,4 @@ def make_headline(theme: str, rng: np.random.Generator, length: int = 9) -> str:
     if theme not in THEME_VOCAB:
         raise ValueError(f"unknown theme {theme!r}")
     rng = ensure_rng(rng)
-    topic_words = THEME_VOCAB[theme]
-    words = []
-    for _ in range(length):
-        pool = topic_words if rng.random() < 0.7 else COMMON_WORDS
-        words.append(pool[rng.integers(0, len(pool))])
-    return " ".join(words)
+    return " ".join(pool_draws(rng, 0.7, THEME_VOCAB[theme], COMMON_WORDS, length))

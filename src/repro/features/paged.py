@@ -229,7 +229,13 @@ class PagedMatrix:
 
         return self._with_retries("read", bid, _do)
 
+    def _check_open(self) -> None:
+        # The fd number may already belong to another file.
+        if self._closed:
+            raise ValueError(f"paged matrix {self.path} is closed")
+
     def _get_block(self, bid: int) -> np.ndarray:
+        self._check_open()
         block = self._pages.get(bid)
         if block is not None:
             self._pages.move_to_end(bid)
@@ -317,11 +323,16 @@ class PagedMatrix:
                     first_err = exc
                 continue
             self._dirty.discard(bid)
+        # Blocks pinned over budget by a deferred writeback may be clean now.
+        clean = [bid for bid in self._pages if bid not in self._dirty]
+        for bid in clean[: max(0, len(self._pages) - self.max_pages)]:
+            del self._pages[bid]
         if first_err is not None:
             raise first_err
 
     def clear(self) -> None:
         """Drop resident pages and re-sparse the backing file (all zeros)."""
+        self._check_open()
         self._pages.clear()
         self._dirty.clear()
         self._degraded.clear()

@@ -4,7 +4,8 @@
 cascade stage as it was before the simulator moved to arrays: a dict
 frontier grown one follower at a time, trait weights computed per user,
 and burst rates summed one time point at a time (``_reference_theme_rates``,
-which also stands in for the news generator's rates).  Patched in with
+which also stands in for the news generator's rates); its tweet text
+comes from the scalar ``make_text`` frozen in ``text_oracle``.  Patched in with
 ``monkeypatch``, it must give the same world as the array code, field
 for field and float bit for float bit.  History is drawn last from the
 shared generator, so equal histories also mean that both made the same
@@ -21,9 +22,9 @@ from repro.data import SyntheticWorld, SyntheticWorldConfig
 from repro.data.news import EventBurst, NewsStream
 from repro.data.schema import WINDOW_HOURS, Cascade, Retweet, Tweet
 from repro.data.synthetic import FIG1_HORIZON, MAX_CASCADE
-from repro.data.vocab import make_text
 from repro.graph.network import InformationNetwork
 from tests.data.test_world_state import _assert_same
+from tests.data.text_oracle import make_text
 
 #: Cascades whose "outside" pool ran empty in the reference.
 _STATS: collections.Counter = collections.Counter()
